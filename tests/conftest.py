@@ -17,6 +17,7 @@ pairs, width 2, unique maximum h.
 """
 
 import json
+import random
 
 import pytest
 
@@ -63,6 +64,21 @@ SAMPLE_POLICY_DOC = {
 }
 
 SAMPLE_PARTITION_DOC = {"chains": [["h", "g", "e", "c", "a"], ["f", "d", "b"]]}
+
+
+def sparse_policy_doc(n, seed):
+    """A seeded sparse random policy: label i draws two parents uniformly
+    from labels i+1..n (a draw of n means "no parent"); users 0-5 per label.
+    """
+    rng = random.Random(f"sparse/{seed}")
+    labels = [f"L{i:04d}" for i in range(n)]
+    arcs = []
+    for i in range(n):
+        for parent in sorted({rng.randint(i + 1, n) for _ in range(2)}):
+            if parent < n:
+                arcs.append([labels[parent], labels[i]])
+    users = {label: rng.randint(0, 5) for label in labels}
+    return {"elements": labels, "arcs": arcs, "users": users}
 
 
 @pytest.fixture(scope="session")
