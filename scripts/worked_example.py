@@ -63,11 +63,11 @@ def main() -> int:
     print(f"\ntotals: K_total={metrics.K_total} K_hat={metrics.K_hat} "
           f"k_max={metrics.k_max} d_max={metrics.d_max} public items={metrics.p}")
 
-    store, bundles = setup(poset, tree, allocation, rng=seeded_bytes(b"worked example"))
+    store, bundles = setup(poset, tree, rng=seeded_bytes(b"worked example"))
     print("\nkeystore (reproducible seed), first bytes of each key:")
     for label in poset.sorted_elements:
         print(f"  k({label}) = {store.keys[label].hex()[:16]}…")
-    got = derive(poset, tree, allocation, bundles["f"], "a")
+    got = derive(poset, tree, bundles["f"], "a")
     print(f"\nholder at f derives k(a): {got.hex()[:16]}… "
           f"(matches keystore: {got == store.keys['a']})")
 

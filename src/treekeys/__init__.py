@@ -14,15 +14,13 @@ from .allocation import (
     SchemeMetrics,
     canonical_allocation,
     scheme_metrics,
+    start_points,
     validate_enforcement,
 )
 from .baselines import (
     ChainScheme,
-    chain_derive,
     chain_metrics,
     chain_scheme_build,
-    chain_setup,
-    chain_user_keys,
     classic_scheme_metrics,
 )
 from .errors import (

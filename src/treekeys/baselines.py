@@ -1,24 +1,21 @@
 """Comparison schemes: chain-partition enforcement and the classic
 public-information constructions.
 
-The chain scheme splits the poset into disjoint chains and chains keys
-down each one with a PRF, so, like the tree scheme, it needs no public
-helper data; holders get one key per chain their down-set touches. The
-basic/iterative/direct schemes are sized only (key counts, public items,
-derivation depth): they exist here to quantify trade-offs, not to ship
-keys.
+The chain scheme splits the poset into disjoint chains and derives keys
+down each one, so, like the tree scheme, it needs no public helper data;
+holders get one key per chain their down-set touches. All baselines are
+sized only (key counts, public items, derivation depth): they exist here
+to quantify trade-offs, not to ship keys.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .allocation import SchemeMetrics
-from .errors import AuthorizationError, PolicyError
-from .kdf import KEY_BYTES, prf
-from .poset import ChainPartition, Poset, UserAssignment
+from .errors import PolicyError
+from .poset import ChainPartition, Poset, UserAssignment, _topological_order
 
 
 @dataclass(frozen=True)
@@ -46,45 +43,6 @@ def chain_scheme_build(poset: Poset, partition: ChainPartition) -> ChainScheme:
     return ChainScheme(partition=partition, start_points=start_points)
 
 
-def chain_setup(
-    scheme: ChainScheme, *, rng: Callable[[int], bytes] = os.urandom
-) -> dict[str, bytes]:
-    """Keys for every label: fresh at each chain top, then PRF-chained down.
-
-    Chaining uses the PRF with an empty message, so one primitive serves
-    both schemes.
-    """
-    keys: dict[str, bytes] = {}
-    for chain in scheme.partition.chains:
-        key = rng(KEY_BYTES)
-        if not isinstance(key, bytes) or len(key) != KEY_BYTES:
-            raise ValueError(f"randomness source must yield {KEY_BYTES} bytes")
-        keys[chain[0]] = key
-        for label in chain[1:]:
-            key = prf(key, b"")
-            keys[label] = key
-    return keys
-
-
-def chain_user_keys(scheme: ChainScheme, keys: Mapping[str, bytes], holder: str) -> dict[str, bytes]:
-    """The keys actually handed to a holder: one per start point."""
-    return {z: keys[z] for z in sorted(scheme.start_points[holder])}
-
-
-def chain_derive(
-    scheme: ChainScheme, holder: str, holder_keys: Mapping[str, bytes], target: str
-) -> bytes:
-    """Walk down from the holder's start point in the target's chain."""
-    chain = scheme.partition.chain_of(target)
-    start = next((z for z in chain if z in scheme.start_points[holder]), None)
-    if start is None or chain.index(start) > chain.index(target):
-        raise AuthorizationError(f"{holder!r} is not authorized for {target!r}")
-    key = holder_keys[start]
-    for _ in range(chain.index(target) - chain.index(start)):
-        key = prf(key, b"")
-    return key
-
-
 def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> SchemeMetrics:
     """Size parameters of a chain scheme (no public items, like the tree scheme)."""
     sizes = {x: len(scheme.start_points[x]) for x in poset.sorted_elements}
@@ -105,15 +63,13 @@ def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> S
 
 
 def _longest_cover_path(poset: Poset) -> int:
-    depth: dict[str, int] = {}
-
-    def height(x: str) -> int:
-        if x not in depth:
-            kids = poset.cover_children(x)
-            depth[x] = 0 if not kids else 1 + max(height(c) for c in kids)
-        return depth[x]
-
-    return max(height(x) for x in poset.sorted_elements)
+    below: dict[str, set[str]] = {x: set() for x in poset.elements}
+    for x, y in poset.covers:
+        below[x].add(y)
+    height: dict[str, int] = {}
+    for x in reversed(_topological_order(below)):  # children before parents
+        height[x] = max((1 + height[c] for c in below[x]), default=0)
+    return max(height.values())
 
 
 CLASSIC_SCHEMES = ("basic", "iterative", "direct")

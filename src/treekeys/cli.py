@@ -17,7 +17,7 @@ import os
 import sys
 import urllib.parse
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
 from .allocation import canonical_allocation, scheme_metrics
@@ -127,7 +127,6 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
 def cmd_keygen(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
-    allocation = canonical_allocation(poset, tree)
     if args.seed is not None:
         try:
             seed = bytes.fromhex(args.seed)
@@ -138,7 +137,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         rng = kdf.seeded_bytes(seed)
     else:
         rng = os.urandom
-    store, bundles = kdf.setup(poset, tree, allocation, rng=rng)
+    store, bundles = kdf.setup(poset, tree, rng=rng)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "keystore.json", store.to_json_dict())
@@ -151,9 +150,8 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 def cmd_derive(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
-    allocation = canonical_allocation(poset, tree)
     bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle))
-    key = kdf.derive(poset, tree, allocation, bundle, args.target)
+    key = kdf.derive(poset, tree, bundle, args.target)
     print(key.hex())
     return 0
 
@@ -205,29 +203,31 @@ def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
     return entries
 
 
-def _object_key(
-    args: argparse.Namespace,
-    poset: Poset,
-    tree: DerivationOutTree,
-    label: str,
-) -> bytes:
+def _key_source(
+    args: argparse.Namespace, poset: Poset, tree: DerivationOutTree
+) -> Callable[[str], bytes]:
+    """Object keys by label: looked up in ``--keystore`` or derived from
+    ``--bundle``, either file read once per command."""
     if args.keystore:
-        store = kdf.SecretStore.from_json_dict(_load_json(args.keystore))
-        try:
-            return store.keys[label]
-        except KeyError as exc:
-            raise PolicyError(f"keystore has no key for label {label!r}") from exc
+        keys = kdf.SecretStore.from_json_dict(_load_json(args.keystore)).keys
+
+        def stored(label: str) -> bytes:
+            if label not in keys:
+                raise PolicyError(f"keystore has no key for label {label!r}")
+            return keys[label]
+
+        return stored
     bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle))
-    allocation = canonical_allocation(poset, tree)
-    return kdf.derive(poset, tree, allocation, bundle, label)
+    return lambda label: kdf.derive(poset, tree, bundle, label)
 
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
     entries = _load_manifest(poset, args.manifest)
+    object_key = _key_source(args, poset, tree)
     for path, label in entries:
-        key = _object_key(args, poset, tree, label)
+        key = object_key(label)
         try:
             plaintext = path.read_bytes()
         except OSError as exc:
@@ -242,6 +242,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
 def cmd_decrypt(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
+    object_key = _key_source(args, poset, tree)
     for name in args.sealed:
         path = Path(name)
         try:
@@ -250,7 +251,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
             raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
         label = sealing.sealed_label(blob)
         poset.require(label)
-        key = _object_key(args, poset, tree, label)
+        key = object_key(label)
         _, plaintext = sealing.unseal(key, blob)
         if args.out_dir:
             base = path.name[: -len(args.suffix)] if path.name.endswith(args.suffix) else path.name

@@ -20,10 +20,10 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .allocation import KeyAllocation, canonical_allocation
+from .allocation import canonical_allocation, start_points
 from .errors import AuthorizationError, PolicyError
 from .poset import Poset
-from .trees import DerivationOutTree, validate_tree
+from .trees import DerivationOutTree
 
 #: Secret and key size in bytes (256-bit security parameter).
 KEY_BYTES = 32
@@ -91,6 +91,15 @@ def seeded_bytes(seed: bytes) -> Callable[[int], bytes]:
     return rng
 
 
+def _decode_secrets(values: Mapping[str, Any], what: str) -> dict[str, bytes]:
+    """Decode a label -> hex map whose every value must be KEY_BYTES long."""
+    decoded = {label: bytes.fromhex(value) for label, value in values.items()}
+    for label, value in decoded.items():
+        if len(value) != KEY_BYTES:
+            raise PolicyError(f"{what} for {label!r} has {len(value)} bytes, not {KEY_BYTES}")
+    return decoded
+
+
 @dataclass(frozen=True)
 class SecretStore:
     """All secrets and keys of one deployment, tied to its derivation tree."""
@@ -113,8 +122,8 @@ class SecretStore:
             raise PolicyError(f"unknown keystore fields: {sorted(unknown)}")
         try:
             tree = DerivationOutTree.from_json_dict(document["tree"])
-            secrets = {lab: bytes.fromhex(v) for lab, v in document["secrets"].items()}
-            keys = {lab: bytes.fromhex(v) for lab, v in document["keys"].items()}
+            secrets = _decode_secrets(document["secrets"], "secret")
+            keys = _decode_secrets(document["keys"], "key")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise PolicyError(f"malformed keystore document: {exc}") from exc
         return cls(tree=tree, secrets=secrets, keys=keys)
@@ -143,7 +152,7 @@ class SigmaBundle:
         if not isinstance(holder, str) or not isinstance(secrets, Mapping):
             raise PolicyError("bundle document needs a 'holder' label and a 'secrets' map")
         try:
-            parsed = {lab: bytes.fromhex(v) for lab, v in secrets.items()}
+            parsed = _decode_secrets(secrets, "secret")
         except (TypeError, ValueError) as exc:
             raise PolicyError(f"malformed bundle secrets: {exc}") from exc
         return cls(holder=holder, secrets=parsed)
@@ -152,7 +161,6 @@ class SigmaBundle:
 def setup(
     poset: Poset,
     tree: DerivationOutTree,
-    allocation: KeyAllocation,
     *,
     rng: Callable[[int], bytes] = os.urandom,
 ) -> tuple[SecretStore, dict[str, SigmaBundle]]:
@@ -160,12 +168,10 @@ def setup(
 
     The root secret is drawn from ``rng``; every other secret is the PRF of
     its parent's secret and its own label, walked root to leaf. No public
-    helper data is produced. ``allocation`` must be the canonical one for
-    the tree.
+    helper data is produced. Each bundle carries the secrets of its
+    label's canonical start points.
     """
-    validate_tree(poset, tree)
-    if allocation.phi != canonical_allocation(poset, tree).phi:
-        raise PolicyError("allocation is not the canonical one for this tree")
+    allocation = canonical_allocation(poset, tree)
     root_secret = rng(KEY_BYTES)
     if not isinstance(root_secret, bytes) or len(root_secret) != KEY_BYTES:
         raise ValueError(f"randomness source must yield {KEY_BYTES} bytes")
@@ -190,23 +196,22 @@ def setup(
 def derive(
     poset: Poset,
     tree: DerivationOutTree,
-    allocation: KeyAllocation,
     bundle: SigmaBundle,
     target: str,
 ) -> bytes:
     """Derive the object key for ``target`` from a holder's bundle.
 
-    Refuses (without touching any secret) unless the target sits at or
-    below the holder. Walks the unique tree path from the covering start
-    point down to the target, one PRF step per hop, then one final key
-    step.
+    ``tree`` must be a validated derivation tree for ``poset``. Refuses
+    (without touching any secret) unless the target sits at or below the
+    holder, and rejects a bundle whose start points are not the holder's.
+    Walks the unique tree path from the covering start point down to the
+    target, one PRF step per hop, then one final key step.
     """
     poset.require(target)
     poset.require(bundle.holder)
     if not poset.leq(target, bundle.holder):
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
-    expected = allocation.phi.get(bundle.holder)
-    if expected is None or set(bundle.secrets) != set(expected):
+    if set(bundle.secrets) != start_points(poset, tree, bundle.holder):
         raise PolicyError(f"malformed bundle for {bundle.holder!r}: start points do not match")
     path: list[str] = []
     start = None

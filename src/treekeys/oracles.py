@@ -437,9 +437,7 @@ def _examine_instance(
             break
     results["weighted-key-identity"].record(identity_ok, payload)
 
-    store, bundles = kdf.setup(
-        poset, tree, allocation, rng=kdf.seeded_bytes(seed.to_bytes(8, "big"))
-    )
+    store, bundles = kdf.setup(poset, tree, rng=kdf.seeded_bytes(seed.to_bytes(8, "big")))
     values = list(store.secrets.values()) + list(store.keys.values())
     results["secret-key-distinctness"].record(len(set(values)) == len(values), payload)
     derive_ok = True
@@ -447,11 +445,11 @@ def _examine_instance(
     for x in poset.sorted_elements:
         for y in poset.sorted_elements:
             if poset.leq(y, x):
-                if kdf.derive(poset, tree, allocation, bundles[x], y) != store.keys[y]:
+                if kdf.derive(poset, tree, bundles[x], y) != store.keys[y]:
                     derive_ok = False
             else:
                 try:
-                    kdf.derive(poset, tree, allocation, bundles[x], y)
+                    kdf.derive(poset, tree, bundles[x], y)
                     refusal_ok = False
                 except AuthorizationError:
                     pass

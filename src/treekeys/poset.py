@@ -14,6 +14,7 @@ All values here are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .errors import CycleError, PolicyError, UnknownLabelError
@@ -126,7 +127,8 @@ class Poset:
 
     ``covers`` is the transitive reduction of ``closure``; both store
     ordered pairs (x, y) with x above y. ``root`` is the unique maximum,
-    possibly the virtual one added during normalization.
+    possibly the virtual one added during normalization. Each label's
+    down-set and up-set are derived from ``closure`` on first use and kept.
     """
 
     elements: frozenset[str]
@@ -185,35 +187,33 @@ class Poset:
         """True iff x is at or below y."""
         return x == y or (y, x) in self.closure
 
+    @cached_property
+    def _down_sets(self) -> dict[str, frozenset[str]]:
+        below: dict[str, set[str]] = {x: {x} for x in self.elements}
+        for x, y in self.closure:
+            below[x].add(y)
+        return {x: frozenset(v) for x, v in below.items()}
+
+    @cached_property
+    def _up_sets(self) -> dict[str, frozenset[str]]:
+        above: dict[str, set[str]] = {x: {x} for x in self.elements}
+        for x, y in self.closure:
+            above[y].add(x)
+        return {y: frozenset(v) for y, v in above.items()}
+
     def down_set(self, x: str) -> frozenset[str]:
-        """Every label at or below x (x included)."""
+        """Every label at or below x (x included); built once per poset."""
         self.require(x)
-        return frozenset(y for y in self.elements if self.leq(y, x))
+        return self._down_sets[x]
 
     def up_set(self, x: str) -> frozenset[str]:
-        """Every label at or above x (x included)."""
+        """Every label at or above x (x included); built once per poset."""
         self.require(x)
-        return frozenset(y for y in self.elements if self.geq(y, x))
-
-    def maximal_elements(self) -> tuple[str, ...]:
-        non_maximal = {y for _, y in self.closure}
-        return tuple(sorted(self.elements - non_maximal))
+        return self._up_sets[x]
 
     def cover_children(self, x: str) -> tuple[str, ...]:
         self.require(x)
         return tuple(sorted(y for p, y in self.covers if p == x))
-
-    def comparability(self) -> tuple[dict[str, int], list[list[bool]]]:
-        """Index map and boolean matrix with entry [i][j] true iff label_i >= label_j."""
-        order = self.sorted_elements
-        index = {lab: i for i, lab in enumerate(order)}
-        n = len(order)
-        geq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            geq[i][i] = True
-        for x, y in self.closure:
-            geq[index[x]][index[y]] = True
-        return index, geq
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,6 @@ class ChainPartition:
         if seen != set(poset.elements):
             missing = sorted(set(poset.elements) - seen)
             raise PolicyError(f"partition does not cover labels: {missing}")
-
-    def chain_of(self, label: str) -> tuple[str, ...]:
-        for chain in self.chains:
-            if label in chain:
-                return chain
-        raise UnknownLabelError(f"label {label!r} not in any chain")
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"chains": [list(chain) for chain in self.chains]}

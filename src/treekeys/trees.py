@@ -77,18 +77,13 @@ class DerivationOutTree:
     def descendant_sets(self) -> dict[str, frozenset[str]]:
         """For each label, everything reachable from it in the tree (itself included)."""
         kids = self.children_map()
+        depth = self.depths()
         out: dict[str, frozenset[str]] = {}
-
-        def visit(v: str) -> frozenset[str]:
-            if v not in out:
-                acc = {v}
-                for child in kids[v]:
-                    acc |= visit(child)
-                out[v] = frozenset(acc)
-            return out[v]
-
-        for v in kids:
-            visit(v)
+        for v in sorted(kids, key=depth.__getitem__, reverse=True):  # children first
+            acc = {v}
+            for child in kids[v]:
+                acc |= out[child]
+            out[v] = frozenset(acc)
         return out
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -132,7 +127,7 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     y, z = arc
     if (y, z) not in poset.closure:
         raise PolicyError(f"({y!r}, {z!r}) is not an arc of the strict order")
-    return frozenset(x for x in poset.elements if poset.geq(x, z) and not poset.geq(x, y))
+    return poset.up_set(z) - poset.up_set(y)
 
 
 @dataclass(frozen=True)
@@ -164,21 +159,13 @@ def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) 
 def weight_function(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
 ) -> WeightFunction:
-    """Arc costs for every candidate arc, in O(arcs * labels) after building
-    the comparability matrix once."""
+    """Arc costs for every candidate arc: the users at its extra-key labels."""
     arcs = _checked_candidate_arcs(poset, candidate_arcs)
-    index, geq = poset.comparability()
-    order = poset.sorted_elements
-    counts = [users.count(lab) for lab in order]
-    weights: dict[Arc, int] = {}
-    for y, z in arcs:
-        yi, zi = index[y], index[z]
-        total = 0
-        for xi in range(len(order)):
-            if geq[xi][zi] and not geq[xi][yi]:
-                total += counts[xi]
-        weights[(y, z)] = total
-    return WeightFunction(weights=weights)
+    return WeightFunction(
+        weights={
+            arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs
+        }
+    )
 
 
 def _in_arc_choices(poset: Poset, arcs: frozenset[Arc]) -> dict[str, list[str]]:

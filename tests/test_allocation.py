@@ -66,7 +66,7 @@ class TestCanonicalAllocation:
         allocation = canonical_allocation(poset8, tree8_gd)
         doc = allocation.to_json_dict()
         assert doc["phi"]["b"] == ["a", "b"]
-        assert KeyAllocation.from_json_dict(doc).phi == allocation.phi
+        assert {x: frozenset(points) for x, points in doc["phi"].items()} == allocation.phi
 
 
 class TestValidateEnforcement:

@@ -3,19 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekeys import (
-    AuthorizationError,
     ChainPartition,
     Poset,
     PolicyError,
     UserAssignment,
-    chain_derive,
     chain_metrics,
     chain_scheme_build,
-    chain_setup,
-    chain_user_keys,
     classic_scheme_metrics,
     min_chain_partition,
-    seeded_bytes,
     width,
 )
 from treekeys.oracles import RandomPosetSpec, random_poset
@@ -69,34 +64,6 @@ class TestChainScheme:
             chain_scheme_build(poset8, partition)
 
 
-class TestChainKeys:
-    def test_keys_chain_downward(self, poset8, partition8):
-        scheme = chain_scheme_build(poset8, partition8)
-        keys = chain_setup(scheme, rng=seeded_bytes(b"chains"))
-        from treekeys import prf
-
-        assert keys["g"] == prf(keys["h"], b"")
-        assert keys["d"] == prf(keys["f"], b"")
-
-    def test_derivation_covers_exactly_the_down_set(self, poset8, partition8):
-        scheme = chain_scheme_build(poset8, partition8)
-        keys = chain_setup(scheme, rng=seeded_bytes(b"chains"))
-        for holder in poset8.sorted_elements:
-            mine = chain_user_keys(scheme, keys, holder)
-            for target in poset8.sorted_elements:
-                if poset8.leq(target, holder):
-                    assert chain_derive(scheme, holder, mine, target) == keys[target]
-                else:
-                    with pytest.raises(AuthorizationError):
-                        chain_derive(scheme, holder, mine, target)
-
-    def test_user_at_d_holds_two_keys(self, poset8, partition8):
-        scheme = chain_scheme_build(poset8, partition8)
-        keys = chain_setup(scheme, rng=seeded_bytes(b"chains"))
-        mine = chain_user_keys(scheme, keys, "d")
-        assert set(mine) == {"c", "d"}
-
-
 class TestClassicSchemes:
     def test_basic_on_sample(self, poset8, users8):
         metrics = classic_scheme_metrics(poset8, users8, "basic")
@@ -133,6 +100,15 @@ class TestClassicSchemes:
         iterative = classic_scheme_metrics(poset, users, "iterative")
         assert iterative.d_max == 0 and iterative.p == 0
 
+    def test_iterative_depth_on_a_deep_chain(self):
+        # deeper than Python's default recursion limit; only the covers are
+        # read, so the chain's million-pair closure is not built
+        labels = [f"c{i:04d}" for i in range(1500)]
+        covers = frozenset(zip(labels, labels[1:]))
+        poset = Poset(elements=frozenset(labels), covers=covers, closure=covers, root=labels[0])
+        iterative = classic_scheme_metrics(poset, UserAssignment.uniform(poset), "iterative")
+        assert iterative.d_max == 1499 and iterative.p == 1499
+
     def test_unknown_scheme(self, poset8, users8):
         with pytest.raises(PolicyError, match="unknown scheme"):
             classic_scheme_metrics(poset8, users8, "telepathic")
@@ -152,14 +128,11 @@ def test_minimal_partitions_bound_keys_by_width(seed, count):
 def test_chain_scheme_is_sound_on_random_posets(seed, count):
     poset = random_poset(RandomPosetSpec(element_count=count, edge_density=0.35, seed=seed))
     scheme = chain_scheme_build(poset, min_chain_partition(poset))
-    keys = chain_setup(scheme, rng=seeded_bytes(seed.to_bytes(8, "big")))
     for holder in poset.sorted_elements:
-        mine = chain_user_keys(scheme, keys, holder)
+        # each start point opens its chain from there down
         derivable = set()
-        for target in poset.sorted_elements:
-            try:
-                assert chain_derive(scheme, holder, mine, target) == keys[target]
-                derivable.add(target)
-            except AuthorizationError:
-                pass
+        for chain in scheme.partition.chains:
+            for i, label in enumerate(chain):
+                if label in scheme.start_points[holder]:
+                    derivable.update(chain[i:])
         assert derivable == poset.down_set(holder)

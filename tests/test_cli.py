@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,44 @@ class TestDerive:
         assert "not authorized" in err
 
 
+def run_process(*args):
+    """The CLI as a separate process, so stderr shows what a user would see."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "treekeys", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestShortKeyMaterial:
+    def test_derive_with_short_bundle_secret_exits_one(self, keyed_sample, tmp_path):
+        bundle = read_json(keyed_sample["keys"] / "sigma_f.json")
+        bundle["secrets"] = {label: "abcd" for label in bundle["secrets"]}
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(bundle))
+        done = run_process("derive", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                           "--bundle", short, "a")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "2 bytes" in done.stderr
+
+    def test_encrypt_with_short_keystore_key_exits_one(self, keyed_sample, tmp_path):
+        store = read_json(keyed_sample["keys"] / "keystore.json")
+        store["keys"]["e"] = "abcd"
+        short = tmp_path / "keystore.json"
+        short.write_text(json.dumps(store))
+        payload = tmp_path / "report.txt"
+        payload.write_bytes(b"numbers\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"objects": [{"path": str(payload), "label": "e"}]}))
+        done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                           "--keystore", short, "--manifest", manifest)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert not payload.with_name("report.txt.sealed").exists()
+
+
 class TestCompare:
     def test_sample_table(self, run, policy_file, partition_file):
         code, out, _ = run("compare", policy_file, "--partition", partition_file)
@@ -300,6 +342,24 @@ class TestEncryptDecrypt:
                            sealed, "--out-dir", tmp_path / "x")
         assert code == 2
         assert not (tmp_path / "x").exists()
+
+    def test_bundle_opens_objects_in_order_until_a_refusal(self, run, keyed_sample, tmp_path):
+        sealed = []
+        for name, label in (("first.txt", "e"), ("second.txt", "f"), ("third.txt", "c")):
+            payload = tmp_path / name
+            payload.write_bytes(name.encode())
+            manifest = tmp_path / f"{name}.json"
+            manifest.write_text(json.dumps({"objects": [{"path": str(payload), "label": label}]}))
+            run("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                "--keystore", keyed_sample["keys"] / "keystore.json", "--manifest", manifest)
+            sealed.append(payload.with_name(name + ".sealed"))
+        out_dir = tmp_path / "opened"
+        code, out, err = run("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                             "--bundle", keyed_sample["keys"] / "sigma_g.json",
+                             *sealed, "--out-dir", out_dir)
+        assert code == 2  # g may open e but not f
+        assert "not authorized" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["first.txt"]
 
     def test_tampered_object_exits_three(self, run, keyed_sample, tmp_path):
         payload, manifest = self.make_manifest(tmp_path, "e")

@@ -38,9 +38,8 @@ def manual_hmac_sha256(key: bytes, message: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def sample_scheme(poset8, tree8_gd):
-    allocation = canonical_allocation(poset8, tree8_gd)
-    store, bundles = setup(poset8, tree8_gd, allocation, rng=seeded_bytes(TEST_SEED))
-    return poset8, tree8_gd, allocation, store, bundles
+    store, bundles = setup(poset8, tree8_gd, rng=seeded_bytes(TEST_SEED))
+    return poset8, tree8_gd, store, bundles
 
 
 class TestPrf:
@@ -73,19 +72,19 @@ class TestPrf:
 
 class TestSetup:
     def test_child_secrets_follow_the_tree(self, sample_scheme):
-        _, tree, _, store, _ = sample_scheme
+        _, tree, store, _ = sample_scheme
         assert store.secrets["g"] == prf(store.secrets["h"], encode_label("g"))
         assert store.secrets["d"] == prf(store.secrets["g"], encode_label("d"))
         for child, parent in tree.parent.items():
             assert store.secrets[child] == prf(store.secrets[parent], encode_label(child))
 
     def test_keys_come_from_own_secret_and_label(self, sample_scheme):
-        _, _, _, store, _ = sample_scheme
+        _, _, store, _ = sample_scheme
         for label in "abcdefgh":
             assert store.keys[label] == prf(store.secrets[label], encode_label(label))
 
     def test_whole_store_matches_independent_hmac(self, sample_scheme):
-        _, tree, _, store, _ = sample_scheme
+        _, tree, store, _ = sample_scheme
         secrets = {"h": seeded_bytes(TEST_SEED)(KEY_BYTES)}
         pending = dict(tree.parent)
         while pending:
@@ -98,13 +97,14 @@ class TestSetup:
             assert store.keys[label] == manual_hmac_sha256(secret, label.encode())
 
     def test_all_values_distinct(self, sample_scheme):
-        _, _, _, store, _ = sample_scheme
+        _, _, store, _ = sample_scheme
         values = list(store.secrets.values()) + list(store.keys.values())
         assert len(values) == 16
         assert len(set(values)) == 16
 
     def test_bundles_carry_start_point_secrets(self, sample_scheme):
-        _, _, allocation, store, bundles = sample_scheme
+        poset, tree, store, bundles = sample_scheme
+        allocation = canonical_allocation(poset, tree)
         for label, bundle in bundles.items():
             assert bundle.holder == label
             assert set(bundle.secrets) == set(allocation.phi[label])
@@ -113,79 +113,67 @@ class TestSetup:
     def test_singleton(self):
         poset = Poset.from_arcs(["r"], [])
         tree = DerivationOutTree(root="r", parent={})
-        allocation = canonical_allocation(poset, tree)
-        store, bundles = setup(poset, tree, allocation, rng=seeded_bytes(b"x"))
+        store, bundles = setup(poset, tree, rng=seeded_bytes(b"x"))
         assert set(store.secrets) == {"r"} and set(store.keys) == {"r"}
         assert bundles["r"].secrets == {"r": store.secrets["r"]}
 
     def test_deterministic_under_a_seed(self, poset8, tree8_gd):
-        allocation = canonical_allocation(poset8, tree8_gd)
-        first, _ = setup(poset8, tree8_gd, allocation, rng=seeded_bytes(TEST_SEED))
-        second, _ = setup(poset8, tree8_gd, allocation, rng=seeded_bytes(TEST_SEED))
+        first, _ = setup(poset8, tree8_gd, rng=seeded_bytes(TEST_SEED))
+        second, _ = setup(poset8, tree8_gd, rng=seeded_bytes(TEST_SEED))
         assert first.to_json_dict() == second.to_json_dict()
-        other, _ = setup(poset8, tree8_gd, allocation, rng=seeded_bytes(b"different"))
+        other, _ = setup(poset8, tree8_gd, rng=seeded_bytes(b"different"))
         assert other.secrets["h"] != first.secrets["h"]
 
-    def test_rejects_non_canonical_allocation(self, poset8, tree8_gd):
-        allocation = canonical_allocation(poset8, tree8_gd)
-        phi = dict(allocation.phi)
-        phi["h"] = frozenset({"h", "a"})
-        from treekeys import KeyAllocation
-
-        with pytest.raises(PolicyError, match="canonical"):
-            setup(poset8, tree8_gd, KeyAllocation(phi=phi), rng=seeded_bytes(b"x"))
-
     def test_rejects_bad_randomness(self, poset8, tree8_gd):
-        allocation = canonical_allocation(poset8, tree8_gd)
         with pytest.raises(ValueError, match="randomness"):
-            setup(poset8, tree8_gd, allocation, rng=lambda n: b"\x00" * 5)
+            setup(poset8, tree8_gd, rng=lambda n: b"\x00" * 5)
 
 
 class TestDerive:
     def test_distant_target(self, sample_scheme):
-        poset, tree, allocation, store, bundles = sample_scheme
+        poset, tree, store, bundles = sample_scheme
         # f's bundle covers a through start point d, three PRF hops away
-        assert derive(poset, tree, allocation, bundles["f"], "a") == store.keys["a"]
+        assert derive(poset, tree, bundles["f"], "a") == store.keys["a"]
 
     def test_self_target(self, sample_scheme):
-        poset, tree, allocation, store, bundles = sample_scheme
+        poset, tree, store, bundles = sample_scheme
         for label in "abcdefgh":
-            assert derive(poset, tree, allocation, bundles[label], label) == store.keys[label]
+            assert derive(poset, tree, bundles[label], label) == store.keys[label]
 
     def test_every_authorized_pair(self, sample_scheme):
-        poset, tree, allocation, store, bundles = sample_scheme
+        poset, tree, store, bundles = sample_scheme
         for holder, target in itertools.product(poset.sorted_elements, repeat=2):
             if poset.leq(target, holder):
-                got = derive(poset, tree, allocation, bundles[holder], target)
+                got = derive(poset, tree, bundles[holder], target)
                 assert got == store.keys[target]
 
     def test_refuses_unauthorized_target(self, sample_scheme):
-        poset, tree, allocation, _, bundles = sample_scheme
+        poset, tree, _, bundles = sample_scheme
         with pytest.raises(AuthorizationError):
-            derive(poset, tree, allocation, bundles["c"], "e")
+            derive(poset, tree, bundles["c"], "e")
 
     def test_refuses_every_unauthorized_pair(self, sample_scheme):
-        poset, tree, allocation, _, bundles = sample_scheme
+        poset, tree, _, bundles = sample_scheme
         for holder, target in itertools.product(poset.sorted_elements, repeat=2):
             if not poset.leq(target, holder):
                 with pytest.raises(AuthorizationError):
-                    derive(poset, tree, allocation, bundles[holder], target)
+                    derive(poset, tree, bundles[holder], target)
 
     def test_rejects_malformed_bundle(self, sample_scheme):
-        poset, tree, allocation, store, bundles = sample_scheme
+        poset, tree, store, bundles = sample_scheme
         truncated = SigmaBundle(holder="f", secrets={"f": store.secrets["f"]})
         with pytest.raises(PolicyError, match="malformed bundle"):
-            derive(poset, tree, allocation, truncated, "f")
+            derive(poset, tree, truncated, "f")
 
     def test_rejects_unknown_labels(self, sample_scheme):
-        poset, tree, allocation, _, bundles = sample_scheme
+        poset, tree, _, bundles = sample_scheme
         with pytest.raises(Exception):
-            derive(poset, tree, allocation, bundles["f"], "zz")
+            derive(poset, tree, bundles["f"], "zz")
 
 
 class TestSerialization:
     def test_keystore_round_trip(self, sample_scheme):
-        _, _, _, store, _ = sample_scheme
+        _, _, store, _ = sample_scheme
         doc = store.to_json_dict()
         back = SecretStore.from_json_dict(doc)
         assert back.secrets == dict(store.secrets)
@@ -197,13 +185,24 @@ class TestSerialization:
             SecretStore.from_json_dict({"tree": {}, "secrets": {}, "keys": {}, "pub": {}})
 
     def test_bundle_round_trip(self, sample_scheme):
-        _, _, _, _, bundles = sample_scheme
+        _, _, _, bundles = sample_scheme
         doc = bundles["f"].to_json_dict()
         assert SigmaBundle.from_json_dict(doc) == bundles["f"]
 
     def test_bundle_rejects_bad_hex(self):
         with pytest.raises(PolicyError):
             SigmaBundle.from_json_dict({"holder": "x", "secrets": {"x": "zz"}})
+
+    def test_bundle_rejects_short_secret(self):
+        with pytest.raises(PolicyError, match="2 bytes"):
+            SigmaBundle.from_json_dict({"holder": "x", "secrets": {"x": "abcd"}})
+
+    def test_keystore_rejects_short_key(self, sample_scheme):
+        _, _, store, _ = sample_scheme
+        doc = store.to_json_dict()
+        doc["keys"]["a"] = "abcd"
+        with pytest.raises(PolicyError, match="2 bytes"):
+            SecretStore.from_json_dict(doc)
 
 
 class TestSeededBytes:
@@ -226,13 +225,12 @@ def test_random_schemes_derive_exactly_their_down_sets(seed, count):
     poset = random_poset(spec)
     users = random_users(poset, seed + 1)
     tree = min_weight_out_tree(poset, users)
-    allocation = canonical_allocation(poset, tree)
-    store, bundles = setup(poset, tree, allocation, rng=seeded_bytes(seed.to_bytes(8, "big")))
+    store, bundles = setup(poset, tree, rng=seeded_bytes(seed.to_bytes(8, "big")))
     for holder in poset.sorted_elements:
         for target in poset.sorted_elements:
             if poset.leq(target, holder):
-                got = derive(poset, tree, allocation, bundles[holder], target)
+                got = derive(poset, tree, bundles[holder], target)
                 assert got == store.keys[target]
             else:
                 with pytest.raises(AuthorizationError):
-                    derive(poset, tree, allocation, bundles[holder], target)
+                    derive(poset, tree, bundles[holder], target)

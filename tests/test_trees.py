@@ -167,6 +167,14 @@ class TestTreeValue:
         assert reach["g"] == {"g", "d", "e", "a", "b", "c"}
         assert reach["a"] == {"a"}
 
+    def test_descendant_sets_on_a_deep_chain(self):
+        # deeper than Python's default recursion limit
+        labels = [f"c{i:04d}" for i in range(1500)]
+        tree = DerivationOutTree(root=labels[0], parent=dict(zip(labels[1:], labels)))
+        reach = tree.descendant_sets()
+        assert all(len(reach[label]) == 1500 - i for i, label in enumerate(labels))
+        assert reach[labels[-2]] == {labels[-2], labels[-1]}
+
     def test_json_round_trip(self, tree8_gd):
         doc = tree8_gd.to_json_dict()
         assert doc["root"] == "h"
