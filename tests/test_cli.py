@@ -226,7 +226,8 @@ class TestDerive:
 def run_process(*args):
     """The CLI as a separate process, so stderr shows what a user would see."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "treekeys", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,

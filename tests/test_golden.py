@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -86,6 +85,5 @@ def test_outputs_match_golden_digests(case):
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(Path(__file__).parent))
     record = {case: case_digests(make()) for case, make in sorted(CASES.items())}
     print(json.dumps(record, indent=2, sort_keys=True))
