@@ -8,7 +8,7 @@ allocation that enforces the policy on the same tree contains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
 from .errors import PolicyError
@@ -21,10 +21,6 @@ class KeyAllocation:
     """Per-label start-point sets. Serialized under the "phi" key."""
 
     phi: Mapping[str, frozenset[str]]
-
-    @property
-    def total(self) -> int:
-        return sum(len(v) for v in self.phi.values())
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"phi": {label: sorted(points) for label, points in sorted(self.phi.items())}}
@@ -72,15 +68,6 @@ class EnforcementReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "minimal": self.minimal,
-            "violations": [
-                {"kind": v.kind, "label": v.label, "detail": v.detail} for v in self.violations
-            ],
-        }
 
 
 def validate_enforcement(
@@ -145,13 +132,7 @@ class SchemeMetrics:
     p: int
 
     def to_json_dict(self) -> dict[str, int]:
-        return {
-            "K_total": self.K_total,
-            "K_hat": self.K_hat,
-            "k_max": self.k_max,
-            "d_max": self.d_max,
-            "p": self.p,
-        }
+        return asdict(self)
 
 
 def scheme_metrics(
@@ -163,21 +144,25 @@ def scheme_metrics(
     """Metrics for a validated tree scheme.
 
     The derivation distance for (x, u) is the hop count from the nearest
-    start point of x above u down to u.
+    start point of x above u down to u, at most depth(u). When the root's
+    only start point is itself, as in the canonical allocation, its walks
+    reach that bound; otherwise distances are filled in parents first.
     """
     report = validate_enforcement(poset, tree, allocation)
     if not report.ok:
         first = report.violations[0]
         raise PolicyError(f"allocation is not a valid enforcement: {first.kind} at {first.label!r}")
     depth = tree.depths()
-    d_max = 0
-    for x in poset.sorted_elements:
-        points = allocation.phi[x]
-        for u in poset.down_set(x):
-            for anc in tree.ancestors(u):
-                if anc in points:
-                    d_max = max(d_max, depth[u] - depth[anc])
-                    break
+    if allocation.phi[tree.root] == {tree.root}:
+        d_max = max(depth.values())
+    else:
+        d_max = 0
+        for x in poset.sorted_elements:
+            points = allocation.phi[x]
+            start: dict[str, int] = {}  # depth of u's nearest start point
+            for u in sorted(poset.down_set(x), key=depth.__getitem__):
+                start[u] = depth[u] if u in points else start[tree.parent[u]]
+                d_max = max(d_max, depth[u] - start[u])
     sizes = {x: len(allocation.phi[x]) for x in poset.sorted_elements}
     return SchemeMetrics(
         K_total=sum(sizes.values()),

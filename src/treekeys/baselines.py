@@ -28,36 +28,25 @@ class ChainScheme:
 
 def chain_scheme_build(poset: Poset, partition: ChainPartition) -> ChainScheme:
     """Start points for every label: in each chain its down-set touches,
-    the topmost touched entry."""
+    the topmost touched entry. A down-set meets each chain in a suffix, so
+    these are the touched entries whose chain predecessor is untouched."""
     partition.validate_for(poset)
-    start_points: dict[str, frozenset[str]] = {}
-    for x in poset.sorted_elements:
-        down = poset.down_set(x)
-        points = set()
-        for chain in partition.chains:
-            for label in chain:  # chains run top to bottom
-                if label in down:
-                    points.add(label)
-                    break
-        start_points[x] = frozenset(points)
-    return ChainScheme(partition=partition, start_points=start_points)
+    above = {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
+    downs = {x: poset.down_set(x) for x in poset.sorted_elements}
+    points = {x: frozenset(z for z in d if above.get(z) not in d) for x, d in downs.items()}
+    return ChainScheme(partition=partition, start_points=points)
 
 
 def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> SchemeMetrics:
-    """Size parameters of a chain scheme (no public items, like the tree scheme)."""
+    """Size parameters of a chain scheme (no public items, like the tree
+    scheme). The root's down-set holds every chain whole, so the longest
+    walk runs down the longest chain."""
     sizes = {x: len(scheme.start_points[x]) for x in poset.sorted_elements}
-    d_max = 0
-    for x in poset.sorted_elements:
-        down = poset.down_set(x)
-        for chain in scheme.partition.chains:
-            touched = [i for i, label in enumerate(chain) if label in down]
-            if touched:
-                d_max = max(d_max, touched[-1] - touched[0])
     return SchemeMetrics(
         K_total=sum(sizes.values()),
         K_hat=sum(users.count(x) * sizes[x] for x in sizes),
         k_max=max(sizes.values()),
-        d_max=d_max,
+        d_max=max(len(chain) for chain in scheme.partition.chains) - 1,
         p=0,
     )
 

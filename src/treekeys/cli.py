@@ -6,7 +6,7 @@ keys, size up alternative schemes, seal and unseal objects, and run the
 self-verification battery.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 authorization refused,
-3 verification failure.
+3 verification failure (a failed or skipped check).
 """
 
 from __future__ import annotations
@@ -275,6 +275,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:
         for check in report.checks:
+            if check.skipped:
+                print(f"{check.name:<32} SKIP  (policy not examined: {report.skip_reason})")
+                continue
             status = "PASS" if check.passed else "FAIL"
             line = f"{check.name:<32} {status}  ({check.instances} instances)"
             if not check.passed and check.counterexample:

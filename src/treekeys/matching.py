@@ -47,18 +47,30 @@ def max_bipartite_matching(adjacency: Mapping[L, Sequence[R]]) -> dict[L, R]:
                     queue.append(w)
         return found
 
-    def dfs(u: L) -> bool:
-        for v in adjacency[u]:
-            w = match_right.get(v)
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = _INF
-        return False
+    def augment(root: L) -> None:
+        # depth-first along the BFS layers, on an explicit stack so that no
+        # recursion limit bounds the path; a frame is [left, untried edges, right tried]
+        stack = [[root, iter(adjacency[root]), None]]
+        while stack:
+            frame = stack[-1]
+            u, edges, _ = frame
+            for v in edges:
+                frame[2] = v
+                w = match_right.get(v)
+                if w is None:
+                    for x, _, y in stack:
+                        match_left[x] = y
+                        match_right[y] = x
+                    return
+                if dist[w] == dist[u] + 1:
+                    stack.append([w, iter(adjacency[w]), None])
+                    break
+            else:
+                dist[u] = _INF
+                stack.pop()
 
     while bfs():
         for u in left:
             if u not in match_left:
-                dfs(u)
+                augment(u)
     return match_left

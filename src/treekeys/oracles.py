@@ -254,6 +254,10 @@ class CheckResult:
     instances: int = 0
     counterexample: dict[str, Any] | None = None
 
+    @property
+    def skipped(self) -> bool:  # no instance reached it: not a pass
+        return self.instances == 0
+
     def record(self, ok: bool, payload: dict[str, Any]) -> None:
         self.instances += 1
         if not ok and self.passed:
@@ -265,21 +269,24 @@ class CheckResult:
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
     elapsed_seconds: float = 0.0
+    skip_reason: str | None = None  # why the policy itself was not examined
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed and not c.skipped for c in self.checks)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "passed": self.passed,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
+            "skip_reason": self.skip_reason,
             "checks": [
                 {
                     "name": c.name,
-                    "passed": c.passed,
+                    "passed": c.passed and not c.skipped,
                     "instances": c.instances,
                     "counterexample": c.counterexample,
+                    "skipped": c.skipped,
                 }
                 for c in self.checks
             ],
@@ -478,12 +485,18 @@ def run_suite(
     """Run the battery on the given policy, then on ``seeds`` random instances.
 
     Random instances stay small enough (at most 8 labels) for exhaustive
-    enumeration to act as the reference.
+    enumeration to act as the reference. A larger policy is not examined,
+    so with no random instances every check is skipped and none passes.
     """
     start = time.perf_counter()
     results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
-    if len(poset.elements) <= TREE_ENUMERATION_MAX_LABELS:
+    report = VerificationReport(checks=[results[name] for name in _CHECK_NAMES])
+    n = len(poset.elements)
+    if n <= TREE_ENUMERATION_MAX_LABELS:
         _examine_instance(poset, users, base_seed, results, {"instance": "policy"})
+    else:
+        limit = TREE_ENUMERATION_MAX_LABELS
+        report.skip_reason = f"{n} labels, over the enumeration limit of {limit}"
     for i in range(seeds):
         seed = base_seed + i
         spec = RandomPosetSpec(
@@ -500,6 +513,5 @@ def run_suite(
             "edge_density": round(spec.edge_density, 3),
         }
         _examine_instance(instance, instance_users, seed, results, payload)
-    report = VerificationReport(checks=[results[name] for name in _CHECK_NAMES])
     report.elapsed_seconds = time.perf_counter() - start
     return report

@@ -72,7 +72,7 @@ def transitive_closure(arcs: Iterable[Arc], elements: Iterable[str]) -> frozense
 
 
 def transitive_reduction(closure: Iterable[Arc], elements: Iterable[str]) -> frozenset[Arc]:
-    """Cover arcs of a strict order: the pairs not implied by a two-step path.
+    """Cover arcs of a strict order: each x's successors that lie below none of the others.
 
     The input must be a strict partial order (irreflexive, antisymmetric,
     transitive); anything else raises.
@@ -97,7 +97,7 @@ def transitive_reduction(closure: Iterable[Arc], elements: Iterable[str]) -> fro
                     f"relation is not transitive: ({x!r}, {sorted(missing)[0]!r}) is missing"
                 )
     return frozenset(
-        (x, y) for x, y in pairs if not any((x, z) in pairs and (z, y) in pairs for z in elems)
+        (x, y) for x in elems for y in succ[x].difference(*(succ[z] for z in succ[x]))
     )
 
 
@@ -274,9 +274,6 @@ class ChainPartition:
             missing = sorted(set(poset.elements) - seen)
             raise PolicyError(f"partition does not cover labels: {missing}")
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"chains": [list(chain) for chain in self.chains]}
-
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "ChainPartition":
         unknown = set(document) - {"chains"}
@@ -296,7 +293,7 @@ def min_chain_partition(poset: Poset) -> ChainPartition:
     is deterministic.
     """
     order = poset.sorted_elements
-    adjacency = {x: [y for y in order if (x, y) in poset.closure] for x in order}
+    adjacency = {x: sorted(poset.down_set(x) - {x}) for x in order}
     successor = max_bipartite_matching(adjacency)
     has_predecessor = set(successor.values())
     chains: list[tuple[str, ...]] = []

@@ -46,7 +46,7 @@ class TestCanonicalAllocation:
         assert allocation.phi["e"] == {"c", "e"}
         assert allocation.phi["f"] == {"d", "f"}
         assert allocation.phi["c"] == {"c"}
-        assert allocation.total == 11
+        assert sum(len(points) for points in allocation.phi.values()) == 11
 
     def test_root_is_its_own_start_point(self, poset8, tree8_gd):
         assert canonical_allocation(poset8, tree8_gd).phi["h"] == {"h"}
@@ -142,6 +142,19 @@ class TestSchemeMetrics:
         allocation = canonical_allocation(poset, tree)
         metrics = scheme_metrics(poset, users, tree, allocation)
         assert metrics.K_total == 1
+        assert metrics.d_max == 0
+
+    def test_extra_root_start_points_shorten_walks(self):
+        # a valid but wasteful allocation: the root may start anywhere, so
+        # its walks are shorter than the tree's depth; b's walk to c is the
+        # longest left
+        poset = Poset.from_arcs(list("abc"), [("a", "b"), ("b", "c")])
+        tree = DerivationOutTree(root="a", parent={"b": "a", "c": "b"})
+        phi = {"a": frozenset("abc"), "b": frozenset("b"), "c": frozenset("c")}
+        metrics = scheme_metrics(poset, UserAssignment.uniform(poset), tree, KeyAllocation(phi))
+        assert metrics.d_max == 1
+        phi["b"] = frozenset("bc")
+        metrics = scheme_metrics(poset, UserAssignment.uniform(poset), tree, KeyAllocation(phi))
         assert metrics.d_max == 0
 
     def test_rejects_invalid_allocation(self, poset8, users8, tree8_gd):

@@ -8,6 +8,8 @@ import pytest
 
 from treekeys.cli import main
 
+from conftest import sparse_policy_doc
+
 SEED = "ab" * 32
 
 
@@ -428,6 +430,33 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["passed"] is True
+
+    def test_policy_over_the_enumeration_limit_is_skipped_not_passed(self, tmp_path):
+        policy = tmp_path / "p10.json"
+        policy.write_text(json.dumps(sparse_policy_doc(10, 1)))
+        done = run_process("verify", policy, "--seeds", "0")
+        assert done.returncode == 3
+        assert "PASS" not in done.stdout
+        lines = done.stdout.splitlines()
+        skip = "SKIP  (policy not examined: 10 labels, over the enumeration limit of 9)"
+        assert sum(line.endswith(skip) for line in lines) == 15
+        assert lines[-1].startswith("verification FAILED")
+        done = run_process("verify", policy, "--seeds", "0", "--json")
+        assert done.returncode == 3
+        report = json.loads(done.stdout)
+        assert report["passed"] is False
+        assert report["skip_reason"] == "10 labels, over the enumeration limit of 9"
+        assert all(c["skipped"] and not c["passed"] for c in report["checks"])
+
+    def test_random_instances_cover_a_large_policy(self, run, tmp_path):
+        policy = tmp_path / "p10.json"
+        policy.write_text(json.dumps(sparse_policy_doc(10, 1)))
+        code, out, _ = run("verify", policy, "--seeds", "1", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert not any(c["skipped"] for c in report["checks"])
+        assert report["skip_reason"] == "10 labels, over the enumeration limit of 9"
 
     def test_failure_exits_three(self, run, policy_file, monkeypatch):
         from treekeys import oracles

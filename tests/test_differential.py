@@ -2,8 +2,10 @@
 
 Tree enumeration stops at a handful of labels, but the set-builder
 references in ``treekeys.oracles`` scale to a few hundred: seeded sparse
-policies of that size compare the optimised allocation, arc weights and
-derivation with them directly.
+policies of that size compare the optimised reduction, allocation, arc
+weights, derivation depths, chain scheme and derivation with them
+directly, or with literal walks written out here. At 2000 labels the
+cover arcs are compared with networkx, when it is installed.
 """
 
 import pytest
@@ -11,15 +13,19 @@ import pytest
 from treekeys import (
     AuthorizationError,
     canonical_allocation,
+    chain_metrics,
+    chain_scheme_build,
     derive,
+    min_chain_partition,
     min_leaf_out_tree,
     min_weight_out_tree,
     parse_policy,
+    scheme_metrics,
     seeded_bytes,
     setup,
     weight_function,
 )
-from treekeys.oracles import _literal_arc_weights, allocation_by_definition
+from treekeys.oracles import _literal_arc_weights, allocation_by_definition, brute_reduction
 
 from conftest import sparse_policy_doc
 
@@ -32,10 +38,61 @@ def policy(request):
     return parse_policy(sparse_policy_doc(n, seed))
 
 
-def test_canonical_allocation_matches_definition(policy):
+@pytest.fixture(scope="module")
+def trees(policy):
     poset, users = policy
-    for tree in (min_weight_out_tree(poset, users), min_leaf_out_tree(poset, users)):
+    return min_weight_out_tree(poset, users), min_leaf_out_tree(poset, users)
+
+
+def test_covers_match_brute_reduction(policy):
+    poset, _ = policy
+    assert poset.covers == brute_reduction(poset.closure, poset.elements)
+
+
+def test_covers_match_networkx_at_2000_labels():
+    nx = pytest.importorskip("networkx")
+    poset, _ = parse_policy(sparse_policy_doc(2000, 14))
+    graph = nx.DiGraph(list(poset.closure))
+    graph.add_nodes_from(poset.elements)
+    assert set(nx.transitive_reduction(graph).edges) == poset.covers
+
+
+def test_canonical_allocation_matches_definition(policy, trees):
+    poset, _ = policy
+    for tree in trees:
         assert canonical_allocation(poset, tree).phi == allocation_by_definition(poset, tree).phi
+
+
+def test_derivation_depth_matches_literal_walk(policy, trees):
+    poset, users = policy
+    for tree in trees:
+        allocation = canonical_allocation(poset, tree)
+        longest = 0
+        for x in poset.sorted_elements:
+            for u in poset.down_set(x):
+                steps, v = 0, u
+                while v not in allocation.phi[x]:  # up the tree to a start point
+                    v = tree.parent[v]
+                    steps += 1
+                longest = max(longest, steps)
+        assert scheme_metrics(poset, users, tree, allocation).d_max == longest
+
+
+def test_chain_scheme_matches_literal_chain_scan(policy):
+    poset, users = policy
+    partition = min_chain_partition(poset)
+    points, longest = {}, 0
+    for x in poset.sorted_elements:
+        down = poset.down_set(x)
+        points[x] = set()
+        for chain in partition.chains:
+            touched = [i for i, label in enumerate(chain) if label in down]
+            if touched:
+                points[x].add(chain[touched[0]])
+                longest = max(longest, touched[-1] - touched[0])
+    scheme = chain_scheme_build(poset, partition)
+    assert scheme.start_points == points
+    assert chain_metrics(poset, users, scheme).d_max == longest
 
 
 @pytest.mark.parametrize("arcs", ["covers", "closure"])

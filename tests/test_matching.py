@@ -63,3 +63,14 @@ def test_matching_is_valid_and_maximum(adjacency):
         assert right in adjacency[left]
     assert len(set(got.values())) == len(got)  # injective
     assert len(got) == brute_max_matching_size(adjacency)
+
+
+def test_long_augmenting_path_does_not_recurse():
+    # u1..u3000 take v1..v3000 in the first phase; u0 then needs an
+    # augmenting path through every one of them to reach v3001
+    n = 3000
+    adjacency = {f"u{i}": [f"v{i}", f"v{i + 1}"] for i in range(1, n + 1)}
+    adjacency["u0"] = ["v1"]
+    got = max_bipartite_matching(adjacency)
+    assert len(got) == n + 1
+    assert got["u0"] == "v1" and got[f"u{n}"] == f"v{n + 1}"
