@@ -144,25 +144,21 @@ def scheme_metrics(
     """Metrics for a validated tree scheme.
 
     The derivation distance for (x, u) is the hop count from the nearest
-    start point of x above u down to u, at most depth(u). When the root's
-    only start point is itself, as in the canonical allocation, its walks
-    reach that bound; otherwise distances are filled in parents first.
+    start point of x above u down to u. Walking ``x``'s down-set parents
+    first gives each label the depth of that start point in one pass.
     """
     report = validate_enforcement(poset, tree, allocation)
     if not report.ok:
         first = report.violations[0]
         raise PolicyError(f"allocation is not a valid enforcement: {first.kind} at {first.label!r}")
     depth = tree.depths()
-    if allocation.phi[tree.root] == {tree.root}:
-        d_max = max(depth.values())
-    else:
-        d_max = 0
-        for x in poset.sorted_elements:
-            points = allocation.phi[x]
-            start: dict[str, int] = {}  # depth of u's nearest start point
-            for u in sorted(poset.down_set(x), key=depth.__getitem__):
-                start[u] = depth[u] if u in points else start[tree.parent[u]]
-                d_max = max(d_max, depth[u] - start[u])
+    d_max = 0
+    for x in poset.sorted_elements:
+        points = allocation.phi[x]
+        start: dict[str, int] = {}  # depth of u's nearest start point
+        for u in sorted(poset.down_set(x), key=depth.__getitem__):
+            start[u] = depth[u] if u in points else start[tree.parent[u]]
+            d_max = max(d_max, depth[u] - start[u])
     sizes = {x: len(allocation.phi[x]) for x in poset.sorted_elements}
     return SchemeMetrics(
         K_total=sum(sizes.values()),

@@ -8,10 +8,13 @@ directly, or with literal walks written out here. At 2000 labels the
 cover arcs are compared with networkx, when it is installed.
 """
 
+import random
+
 import pytest
 
 from treekeys import (
     AuthorizationError,
+    KeyAllocation,
     canonical_allocation,
     chain_metrics,
     chain_scheme_build,
@@ -63,19 +66,31 @@ def test_canonical_allocation_matches_definition(policy, trees):
         assert canonical_allocation(poset, tree).phi == allocation_by_definition(poset, tree).phi
 
 
+def _wasteful_allocation(poset, tree, rng):
+    # canonical start points plus a random third of each down-set: still a
+    # valid enforcement, but the root no longer starts only at itself
+    phi = canonical_allocation(poset, tree).phi
+    return KeyAllocation(
+        {x: phi[x] | {u for u in sorted(poset.down_set(x)) if rng.random() < 1 / 3} for x in phi}
+    )
+
+
 def test_derivation_depth_matches_literal_walk(policy, trees):
     poset, users = policy
+    rng = random.Random(len(poset.elements))
     for tree in trees:
-        allocation = canonical_allocation(poset, tree)
-        longest = 0
-        for x in poset.sorted_elements:
-            for u in poset.down_set(x):
-                steps, v = 0, u
-                while v not in allocation.phi[x]:  # up the tree to a start point
-                    v = tree.parent[v]
-                    steps += 1
-                longest = max(longest, steps)
-        assert scheme_metrics(poset, users, tree, allocation).d_max == longest
+        wasteful = _wasteful_allocation(poset, tree, rng)
+        assert wasteful.phi[tree.root] != {tree.root}
+        for allocation in (canonical_allocation(poset, tree), wasteful):
+            longest = 0
+            for x in poset.sorted_elements:
+                for u in poset.down_set(x):
+                    steps, v = 0, u
+                    while v not in allocation.phi[x]:  # up the tree to a start point
+                        v = tree.parent[v]
+                        steps += 1
+                    longest = max(longest, steps)
+            assert scheme_metrics(poset, users, tree, allocation).d_max == longest
 
 
 def test_chain_scheme_matches_literal_chain_scan(policy):
