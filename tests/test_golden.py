@@ -1,9 +1,10 @@
 """Behaviour freeze: the CLI's artifacts must stay byte-identical.
 
-Each case runs ``build-tree`` (plain and ``--min-leaves``), a seeded
-``keygen``, ``compare --json`` and ``analyze --json`` on one policy and
-compares SHA-256 digests of every output with ``golden_digests.json``.
-A deliberate change of output regenerates the file with
+Each case runs ``build-tree`` (plain and ``--min-leaves``, over cover
+arcs and over ``--arcs closure``), a seeded ``keygen``, ``compare
+--json`` and ``analyze --json`` on one policy and compares SHA-256
+digests of every output with ``golden_digests.json``. A deliberate
+change of output regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
 
@@ -61,7 +62,13 @@ def case_digests(document) -> dict[str, str]:
         work = Path(scratch)
         policy = work / "policy.json"
         policy.write_text(json.dumps(document), encoding="utf-8")
-        for name, flags in (("build-tree", ()), ("build-tree-min-leaves", ("--min-leaves",))):
+        builds = (
+            ("build-tree", ()),
+            ("build-tree-min-leaves", ("--min-leaves",)),
+            ("build-tree-closure", ("--arcs", "closure")),
+            ("build-tree-closure-min-leaves", ("--arcs", "closure", "--min-leaves")),
+        )
+        for name, flags in builds:
             out = work / name
             _run("build-tree", policy, *flags, "--out-dir", out)
             for artifact in ("tree.json", "allocation.json", "metrics.json"):
