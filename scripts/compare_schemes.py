@@ -19,7 +19,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from treekeys import (
     UserAssignment,
-    canonical_allocation,
     chain_metrics,
     chain_scheme_build,
     classic_scheme_metrics,
@@ -53,7 +52,7 @@ def main() -> int:
         users = UserAssignment.uniform(poset)
 
         tree = min_weight_out_tree(poset, users)
-        tree_m = scheme_metrics(poset, users, tree, canonical_allocation(poset, tree))
+        tree_m = scheme_metrics(poset, users, tree)
         chain = chain_scheme_build(poset, min_chain_partition(poset))
         chain_m = chain_metrics(poset, users, chain)
         basic_m = classic_scheme_metrics(poset, users, "basic")

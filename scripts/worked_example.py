@@ -13,7 +13,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from treekeys import (
     ChainPartition,
-    UserAssignment,
     canonical_allocation,
     chain_metrics,
     chain_scheme_build,
@@ -47,11 +46,11 @@ def main() -> int:
 
     wf = weight_function(poset, users, poset.covers)
     print("\narc costs (users stranded if the arc is the only way in):")
-    for (y, z), cost in sorted(wf.weights.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (y, z), cost in sorted(wf.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         print(f"  {y} -> {z}: {cost}")
 
     tree = min_weight_out_tree(poset, users)
-    print(f"\nminimum-cost tree (total {wf.tree_total(tree)}):")
+    print(f"\nminimum-cost tree (total {sum(wf[a] for a in tree.arcs())}):")
     for parent, child in tree.arcs():
         print(f"  {parent} -> {child}")
 
@@ -59,7 +58,7 @@ def main() -> int:
     print("\nstart points per label:")
     for label in poset.sorted_elements:
         print(f"  {label}: {{{', '.join(sorted(allocation.phi[label]))}}}")
-    metrics = scheme_metrics(poset, users, tree, allocation)
+    metrics = scheme_metrics(poset, users, tree)
     print(f"\ntotals: K_total={metrics.K_total} K_hat={metrics.K_hat} "
           f"k_max={metrics.k_max} d_max={metrics.d_max} public items={metrics.p}")
 

@@ -54,7 +54,6 @@ from .poset import (
 )
 from .trees import (
     DerivationOutTree,
-    WeightFunction,
     extra_key_labels,
     min_leaf_out_tree,
     min_weight_out_tree,

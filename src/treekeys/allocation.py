@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping
 
-from .errors import PolicyError
 from .poset import Poset, UserAssignment
 from .trees import DerivationOutTree, validate_tree
 
@@ -56,14 +55,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class EnforcementReport:
-    """Outcome of checking an allocation against a tree and policy.
-
-    ``minimal`` is None unless minimality was requested; violations make a
-    scheme unsound, non-minimality merely wasteful.
-    """
+    """Outcome of checking an allocation against a tree and policy."""
 
     violations: tuple[Violation, ...]
-    minimal: bool | None = None
 
     @property
     def ok(self) -> bool:
@@ -74,8 +68,6 @@ def validate_enforcement(
     poset: Poset,
     tree: DerivationOutTree,
     allocation: KeyAllocation,
-    *,
-    require_minimal: bool = False,
 ) -> EnforcementReport:
     """Check the three enforcement conditions by explicit tree reachability.
 
@@ -106,13 +98,7 @@ def validate_enforcement(
             violations.append(
                 Violation("overreach", x, f"start points reach unauthorized label {u!r}")
             )
-    minimal: bool | None = None
-    if require_minimal:
-        canonical = canonical_allocation(poset, tree)
-        minimal = all(
-            allocation.phi.get(x, frozenset()) == canonical.phi[x] for x in poset.elements
-        )
-    return EnforcementReport(violations=tuple(violations), minimal=minimal)
+    return EnforcementReport(violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -135,35 +121,17 @@ class SchemeMetrics:
         return asdict(self)
 
 
-def scheme_metrics(
-    poset: Poset,
-    users: UserAssignment,
-    tree: DerivationOutTree,
-    allocation: KeyAllocation,
-) -> SchemeMetrics:
-    """Metrics for a validated tree scheme.
+def scheme_metrics(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> SchemeMetrics:
+    """Metrics of the tree scheme: ``tree`` with its canonical allocation.
 
-    The derivation distance for (x, u) is the hop count from the nearest
-    start point of x above u down to u. Walking ``x``'s down-set parents
-    first gives each label the depth of that start point in one pass.
+    The root's only start point is the root, so its walks are the tree
+    depths, and no label's walk to u is longer than the depth of u.
     """
-    report = validate_enforcement(poset, tree, allocation)
-    if not report.ok:
-        first = report.violations[0]
-        raise PolicyError(f"allocation is not a valid enforcement: {first.kind} at {first.label!r}")
-    depth = tree.depths()
-    d_max = 0
-    for x in poset.sorted_elements:
-        points = allocation.phi[x]
-        start: dict[str, int] = {}  # depth of u's nearest start point
-        for u in sorted(poset.down_set(x), key=depth.__getitem__):
-            start[u] = depth[u] if u in points else start[tree.parent[u]]
-            d_max = max(d_max, depth[u] - start[u])
-    sizes = {x: len(allocation.phi[x]) for x in poset.sorted_elements}
+    sizes = {x: len(points) for x, points in canonical_allocation(poset, tree).phi.items()}
     return SchemeMetrics(
         K_total=sum(sizes.values()),
         K_hat=sum(users.count(x) * sizes[x] for x in sizes),
         k_max=max(sizes.values()),
-        d_max=d_max,
+        d_max=max(tree.depths().values()),
         p=0,
     )

@@ -21,7 +21,7 @@ from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
 from .allocation import canonical_allocation, scheme_metrics
-from .errors import AuthorizationError, PolicyError, VerificationError
+from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import (
     VIRTUAL_ROOT,
     ChainPartition,
@@ -110,7 +110,7 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     build = min_leaf_out_tree if args.min_leaves else min_weight_out_tree
     tree = build(poset, users, candidate)
     allocation = canonical_allocation(poset, tree)
-    metrics = scheme_metrics(poset, users, tree, allocation)
+    metrics = scheme_metrics(poset, users, tree)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tree.json", tree.to_json_dict())
@@ -164,13 +164,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         partition = min_chain_partition(poset)
     chain = baselines.chain_scheme_build(poset, partition)
     tree = min_weight_out_tree(poset, users)
-    allocation = canonical_allocation(poset, tree)
     rows = {
         name: baselines.classic_scheme_metrics(poset, users, name)
         for name in baselines.CLASSIC_SCHEMES
     }
     rows["chain"] = baselines.chain_metrics(poset, users, chain)
-    rows["tree"] = scheme_metrics(poset, users, tree, allocation)
+    rows["tree"] = scheme_metrics(poset, users, tree)
     if args.json:
         print(json.dumps({k: m.to_json_dict() for k, m in rows.items()}, sort_keys=True, indent=2))
         return 0
@@ -182,12 +181,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
-    document = _load_json(path)
-    if not isinstance(document, Mapping):
-        raise PolicyError("manifest must be a JSON object")
-    unknown = set(document) - {"objects"}
-    if unknown:
-        raise PolicyError(f"unknown manifest fields: {sorted(unknown)}")
+    document = check_fields(_load_json(path), {"objects"}, "manifest")
     objects = document.get("objects")
     if not isinstance(objects, list):
         raise PolicyError("manifest must map 'objects' to a list")
@@ -283,6 +277,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not check.passed and check.counterexample:
                 line += f"  counterexample: {check.counterexample}"
             print(line)
+        if report.skip_reason:
+            print(f"policy not examined: {report.skip_reason}")
         print(f"verification {'passed' if report.passed else 'FAILED'} "
               f"in {report.elapsed_seconds:.1f}s")
     return 0 if report.passed else 3

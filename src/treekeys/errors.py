@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check every
+document loader starts with."""
+
+from typing import Any, Collection, Mapping
 
 
 class PolicyError(ValueError):
@@ -19,3 +22,14 @@ class AuthorizationError(Exception):
 
 class VerificationError(Exception):
     """An integrity or self-verification check failed."""
+
+
+def check_fields(document: Any, allowed: Collection[str], what: str) -> Mapping[str, Any]:
+    """``document`` itself, once it is a JSON object with no field outside
+    ``allowed``; PolicyError otherwise."""
+    if not isinstance(document, Mapping):
+        raise PolicyError(f"{what} document must be a JSON object")
+    unknown = set(document) - set(allowed)
+    if unknown:
+        raise PolicyError(f"unknown {what} fields: {sorted(unknown)}")
+    return document

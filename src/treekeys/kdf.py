@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from .allocation import canonical_allocation, start_points
-from .errors import AuthorizationError, PolicyError
+from .errors import AuthorizationError, PolicyError, check_fields
 from .poset import Poset
 from .trees import DerivationOutTree
 
@@ -117,9 +117,7 @@ class SecretStore:
 
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "SecretStore":
-        unknown = set(document) - {"tree", "secrets", "keys"}
-        if unknown:
-            raise PolicyError(f"unknown keystore fields: {sorted(unknown)}")
+        check_fields(document, {"tree", "secrets", "keys"}, "keystore")
         try:
             tree = DerivationOutTree.from_json_dict(document["tree"])
             secrets = _decode_secrets(document["secrets"], "secret")
@@ -144,9 +142,7 @@ class SigmaBundle:
 
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "SigmaBundle":
-        unknown = set(document) - {"holder", "secrets"}
-        if unknown:
-            raise PolicyError(f"unknown bundle fields: {sorted(unknown)}")
+        check_fields(document, {"holder", "secrets"}, "bundle")
         holder = document.get("holder")
         secrets = document.get("secrets")
         if not isinstance(holder, str) or not isinstance(secrets, Mapping):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
-from .errors import CycleError, PolicyError, UnknownLabelError
+from .errors import CycleError, PolicyError, UnknownLabelError, check_fields
 from .matching import max_bipartite_matching
 
 #: Reserved label for the virtual top element added by root augmentation.
@@ -276,9 +276,7 @@ class ChainPartition:
 
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "ChainPartition":
-        unknown = set(document) - {"chains"}
-        if unknown:
-            raise PolicyError(f"unknown partition fields: {sorted(unknown)}")
+        check_fields(document, {"chains"}, "partition")
         chains = document.get("chains")
         if not isinstance(chains, list) or not all(isinstance(c, list) for c in chains):
             raise PolicyError("partition document must map 'chains' to a list of lists")
@@ -327,11 +325,7 @@ def parse_policy(
     entirely, every element gets one user; present, unlisted labels get
     zero. Unknown fields are rejected.
     """
-    if not isinstance(document, Mapping):
-        raise PolicyError("policy document must be a JSON object")
-    unknown = set(document) - _POLICY_FIELDS
-    if unknown:
-        raise PolicyError(f"unknown policy fields: {sorted(unknown)}")
+    check_fields(document, _POLICY_FIELDS, "policy")
     elements = document.get("elements")
     if not isinstance(elements, list):
         raise PolicyError("policy must list 'elements'")

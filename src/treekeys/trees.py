@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
-from .errors import PolicyError
+from .errors import PolicyError, check_fields
 from .matching import max_bipartite_matching
 from .poset import Arc, Poset, UserAssignment
 
@@ -41,11 +41,8 @@ class DerivationOutTree:
             out.setdefault(par, []).append(child)
         return {v: tuple(sorted(kids)) for v, kids in out.items()}
 
-    def labels(self) -> frozenset[str]:
-        return frozenset(self.parent) | {self.root}
-
     def leaves(self) -> frozenset[str]:
-        return self.labels() - set(self.parent.values())
+        return (frozenset(self.parent) | {self.root}) - set(self.parent.values())
 
     def depths(self) -> dict[str, int]:
         out = {self.root: 0}
@@ -91,9 +88,7 @@ class DerivationOutTree:
 
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "DerivationOutTree":
-        unknown = set(document) - {"root", "parents"}
-        if unknown:
-            raise PolicyError(f"unknown tree fields: {sorted(unknown)}")
+        check_fields(document, {"root", "parents"}, "tree")
         root = document.get("root")
         parents = document.get("parents")
         if not isinstance(root, str) or not isinstance(parents, Mapping):
@@ -130,22 +125,6 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     return poset.up_set(z) - poset.up_set(y)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Per-arc cost: number of users picking up an extra start point."""
-
-    weights: Mapping[Arc, int]
-
-    def __getitem__(self, arc: Arc) -> int:
-        return self.weights[arc]
-
-    def total(self, arcs: Iterable[Arc]) -> int:
-        return sum(self.weights[a] for a in arcs)
-
-    def tree_total(self, tree: DerivationOutTree) -> int:
-        return self.total(tree.arcs())
-
-
 def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> frozenset[Arc]:
     if candidate_arcs is None:
         return poset.covers
@@ -158,26 +137,31 @@ def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) 
 
 def weight_function(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
-) -> WeightFunction:
+) -> dict[Arc, int]:
     """Arc costs for every candidate arc: the users at its extra-key labels."""
     arcs = _checked_candidate_arcs(poset, candidate_arcs)
-    return WeightFunction(
-        weights={
-            arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs
-        }
-    )
+    return {arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs}
 
 
-def _in_arc_choices(poset: Poset, arcs: frozenset[Arc]) -> dict[str, list[str]]:
-    by_child: dict[str, list[str]] = {x: [] for x in poset.sorted_elements if x != poset.root}
-    for y, z in arcs:
-        if z != poset.root:
-            by_child[z].append(y)
-    for child, parents in by_child.items():
+def _cheapest_parents(
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None
+) -> dict[str, list[str]]:
+    """Each non-root label's minimum-weight candidate parents, sorted.
+
+    Every minimum-cost tree picks one of these per label, and only these.
+    """
+    least: dict[str, int] = {}
+    cheapest: dict[str, list[str]] = {x: [] for x in poset.sorted_elements if x != poset.root}
+    for (y, z), w in sorted(weight_function(poset, users, candidate_arcs).items()):
+        if z not in least or w < least[z]:
+            least[z] = w
+            cheapest[z] = [y]
+        elif w == least[z]:
+            cheapest[z].append(y)
+    for child, parents in cheapest.items():
         if not parents:
             raise PolicyError(f"label {child!r} has no candidate in-arc; tree cannot span it")
-        parents.sort()
-    return by_child
+    return cheapest
 
 
 def min_weight_out_tree(
@@ -189,14 +173,10 @@ def min_weight_out_tree(
     go to the lexicographically smallest parent, making the result
     deterministic.
     """
-    arcs = _checked_candidate_arcs(poset, candidate_arcs)
-    wf = weight_function(poset, users, arcs)
-    by_child = _in_arc_choices(poset, arcs)
-    parent = {
-        child: min(parents, key=lambda y: (wf[(y, child)], y))
-        for child, parents in by_child.items()
-    }
-    return DerivationOutTree(root=poset.root, parent=parent)
+    cheapest = _cheapest_parents(poset, users, candidate_arcs)
+    return DerivationOutTree(
+        root=poset.root, parent={child: parents[0] for child, parents in cheapest.items()}
+    )
 
 
 def min_leaf_out_tree(
@@ -211,13 +191,7 @@ def min_leaf_out_tree(
     fixes the lexicographically smallest parent choice that keeps that
     maximum attainable.
     """
-    arcs = _checked_candidate_arcs(poset, candidate_arcs)
-    wf = weight_function(poset, users, arcs)
-    by_child = _in_arc_choices(poset, arcs)
-    cheapest = {
-        child: [y for y in parents if wf[(y, child)] == min(wf[(p, child)] for p in parents)]
-        for child, parents in by_child.items()
-    }
+    cheapest = _cheapest_parents(poset, users, candidate_arcs)
     children = sorted(cheapest)
     target = len(max_bipartite_matching(cheapest))
     chosen: dict[str, str] = {}

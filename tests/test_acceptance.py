@@ -14,7 +14,6 @@ import time
 import pytest
 
 from treekeys import (
-    canonical_allocation,
     classic_scheme_metrics,
     chain_metrics,
     chain_scheme_build,
@@ -60,7 +59,7 @@ def test_criterion_01_structural_counts():
 
 def test_criterion_02_arc_costs_exact(poset8, users8):
     wf = weight_function(poset8, users8, poset8.covers)
-    assert dict(wf.weights) == SAMPLE_WEIGHTS
+    assert wf == SAMPLE_WEIGHTS
     assert extra_key_labels(poset8, ("e", "c")) == {"c", "d", "f"}
 
 
@@ -70,8 +69,7 @@ def test_criterion_03_minimum_tree_and_key_count(poset8, users8):
     assert ("c", "a") in arcs
     assert ("d", "c") in arcs
     assert (("f", "d") in arcs) != (("g", "d") in arcs)  # exactly one
-    allocation = canonical_allocation(poset8, tree)
-    metrics = scheme_metrics(poset8, users8, tree, allocation)
+    metrics = scheme_metrics(poset8, users8, tree)
     assert metrics.K_total == 11
 
 

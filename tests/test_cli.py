@@ -264,6 +264,34 @@ class TestShortKeyMaterial:
         assert not payload.with_name("report.txt.sealed").exists()
 
 
+def _command_reading(kind, keyed, document, tmp_path):
+    """A command line whose first use of ``document`` loads it as ``kind``."""
+    policy, tree, keys = keyed["policy"], keyed["tree"], keyed["keys"]
+    empty_manifest = tmp_path / "manifest.json"
+    empty_manifest.write_text(json.dumps({"objects": []}))
+    return {
+        "policy": ("analyze", document),
+        "tree": ("keygen", policy, "--tree", document, "--seed", SEED, "--out-dir", tmp_path),
+        "bundle": ("derive", policy, "--tree", tree, "--bundle", document, "a"),
+        "keystore": ("encrypt", policy, "--tree", tree, "--keystore", document,
+                     "--manifest", empty_manifest),
+        "manifest": ("encrypt", policy, "--tree", tree, "--keystore", keys / "keystore.json",
+                     "--manifest", document),
+        "partition": ("compare", policy, "--partition", document),
+    }[kind]
+
+
+@pytest.mark.parametrize("text", ["[]", "5"])
+@pytest.mark.parametrize("kind", ["policy", "tree", "bundle", "keystore", "manifest", "partition"])
+def test_non_object_document_exits_one(kind, text, keyed_sample, tmp_path):
+    document = tmp_path / "document.json"
+    document.write_text(text)
+    done = run_process(*_command_reading(kind, keyed_sample, document, tmp_path))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"{kind} document must be a JSON object" in done.stderr
+
+
 class TestCompare:
     def test_sample_table(self, run, policy_file, partition_file):
         code, out, _ = run("compare", policy_file, "--partition", partition_file)
@@ -449,15 +477,21 @@ class TestVerify:
         assert all(c["skipped"] and not c["passed"] for c in report["checks"])
 
     def test_random_instances_run_on_a_large_policy(self, run, tmp_path):
-        # only the random instances run; whether such a run may pass while
-        # the policy itself goes unexamined is left open, so the exit code
-        # and the overall verdict are not asserted here
+        # only the random instances run, so the policy itself is not
+        # examined and the run cannot pass
         policy = tmp_path / "p10.json"
         policy.write_text(json.dumps(sparse_policy_doc(10, 1)))
-        _, out, _ = run("verify", policy, "--seeds", "1", "--json")
+        code, out, _ = run("verify", policy, "--seeds", "1", "--json")
+        assert code == 3
         report = json.loads(out)
+        assert report["passed"] is False
         assert all(not c["skipped"] and c["instances"] >= 1 for c in report["checks"])
         assert report["skip_reason"] == "10 labels, over the enumeration limit of 9"
+        code, out, _ = run("verify", policy, "--seeds", "1")
+        assert code == 3
+        lines = out.splitlines()
+        assert lines[-2] == "policy not examined: 10 labels, over the enumeration limit of 9"
+        assert lines[-1].startswith("verification FAILED")
 
     def test_failure_exits_three(self, run, policy_file, monkeypatch):
         from treekeys import oracles

@@ -69,12 +69,12 @@ class TestExtraKeyLabels:
 class TestWeightFunction:
     def test_sample_cover_weights(self, poset8, users8):
         wf = weight_function(poset8, users8, poset8.covers)
-        assert dict(wf.weights) == SAMPLE_WEIGHTS
+        assert wf == SAMPLE_WEIGHTS
 
     def test_no_users_means_zero_cost(self, poset8):
         nobody = UserAssignment.from_counts(poset8, {})
         wf = weight_function(poset8, nobody, poset8.covers)
-        assert all(w == 0 for w in wf.weights.values())
+        assert all(w == 0 for w in wf.values())
 
     def test_users_at_one_label_charge_its_covering_arcs(self, poset8):
         only_d = UserAssignment.from_counts(poset8, {"d": 5})
@@ -88,7 +88,7 @@ class TestWeightFunction:
 
     def test_matches_per_arc_definition(self, poset8, users8):
         wf = weight_function(poset8, users8, poset8.closure)
-        for arc, cost in wf.weights.items():
+        for arc, cost in wf.items():
             assert cost == sum(users8.count(x) for x in extra_key_labels(poset8, arc))
 
 
@@ -100,12 +100,12 @@ class TestMinWeightTree:
         assert tree.parent["d"] in {"f", "g"}
         assert tree.parent["d"] == "f"  # lexicographic tie-break
         wf = weight_function(poset8, users8, poset8.covers)
-        assert wf.tree_total(tree) == 10
+        assert sum(wf[a] for a in tree.arcs()) == 10
 
     def test_closure_candidates_reach_same_minimum(self, poset8, users8):
         tree = min_weight_out_tree(poset8, users8, poset8.closure)
         wf = weight_function(poset8, users8, poset8.closure)
-        assert wf.tree_total(tree) == 10
+        assert sum(wf[a] for a in tree.arcs()) == 10
 
     def test_total_order_has_unique_tree(self):
         poset = total_order()
@@ -128,7 +128,7 @@ class TestMinLeafTree:
     def test_sample_minimizes_leaves(self, poset8, users8):
         tree = min_leaf_out_tree(poset8, users8)
         wf = weight_function(poset8, users8, poset8.covers)
-        assert wf.tree_total(tree) == 10
+        assert sum(wf[a] for a in tree.arcs()) == 10
         # keeping (f, d) makes f internal: three leaves instead of four
         assert tree.parent["d"] == "f"
         assert tree.leaves() == {"a", "b", "e"}
@@ -240,7 +240,7 @@ def test_min_tree_matches_exhaustive_enumeration(instance):
     tree = min_weight_out_tree(poset, users)
     wf = weight_function(poset, users, poset.covers)
     best, _ = brute_min_weight(poset, users)
-    assert wf.tree_total(tree) == best
+    assert sum(wf[a] for a in tree.arcs()) == best
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,7 +259,7 @@ def test_min_leaf_tree_is_optimal_on_both_counts(instance):
     tree = min_leaf_out_tree(poset, users)
     wf = weight_function(poset, users, poset.covers)
     best, _ = brute_min_weight(poset, users)
-    assert wf.tree_total(tree) == best
+    assert sum(wf[a] for a in tree.arcs()) == best
     assert len(tree.leaves()) == brute_min_leaf_count(poset, users)
 
 
