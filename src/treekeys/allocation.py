@@ -122,12 +122,19 @@ class SchemeMetrics:
 
 
 def scheme_metrics(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> SchemeMetrics:
-    """Metrics of the tree scheme: ``tree`` with its canonical allocation.
+    """Metrics of the tree scheme: ``tree`` with its canonical allocation."""
+    return _canonical_metrics(users, tree, canonical_allocation(poset, tree))
+
+
+def _canonical_metrics(
+    users: UserAssignment, tree: DerivationOutTree, canonical: KeyAllocation
+) -> SchemeMetrics:
+    """Metrics read off ``canonical``, which must be ``canonical_allocation(poset, tree)``.
 
     The root's only start point is the root, so its walks are the tree
     depths, and no label's walk to u is longer than the depth of u.
     """
-    sizes = {x: len(points) for x, points in canonical_allocation(poset, tree).phi.items()}
+    sizes = {x: len(points) for x, points in canonical.phi.items()}
     return SchemeMetrics(
         K_total=sum(sizes.values()),
         K_hat=sum(users.count(x) * sizes[x] for x in sizes),

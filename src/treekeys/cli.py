@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
-from .allocation import canonical_allocation, scheme_metrics
+from .allocation import _canonical_metrics, canonical_allocation, scheme_metrics
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import (
     VIRTUAL_ROOT,
@@ -110,7 +110,7 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     build = min_leaf_out_tree if args.min_leaves else min_weight_out_tree
     tree = build(poset, users, candidate)
     allocation = canonical_allocation(poset, tree)
-    metrics = scheme_metrics(poset, users, tree)
+    metrics = _canonical_metrics(users, tree, allocation)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tree.json", tree.to_json_dict())
@@ -189,11 +189,13 @@ def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
     for entry in objects:
         if not isinstance(entry, Mapping) or set(entry) != {"path", "label"}:
             raise PolicyError(f"manifest entry {entry!r} must have exactly 'path' and 'label'")
-        label = entry["label"]
+        path, label = entry["path"], entry["label"]
+        if not isinstance(path, str) or not isinstance(label, str):
+            raise PolicyError(f"manifest entry {entry!r} must give 'path' and 'label' as strings")
         poset.require(label)
         if poset.virtual_root and label == poset.root:
             raise PolicyError("objects cannot be labeled with the virtual root")
-        entries.append((Path(entry["path"]), label))
+        entries.append((Path(path), label))
     return entries
 
 

@@ -1,14 +1,16 @@
-"""Maximum bipartite matching via Hopcroft-Karp.
+"""Maximum bipartite matching via Hopcroft-Karp, and single-path repair.
 
 Used for minimum chain partitions and for leaf minimization when picking
-derivation trees. The implementation is deterministic for a fixed
-iteration order of the adjacency mapping and its lists.
+derivation trees. Leaf minimization computes one matching and then keeps
+it maximum with one repair per candidate: ``augment`` searches a single
+alternating path from one free vertex. Both are deterministic for a
+fixed iteration order of the adjacency mapping and its lists.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Mapping, Sequence, TypeVar
+from typing import Container, Hashable, Mapping, Sequence, TypeVar
 
 L = TypeVar("L", bound=Hashable)
 R = TypeVar("R", bound=Hashable)
@@ -74,3 +76,41 @@ def max_bipartite_matching(adjacency: Mapping[L, Sequence[R]]) -> dict[L, R]:
             if u not in match_left:
                 augment(u)
     return match_left
+
+
+def augment(
+    adjacency: Mapping[L, Sequence[R]],
+    mate: dict[L, R],
+    partner: dict[R, L],
+    start: L,
+    blocked: Container[R],
+) -> bool:
+    """Flip one augmenting path from the free left vertex ``start``, if any.
+
+    ``mate`` maps matched left vertices to their right partners and
+    ``partner`` is its inverse; right vertices in ``blocked`` count as
+    absent. Both maps change only when a path is found. Searches depth
+    first on an explicit stack, so no recursion limit bounds the path.
+    """
+    seen: set[R] = set()
+    stack = [(start, iter(adjacency[start]))]
+    rights: list[R] = []  # rights[i] is tried from stack[i] and leads to stack[i + 1]
+    while stack:
+        for v in stack[-1][1]:
+            if v in seen or v in blocked:
+                continue
+            seen.add(v)
+            rights.append(v)
+            w = partner.get(v)
+            if w is None:
+                for (u, _), x in zip(stack, rights):
+                    mate[u] = x
+                    partner[x] = u
+                return True
+            stack.append((w, iter(adjacency[w])))
+            break
+        else:
+            stack.pop()
+            if rights:
+                rights.pop()
+    return False

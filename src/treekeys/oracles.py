@@ -20,6 +20,7 @@ from typing import Any, Iterable, Iterator
 from . import kdf
 from .allocation import KeyAllocation, canonical_allocation, validate_enforcement
 from .errors import AuthorizationError, PolicyError
+from .matching import max_bipartite_matching
 from .poset import (
     Arc,
     Poset,
@@ -165,6 +166,39 @@ def brute_min_leaf_count(
             best_leaves = leaves
     assert best_leaves is not None
     return best_leaves
+
+
+def rematching_min_leaf_tree(
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+) -> DerivationOutTree:
+    """The min-leaf tree by a fresh maximum matching for every candidate.
+
+    The reference for ``trees.min_leaf_out_tree``, which repairs one
+    matching instead: the same greedy over each label's cheapest parents
+    (from the literal arc weights) fixes the lexicographically smallest
+    parent whose residual matching still reaches the maximum.
+    """
+    weights = _literal_arc_weights(poset, users, candidate_arcs)
+    cheapest: dict[str, list[str]] = {}
+    for child, parents in _in_arc_lists(poset, candidate_arcs).items():
+        least = min(weights[(p, child)] for p in parents)
+        cheapest[child] = [p for p in parents if weights[(p, child)] == least]
+    children = sorted(cheapest)
+    target = len(max_bipartite_matching(cheapest))
+    chosen: dict[str, str] = {}
+    used: set[str] = set()
+    for i, child in enumerate(children):
+        rest = children[i + 1 :]
+        for cand in cheapest[child]:
+            image = used | {cand}
+            residual = {r: [p for p in cheapest[r] if p not in image] for r in rest}
+            if len(image) + len(max_bipartite_matching(residual)) >= target:
+                chosen[child] = cand
+                used = image
+                break
+        else:
+            raise AssertionError("no feasible parent choice; matching invariant broken")
+    return DerivationOutTree(root=poset.root, parent=chosen)
 
 
 def allocation_by_definition(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import PolicyError, check_fields
-from .matching import max_bipartite_matching
+from .matching import augment, max_bipartite_matching
 from .poset import Arc, Poset, UserAssignment
 
 
@@ -185,26 +185,56 @@ def min_leaf_out_tree(
     """Among minimum-cost spanning out-trees, one with the fewest leaves.
 
     Every minimum-cost tree picks, per label, one of that label's cheapest
-    candidate parents; leaves are the labels nobody picks. Maximum
+    candidate parents; leaves are the labels nobody picks. One maximum
     bipartite matching between labels and their cheapest parents yields
-    the largest achievable set of distinct parents, and a greedy pass then
-    fixes the lexicographically smallest parent choice that keeps that
-    maximum attainable.
+    the largest achievable set of distinct parents. A greedy pass then
+    fixes, label by label, the lexicographically smallest parent that
+    keeps that maximum attainable, deciding each candidate with one
+    repair of the matching instead of a new one.
+
+    The matching stays maximum between the labels not yet fixed and the
+    parents not yet used, one short of the maximum per parent used.
+    Fixing a label drops its matched parent; a new parent also drops the
+    label matched to it. At most one matched pair is then missing, and an
+    alternating path that restores it must start at the dropped label or
+    end at the dropped parent: any other would have augmented the
+    matching before.
     """
     cheapest = _cheapest_parents(poset, users, candidate_arcs)
-    children = sorted(cheapest)
-    target = len(max_bipartite_matching(cheapest))
+    match = max_bipartite_matching(cheapest)  # label -> parent
+    owner = {p: c for c, p in match.items()}  # parent -> label
+    takers: dict[str, list[str]] = {}  # parent -> labels it may be matched with
+    for child, parents in cheapest.items():
+        for p in parents:
+            takers.setdefault(p, []).append(child)
     chosen: dict[str, str] = {}
     used: set[str] = set()
-    for i, child in enumerate(children):
-        rest = children[i + 1 :]
+    for child in sorted(cheapest):
+        chosen[child] = ""  # fixed: out of the matching and of every search
+        freed = match.pop(child, None)
+        if freed is not None:
+            del owner[freed]
         for cand in cheapest[child]:
-            image = used | {cand}
-            residual = {r: [p for p in cheapest[r] if p not in image] for r in rest}
-            if len(image) + len(max_bipartite_matching(residual)) >= target:
-                chosen[child] = cand
-                used = image
+            if cand in used:
+                if freed is None or augment(takers, owner, match, freed, chosen):
+                    break
+                continue
+            rival = owner.pop(cand, None)
+            if rival is None:
                 break
+            del match[rival]
+            used.add(cand)
+            if (
+                freed is None
+                or augment(cheapest, match, owner, rival, used)
+                or augment(takers, owner, match, freed, chosen)
+            ):
+                break
+            used.discard(cand)
+            match[rival] = cand
+            owner[cand] = rival
         else:  # pragma: no cover - the greedy invariant guarantees progress
             raise AssertionError("no feasible parent choice; matching invariant broken")
+        chosen[child] = cand
+        used.add(cand)
     return DerivationOutTree(root=poset.root, parent=chosen)

@@ -81,6 +81,29 @@ def sparse_policy_doc(n, seed):
     return {"elements": labels, "arcs": arcs, "users": users}
 
 
+def mls_policy_doc(seed):
+    """A seeded 256-label multi-level-security lattice, given by its cover
+    arcs: 4 levels x subsets of 6 categories, (l, S) >= (l', S') iff
+    l >= l' and S ⊇ S'; users 0-5 per label.
+    """
+    rng = random.Random(f"mls/{seed}")
+
+    def label(level, cats):
+        return f"s{level}." + "".join(c for i, c in enumerate("abcdef") if cats >> i & 1)
+
+    labels, arcs = [], []
+    for level in range(4):
+        for cats in range(1 << 6):
+            labels.append(label(level, cats))
+            if level:
+                arcs.append([label(level, cats), label(level - 1, cats)])
+            for i in range(6):
+                if cats >> i & 1:
+                    arcs.append([label(level, cats), label(level, cats & ~(1 << i))])
+    users = {x: rng.randint(0, 5) for x in labels}
+    return {"elements": labels, "arcs": arcs, "users": users}
+
+
 @pytest.fixture(scope="session")
 def poset8():
     return Poset.from_arcs(SAMPLE_ELEMENTS, SAMPLE_COVERS)

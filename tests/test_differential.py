@@ -4,14 +4,20 @@ Tree enumeration stops at a handful of labels, but the set-builder
 references in ``treekeys.oracles`` scale to a few hundred: seeded sparse
 policies of that size compare the optimised reduction, allocation, arc
 weights, derivation depths, chain scheme and derivation with them
-directly, or with literal walks written out here. At 2000 labels the
+directly, or with literal walks written out here. The min-leaf tree is
+compared whole with the re-matching greedy, on those policies, on a
+256-label MLS lattice and on small random ones. At 2000 labels the
 cover arcs are compared with networkx, when it is installed.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treekeys import (
     AuthorizationError,
+    Poset,
+    UserAssignment,
     canonical_allocation,
     chain_metrics,
     chain_scheme_build,
@@ -25,9 +31,17 @@ from treekeys import (
     setup,
     weight_function,
 )
-from treekeys.oracles import _literal_arc_weights, allocation_by_definition, brute_reduction
+from treekeys.oracles import (
+    RandomPosetSpec,
+    _literal_arc_weights,
+    allocation_by_definition,
+    brute_reduction,
+    random_poset,
+    random_users,
+    rematching_min_leaf_tree,
+)
 
-from conftest import sparse_policy_doc
+from conftest import mls_policy_doc, sparse_policy_doc
 
 POLICIES = [(200, 11), (250, 12), (300, 13)]
 
@@ -101,6 +115,73 @@ def test_weights_match_literal_definition(policy, arcs):
     candidates = getattr(poset, arcs)
     expected = _literal_arc_weights(poset, users, candidates)
     assert weight_function(poset, users, candidates) == expected
+
+
+@pytest.mark.parametrize("arcs", ["covers", "closure"])
+def test_min_leaf_tree_matches_rematching_greedy(policy, arcs):
+    poset, users = policy
+    candidates = getattr(poset, arcs)
+    expected = rematching_min_leaf_tree(poset, users, candidates)
+    assert min_leaf_out_tree(poset, users, candidates) == expected
+
+
+@pytest.mark.parametrize("arcs", ["covers", "closure"])
+def test_min_leaf_tree_matches_rematching_greedy_on_mls_lattice(arcs):
+    poset, users = parse_policy(mls_policy_doc(1))
+    assert len(poset.elements) == 256
+    candidates = getattr(poset, arcs)
+    expected = rematching_min_leaf_tree(poset, users, candidates)
+    assert min_leaf_out_tree(poset, users, candidates) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    element_count=st.integers(1, 12),
+    edge_density=st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+    arcs=st.sampled_from(["covers", "closure"]),
+)
+def test_min_leaf_tree_matches_rematching_greedy_on_small_policies(
+    element_count, edge_density, seed, arcs
+):
+    poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
+    users = random_users(poset, seed + 1)
+    candidates = getattr(poset, arcs)
+    expected = rematching_min_leaf_tree(poset, users, candidates)
+    assert min_leaf_out_tree(poset, users, candidates) == expected
+
+
+def _two_layers(edges):
+    """A policy whose cheapest-parent table is ``edges``, with its candidate arcs.
+
+    Every parent sits above every child and nobody holds a label, so every
+    arc costs 0 and the candidate arcs alone decide the table.
+    """
+    children = sorted(edges)
+    parents = sorted({p for ps in edges.values() for p in ps})
+    poset = Poset.from_arcs(children + parents, [(p, c) for p in parents for c in children])
+    arcs = {(poset.root, p) for p in parents if p != poset.root}
+    arcs |= {(p, c) for c, ps in edges.items() for p in ps}
+    return poset, UserAssignment.uniform(poset, count=0), arcs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from([f"c{i}" for i in range(7)]),
+        st.lists(st.sampled_from([f"p{i}" for i in range(7)]), min_size=1, max_size=4, unique=True),
+        min_size=1,
+    )
+)
+# the matching is repaired only by a path from the label that loses the parent
+@example({"c0": ["p1", "p5"], "c1": ["p1", "p3", "p4"], "c2": ["p3"]})
+# ... and only by a path to the parent the fixed label gives up
+@example({"c0": ["p0", "p1"], "c1": ["p0", "p2"], "c2": ["p2"], "c3": ["p0"]})
+# a rejected candidate must give its parent back to the label it took it from
+@example({"c0": ["p0", "p2"], "c1": ["p0", "p1"], "c2": ["p0"]})
+def test_min_leaf_tree_matches_rematching_greedy_on_any_table(edges):
+    poset, users, arcs = _two_layers(edges)
+    assert min_leaf_out_tree(poset, users, arcs) == rematching_min_leaf_tree(poset, users, arcs)
 
 
 def test_derive_fails_closed_on_every_pair():

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treekeys.matching import max_bipartite_matching
+from treekeys.matching import augment, max_bipartite_matching
 
 
 def brute_max_matching_size(adjacency):
@@ -74,3 +74,35 @@ def test_long_augmenting_path_does_not_recurse():
     got = max_bipartite_matching(adjacency)
     assert len(got) == n + 1
     assert got["u0"] == "v1" and got[f"u{n}"] == f"v{n + 1}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 5),
+        st.lists(st.integers(0, 5), unique=True, max_size=6),
+        min_size=1,
+        max_size=6,
+    ),
+    st.frozensets(st.integers(0, 5), max_size=3),
+    st.data(),
+)
+def test_augment_finds_the_missing_pair(adjacency, blocked, data):
+    # a maximum matching of the graph without `start` misses at most one
+    # pair of the whole graph, and any path that restores it starts there
+    start = data.draw(st.sampled_from(sorted(adjacency)))
+    rest = {u: [v for v in vs if v not in blocked] for u, vs in adjacency.items() if u != start}
+    mate = max_bipartite_matching(rest)
+    partner = {v: u for u, v in mate.items()}
+    before = dict(mate)
+    whole = {u: [v for v in vs if v not in blocked] for u, vs in adjacency.items()}
+    found = augment(adjacency, mate, partner, start, blocked)
+    assert found == (brute_max_matching_size(whole) > len(before))
+    if not found:
+        assert mate == before
+        return
+    assert len(mate) == len(before) + 1 and start in mate
+    assert partner == {v: u for u, v in mate.items()}
+    for u, v in mate.items():
+        assert v in adjacency[u] and v not in blocked
+

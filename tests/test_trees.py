@@ -1,4 +1,5 @@
 import pytest
+import treekeys.trees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,11 @@ from treekeys import (
     extra_key_labels,
     min_leaf_out_tree,
     min_weight_out_tree,
+    parse_policy,
     validate_tree,
     weight_function,
 )
+from treekeys.matching import max_bipartite_matching
 from treekeys.oracles import (
     RandomPosetSpec,
     brute_min_leaf_count,
@@ -21,7 +24,7 @@ from treekeys.oracles import (
     random_users,
 )
 
-from conftest import SAMPLE_WEIGHTS
+from conftest import SAMPLE_WEIGHTS, sparse_policy_doc
 
 
 def total_order(n=5):
@@ -143,6 +146,34 @@ class TestMinLeafTree:
         poset = Poset.from_arcs(["r", "a", "b", "c"], [("r", x) for x in "abc"])
         tree = min_leaf_out_tree(poset, UserAssignment.uniform(poset))
         assert tree.leaves() == {"a", "b", "c"}
+
+    def test_matches_once(self, monkeypatch):
+        calls = []
+
+        def counted(adjacency):
+            calls.append(len(adjacency))
+            return max_bipartite_matching(adjacency)
+
+        poset, users = parse_policy(sparse_policy_doc(300, 13))
+        monkeypatch.setattr(treekeys.trees, "max_bipartite_matching", counted)
+        for candidates in (poset.covers, poset.closure):
+            calls.clear()
+            min_leaf_out_tree(poset, users, candidates)
+            assert calls == [300]
+
+    def test_long_repair_does_not_recurse(self):
+        # a label's two parents cost the same, so HK matches a1-u, a2-v and
+        # b_i-p_i and leaves e free; a2 can share u with a1 only once e takes
+        # p_n, b_n takes p_(n-1), ..., b_1 takes v: a 3001-pair repair
+        n = 3000
+        p = [f"p{i:05d}" for i in range(1, n + 1)]
+        b = [f"b{i:05d}" for i in range(1, n + 1)]
+        arcs = [("u", "a1"), ("u", "a2"), ("v", "a2"), ("v", b[0]), (p[-1], "e")]
+        arcs += [(p[i], b[i]) for i in range(n)] + [(p[i - 1], b[i]) for i in range(1, n)]
+        poset = Poset.from_arcs(["a1", "a2", "e", "u", "v", *p, *b], arcs)
+        tree = min_leaf_out_tree(poset, UserAssignment.uniform(poset))
+        validate_tree(poset, tree)
+        assert tree.parent["a2"] == "u"
 
 
 class TestTreeValue:
