@@ -41,9 +41,19 @@ def start_points(poset: Poset, tree: DerivationOutTree, x: str) -> frozenset[str
 
 def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
     """The pointwise-minimal allocation for ``tree``: every label's start
-    points, in time linear in the size of the order."""
+    points, in time linear in the labels plus the start points handed out.
+
+    By ``start_points``, z is a start point of x exactly when x is at or
+    above z but not at or above z's tree parent y, so each tree arc
+    (y, z) hands z to the labels of ``up(z) - up(y)`` and to no others.
+    """
     validate_tree(poset, tree)
-    return KeyAllocation(phi={x: start_points(poset, tree, x) for x in poset.sorted_elements})
+    points: dict[str, list[str]] = {x: [] for x in poset.sorted_elements}
+    points[tree.root].append(tree.root)
+    for z, y in tree.parent.items():
+        for x in poset.up_difference(z, y):
+            points[x].append(z)
+    return KeyAllocation(phi={x: frozenset(zs) for x, zs in points.items()})
 
 
 @dataclass(frozen=True)

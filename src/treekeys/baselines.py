@@ -74,7 +74,7 @@ def classic_scheme_metrics(poset: Poset, users: UserAssignment, scheme: str) -> 
     """
     n = len(poset.elements)
     if scheme == "basic":
-        down_sizes = {x: len(poset.down_set(x)) for x in poset.sorted_elements}
+        down_sizes = {x: mask.bit_count() + 1 for x, mask in zip(poset.labels, poset.strict_down)}
         return SchemeMetrics(
             K_total=sum(down_sizes.values()),
             K_hat=sum(users.count(x) * down_sizes[x] for x in down_sizes),
@@ -96,6 +96,6 @@ def classic_scheme_metrics(poset: Poset, users: UserAssignment, scheme: str) -> 
             K_hat=users.total,
             k_max=1,
             d_max=1,
-            p=len(poset.closure),
+            p=poset.closure_size,
         )
     raise PolicyError(f"unknown scheme {scheme!r}; expected one of {CLASSIC_SCHEMES}")

@@ -85,7 +85,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     info = {
         "elements": len(poset.elements),
         "cover_arcs": len(poset.covers),
-        "closure_arcs": len(poset.closure),
+        "closure_arcs": poset.closure_size,
         "width": width(poset),
         "root": poset.root,
         "augmented": poset.virtual_root,

@@ -1,19 +1,25 @@
 """Finite partially ordered sets of security labels.
 
-A label hierarchy is kept in two normalized forms: the cover arcs (the
-order's diagram, written parent -> child) and the full strict order (its
-transitive closure). Every poset is rooted: when the input order has more
-than one maximal label, a reserved virtual top label is placed above all
-of them so that every label is reachable from a single point. Labels are
-unique non-empty strings; their bytes feed the key derivation PRF, so
-uniqueness matters beyond aesthetics.
+A label hierarchy is stored as bitmasks over a fixed label index: per
+label, the labels strictly below it and the labels strictly above it,
+plus the cover arcs (the order's diagram, written parent -> child). The
+full strict order (the transitive closure, as pairs) is a view decoded
+from the masks on first use. Every poset is rooted: when the input order
+has more than one maximal label, a reserved virtual top label is placed
+above all of them so that every label is reachable from a single point.
+Labels are unique non-empty strings; their bytes feed the key derivation
+PRF, so uniqueness matters beyond aesthetics.
+
+``transitive_closure``, ``transitive_reduction`` and ``ensure_root`` are
+the set-based reference for the normalisation ``Poset.from_arcs`` does on
+masks.
 
 All values here are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
@@ -125,21 +131,30 @@ def ensure_root(
 class Poset:
     """A rooted finite strict order over unique string labels.
 
-    ``covers`` is the transitive reduction of ``closure``; both store
-    ordered pairs (x, y) with x above y. ``root`` is the unique maximum,
-    possibly the virtual one added during normalization. Each label's
-    down-set and up-set are derived from ``closure`` on first use and kept.
+    ``labels`` is the label index: the input labels sorted, then the
+    virtual root if one was added. Bit j of ``strict_down[i]`` is set iff
+    ``labels[i]`` is strictly above ``labels[j]``; ``strict_up`` is the
+    converse. ``covers`` holds the cover arcs as pairs (x, y) with x above
+    y, and ``root`` is the unique maximum, possibly the virtual one.
+
+    ``closure`` (every strict-order pair) is decoded from the masks on
+    first use; it serves the oracles and ``--arcs closure``. Each label's
+    down-set and up-set is decoded on first request and kept, so repeated
+    ``geq``/``leq`` queries are set lookups.
     """
 
-    elements: frozenset[str]
+    labels: tuple[str, ...]
+    strict_down: tuple[int, ...]
+    strict_up: tuple[int, ...]
     covers: frozenset[Arc]
-    closure: frozenset[Arc]
     root: str
     virtual_root: bool = False
-
-    def __post_init__(self) -> None:
-        if self.root not in self.elements:
-            raise PolicyError(f"root {self.root!r} is not an element")
+    _down_sets: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    _up_sets: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @classmethod
     def from_arcs(
@@ -153,7 +168,15 @@ class Poset:
 
         ``arcs`` may be any subset of the intended strict order whose
         closure is that order (cover arcs, the full order, or anything in
-        between).
+        between). Children come before parents: a label's down-mask is
+        the OR of its input children's masks and bits, and its cover
+        children are the input children inside no input child's mask
+        (every label below it lies at or below some input child). Up-masks
+        then flow down the covers, parents first.
+
+        Raises CycleError on a directed cycle (self-loops included),
+        UnknownLabelError on an arc naming a label outside ``elements``,
+        and PolicyError if the root label is needed but already taken.
         """
         seen: set[str] = set()
         for lab in elements:
@@ -164,52 +187,154 @@ class Poset:
             seen.add(lab)
         if not seen:
             raise PolicyError("a policy needs at least one element")
-        closure = transitive_closure(arcs, seen)
-        elems, closure, root, added = ensure_root(frozenset(seen), closure, root_label)
-        covers = transitive_reduction(closure, elems)
-        return cls(elements=elems, covers=covers, closure=closure, root=root, virtual_root=added)
+        labels = sorted(seen)
+        children: dict[str, set[str]] = {lab: set() for lab in labels}
+        for x, y in arcs:
+            for lab in (x, y):
+                if lab not in seen:
+                    raise UnknownLabelError(f"arc ({x!r}, {y!r}) references unknown label {lab!r}")
+            if x == y:
+                raise CycleError(f"cycle detected: self-loop on {x!r}")
+            children[x].add(y)
+        index = {lab: i for i, lab in enumerate(labels)}
+        order = [index[lab] for lab in _topological_order(children)]
+        down = [0] * len(labels)
+        cover_kids: list[list[int]] = [[] for _ in labels]
+        for v in reversed(order):  # children first
+            kids = [index[c] for c in children[labels[v]]]
+            below = bits = 0
+            for c in kids:
+                below |= down[c]
+                bits |= 1 << c
+            down[v] = below | bits
+            cover_kids[v] = [c for c in kids if not below >> c & 1]
+        hidden = 0
+        for mask in down:
+            hidden |= mask
+        maximal = [v for v in range(len(labels)) if not hidden >> v & 1]
+        added = len(maximal) > 1
+        if added:
+            if root_label in seen:
+                raise PolicyError(f"reserved root label {root_label!r} already in use")
+            order.insert(0, len(labels))
+            down.append((1 << len(labels)) - 1)
+            labels.append(root_label)
+            cover_kids.append(maximal)
+            root = root_label
+        else:
+            root = labels[maximal[0]]
+        up = [0] * len(labels)
+        for v in order:  # parents first
+            mask = up[v] | 1 << v
+            for c in cover_kids[v]:
+                up[c] |= mask
+        covers = frozenset(
+            (labels[v], labels[c]) for v, kids in enumerate(cover_kids) for c in kids
+        )
+        return cls(
+            labels=tuple(labels),
+            strict_down=tuple(down),
+            strict_up=tuple(up),
+            covers=covers,
+            root=root,
+            virtual_root=added,
+        )
 
     # -- order queries ----------------------------------------------------
 
-    @property
+    @cached_property
+    def elements(self) -> frozenset[str]:
+        return frozenset(self.labels)
+
+    @cached_property
     def sorted_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(self.elements))
+        return tuple(sorted(self.labels))
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
+
+    def index(self, label: str) -> int:
+        """The label's bit position in the masks."""
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownLabelError(f"unknown label {label!r}") from None
 
     def require(self, label: str) -> None:
-        if label not in self.elements:
+        if label not in self._index:
             raise UnknownLabelError(f"unknown label {label!r}")
 
-    def geq(self, x: str, y: str) -> bool:
-        """True iff x is at or above y."""
-        return x == y or (x, y) in self.closure
+    def members(self, mask: int) -> list[str]:
+        """The labels whose bits are set in ``mask``, in index order."""
+        labels = self.labels
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return out
 
-    def leq(self, x: str, y: str) -> bool:
-        """True iff x is at or below y."""
-        return x == y or (y, x) in self.closure
+    def up_difference(self, z: str, y: str) -> list[str]:
+        """The labels at or above z that are not at or above y."""
+        i, j = self.index(z), self.index(y)
+        up = self.strict_up
+        return self.members((up[i] | 1 << i) & ~(up[j] | 1 << j))
+
+    def above(self, x: str, y: str) -> bool:
+        """True iff x is strictly above y; False if either is not a label."""
+        index = self._index
+        try:
+            return bool(self.strict_down[index[x]] >> index[y] & 1)
+        except KeyError:
+            return False
 
     @cached_property
-    def _down_sets(self) -> dict[str, frozenset[str]]:
-        below: dict[str, set[str]] = {x: {x} for x in self.elements}
-        for x, y in self.closure:
-            below[x].add(y)
-        return {x: frozenset(v) for x, v in below.items()}
+    def closure(self) -> frozenset[Arc]:
+        """Every strict-order pair (x, y), x above y, decoded from the masks."""
+        return frozenset(
+            (x, y) for x, mask in zip(self.labels, self.strict_down) for y in self.members(mask)
+        )
 
-    @cached_property
-    def _up_sets(self) -> dict[str, frozenset[str]]:
-        above: dict[str, set[str]] = {x: {x} for x in self.elements}
-        for x, y in self.closure:
-            above[y].add(x)
-        return {y: frozenset(v) for y, v in above.items()}
+    @property
+    def closure_size(self) -> int:
+        """The number of strict-order pairs, counted without decoding them."""
+        return sum(mask.bit_count() for mask in self.strict_down)
 
     def down_set(self, x: str) -> frozenset[str]:
-        """Every label at or below x (x included); built once per poset."""
-        self.require(x)
-        return self._down_sets[x]
+        """Every label at or below x (x included); decoded once per label."""
+        try:
+            return self._down_sets[x]
+        except KeyError:
+            i = self.index(x)
+            found = self._down_sets[x] = frozenset(self.members(self.strict_down[i] | 1 << i))
+            return found
 
     def up_set(self, x: str) -> frozenset[str]:
-        """Every label at or above x (x included); built once per poset."""
-        self.require(x)
-        return self._up_sets[x]
+        """Every label at or above x (x included); decoded once per label."""
+        try:
+            return self._up_sets[x]
+        except KeyError:
+            i = self.index(x)
+            found = self._up_sets[x] = frozenset(self.members(self.strict_up[i] | 1 << i))
+            return found
+
+    # geq and leq run hundreds of thousands of times on tiny posets, where a
+    # set lookup beats a bit test; both read the cached down-sets.
+
+    def geq(self, x: str, y: str) -> bool:
+        """True iff x is at or above y (a non-label is above only itself)."""
+        try:
+            return y in self._down_sets[x]
+        except KeyError:
+            return y in self.down_set(x) if x in self._index else x == y
+
+    def leq(self, x: str, y: str) -> bool:
+        """True iff x is at or below y (a non-label is below only itself)."""
+        try:
+            return x in self._down_sets[y]
+        except KeyError:
+            return x in self.down_set(y) if y in self._index else x == y
 
     def cover_children(self, x: str) -> tuple[str, ...]:
         self.require(x)

@@ -107,7 +107,7 @@ def validate_tree(poset: Poset, tree: DerivationOutTree) -> None:
     if set(tree.parent) != expected:
         raise PolicyError("tree does not span exactly the non-root labels")
     for child, par in tree.parent.items():
-        if not ((par, child) in poset.closure):
+        if not poset.above(par, child):
             raise PolicyError(f"tree arc ({par!r}, {child!r}) does not point downward in the order")
 
 
@@ -120,16 +120,16 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     never qualifies.
     """
     y, z = arc
-    if (y, z) not in poset.closure:
+    if not poset.above(y, z):
         raise PolicyError(f"({y!r}, {z!r}) is not an arc of the strict order")
-    return poset.up_set(z) - poset.up_set(y)
+    return frozenset(poset.up_difference(z, y))
 
 
 def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> frozenset[Arc]:
     if candidate_arcs is None:
         return poset.covers
     arcs = frozenset(candidate_arcs)
-    stray = arcs - poset.closure
+    stray = [arc for arc in arcs if not poset.above(*arc)]
     if stray:
         raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
     return arcs
@@ -138,9 +138,31 @@ def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) 
 def weight_function(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
 ) -> dict[Arc, int]:
-    """Arc costs for every candidate arc: the users at its extra-key labels."""
+    """Arc costs for every candidate arc: the users at its extra-key labels.
+
+    For y above z, everything at or above y is at or above z, so the users
+    in ``up(z) - up(y)`` number M(z) - M(y), where M(x) counts the users at
+    or above x.
+    """
     arcs = _checked_candidate_arcs(poset, candidate_arcs)
-    return {arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs}
+    users_above = _users_above(poset, users)
+    return {(y, z): users_above[z] - users_above[y] for y, z in arcs}
+
+
+def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
+    """M(x) for every label x, by popcounts of its up-mask: one per bit of
+    the largest user count, over the labels whose count has that bit set."""
+    counts = [users.count(x) for x in poset.labels]
+    if min(counts) < 0:
+        raise PolicyError("user counts must be non-negative")
+    planes = [
+        (1 << b, sum(1 << i for i, c in enumerate(counts) if c >> b & 1))
+        for b in range(max(counts).bit_length())
+    ]
+    return {
+        x: sum(w * ((up | 1 << i) & plane).bit_count() for w, plane in planes)
+        for i, (x, up) in enumerate(zip(poset.labels, poset.strict_up))
+    }
 
 
 def _cheapest_parents(

@@ -101,11 +101,10 @@ class TestClassicSchemes:
         assert iterative.d_max == 0 and iterative.p == 0
 
     def test_iterative_depth_on_a_deep_chain(self):
-        # deeper than Python's default recursion limit; only the covers are
-        # read, so the chain's million-pair closure is not built
+        # deeper than Python's default recursion limit; the chain's
+        # million-pair closure stays in the masks and is never decoded
         labels = [f"c{i:04d}" for i in range(1500)]
-        covers = frozenset(zip(labels, labels[1:]))
-        poset = Poset(elements=frozenset(labels), covers=covers, closure=covers, root=labels[0])
+        poset = Poset.from_arcs(labels, zip(labels, labels[1:]))
         iterative = classic_scheme_metrics(poset, UserAssignment.uniform(poset), "iterative")
         assert iterative.d_max == 1499 and iterative.p == 1499
 

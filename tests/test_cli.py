@@ -264,6 +264,24 @@ class TestShortKeyMaterial:
         assert not payload.with_name("report.txt.sealed").exists()
 
 
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        ({"elements": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "c"], ["c", "a"]]},
+         "cycle detected"),
+        ({"elements": ["a", "b", "⊤"], "arcs": []}, "reserved root label '⊤' already in use"),
+    ],
+    ids=["cycle", "taken-root-label"],
+)
+def test_unnormalisable_policy_exits_one(policy, message, tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(policy), encoding="utf-8")
+    done = run_process("analyze", path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert message in done.stderr
+
+
 def _command_reading(kind, keyed, document, tmp_path):
     """A command line whose first use of ``document`` loads it as ``kind``."""
     policy, tree, keys = keyed["policy"], keyed["tree"], keyed["keys"]

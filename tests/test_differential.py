@@ -8,6 +8,11 @@ directly, or with literal walks written out here. The min-leaf tree is
 compared whole with the re-matching greedy, on those policies, on a
 256-label MLS lattice and on small random ones. At 2000 labels the
 cover arcs are compared with networkx, when it is installed.
+
+The mask normalisation of ``Poset.from_arcs`` is compared with the
+set-based composition (closure, root, reduction) on those policies, the
+lattice, a deep chain, a rootless antichain and random generator sets,
+errors included.
 """
 
 import pytest
@@ -15,7 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treekeys import (
+    VIRTUAL_ROOT,
     AuthorizationError,
+    PolicyError,
     Poset,
     UserAssignment,
     canonical_allocation,
@@ -29,6 +36,9 @@ from treekeys import (
     scheme_metrics,
     seeded_bytes,
     setup,
+    ensure_root,
+    transitive_closure,
+    transitive_reduction,
     weight_function,
 )
 from treekeys.oracles import (
@@ -201,3 +211,112 @@ def test_derive_fails_closed_on_every_pair():
                 refused += 1
     assert authorized == len(poset.elements) + len(poset.closure)
     assert refused == len(poset.elements) ** 2 - authorized
+
+
+# -- mask normalisation against the set-based composition ---------------------
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of the PolicyError it raises."""
+    try:
+        return build()
+    except PolicyError as exc:
+        return type(exc), str(exc)
+
+
+def _set_based_forms(elements, arcs, root_label):
+    elems, closure, root, added = ensure_root(
+        frozenset(elements), transitive_closure(arcs, elements), root_label
+    )
+    covers = transitive_reduction(closure, elems)
+    downs = {x: {x} for x in elems}
+    ups = {x: {x} for x in elems}
+    for x, y in closure:
+        downs[x].add(y)
+        ups[y].add(x)
+    return elems, covers, closure, root, added, downs, ups
+
+
+def _mask_forms(elements, arcs, root_label):
+    poset = Poset.from_arcs(elements, arcs, root_label=root_label)
+    downs = {x: poset.down_set(x) for x in poset.elements}
+    ups = {x: poset.up_set(x) for x in poset.elements}
+    return poset.elements, poset.covers, poset.closure, poset.root, poset.virtual_root, downs, ups
+
+
+def assert_same_normalisation(elements, arcs, root_label=VIRTUAL_ROOT):
+    elements, arcs = list(elements), list(arcs)
+    expected = _outcome(lambda: _set_based_forms(elements, arcs, root_label))
+    assert _outcome(lambda: _mask_forms(elements, arcs, root_label)) == expected
+    return expected
+
+
+def _chain(n):
+    labels = [f"c{i:04d}" for i in range(n)]
+    return labels, list(zip(labels, labels[1:]))
+
+
+NAMED_ORDERS = {
+    **{f"sparse-{n}-{seed}": (lambda n=n, seed=seed: sparse_policy_doc(n, seed)) for n, seed in POLICIES},
+    "mls-256": lambda: mls_policy_doc(1),
+    "chain-300": lambda: dict(zip(("elements", "arcs"), _chain(300))),
+    "antichain-40": lambda: {"elements": [f"a{i:02d}" for i in range(40)], "arcs": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+def test_mask_normalisation_matches_set_based_composition(name):
+    doc = NAMED_ORDERS[name]()
+    assert_same_normalisation(doc["elements"], [tuple(a) for a in doc["arcs"]])
+
+
+def test_mask_closure_size_counts_the_decoded_closure():
+    for name in sorted(NAMED_ORDERS):
+        doc = NAMED_ORDERS[name]()
+        poset = Poset.from_arcs(doc["elements"], [tuple(a) for a in doc["arcs"]])
+        assert poset.closure_size == len(poset.closure)
+
+
+LABEL_POOL = list("abcdefghijkl")
+
+
+@st.composite
+def generator_sets(draw):
+    """Labels, arcs and a root label: an order's generators, sometimes broken.
+
+    Arcs run down a hidden ranking of the labels, with transitive shortcuts
+    (non-cover arcs) added; some sets also get a self-loop, a reversed arc
+    (a cycle), an unknown label or a label that takes the root label.
+    """
+    ranked = draw(st.permutations(LABEL_POOL))[: draw(st.integers(1, 12))]
+    if draw(st.integers(0, 4)) == 0:
+        ranked[draw(st.integers(0, len(ranked) - 1))] = VIRTUAL_ROOT
+    pairs = [(ranked[j], ranked[i]) for i in range(len(ranked)) for j in range(i + 1, len(ranked))]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
+    heads = {}
+    for x, y in arcs:
+        heads.setdefault(y, []).append(x)
+    shortcuts = [(x, z) for y, z in arcs for x in heads.get(y, [])]
+    arcs += draw(st.lists(st.sampled_from(shortcuts), max_size=4)) if shortcuts else []
+    for fault in draw(st.lists(st.sampled_from(["loop", "cycle", "unknown"]), max_size=2)):
+        if fault == "loop":
+            arcs.append((ranked[0], ranked[0]))
+        elif fault == "cycle" and arcs:
+            arcs.append(arcs[0][::-1])
+        elif fault == "unknown":
+            arcs.append((ranked[0], "zz"))
+    arcs = draw(st.permutations(arcs))
+    return ranked, arcs, draw(st.sampled_from([VIRTUAL_ROOT, "TOP"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_sets())
+@example((["a", "b"], [], VIRTUAL_ROOT))  # an antichain gets the virtual root
+@example((["a", "b", VIRTUAL_ROOT], [], VIRTUAL_ROOT))  # ... unless its label is taken
+@example((["a", "b", VIRTUAL_ROOT], [(VIRTUAL_ROOT, "a"), (VIRTUAL_ROOT, "b")], VIRTUAL_ROOT))
+@example((["a", "b", "c"], [("c", "b"), ("b", "a"), ("c", "a")], VIRTUAL_ROOT))
+@example((["a", "b"], [("a", "b"), ("b", "a")], VIRTUAL_ROOT))
+@example((["a"], [("a", "a")], VIRTUAL_ROOT))
+@example((["a"], [("a", "zz"), ("a", "a")], VIRTUAL_ROOT))
+def test_mask_normalisation_matches_set_based_composition_on_generator_sets(case):
+    assert_same_normalisation(*case)

@@ -3,13 +3,22 @@
 ``perfbench/tracing.py`` names the functions it wraps by module and
 name. A rename in ``treekeys`` would otherwise surface only when a traced
 benchmark run fails to install its wrappers; here it fails the tests.
+The tracer also expects ``import treekeys.cli`` to load every module it
+names, which only running it as the benchmark does can show.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from conftest import SAMPLE_POLICY_DOC
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -34,3 +43,18 @@ def test_every_traced_name_resolves():
                 if not found:
                     missing.append(f"{module_name}.{function}")
     assert missing == []
+
+
+def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path):
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")
+    spans = tmp_path / "s.json"
+    done = subprocess.run(
+        [sys.executable, str(TRACING), "--out", str(spans), "--id", "1", "--", "analyze", str(policy)],
+        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    record = json.loads(spans.read_text(encoding="utf-8"))
+    assert record["exit"] == 0 and "cli.main" in record["names"]

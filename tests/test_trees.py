@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from treekeys import (
     DerivationOutTree,
+    canonical_allocation,
+    scheme_metrics,
     Poset,
     PolicyError,
     UserAssignment,
@@ -93,6 +95,17 @@ class TestWeightFunction:
         wf = weight_function(poset8, users8, poset8.closure)
         for arc, cost in wf.items():
             assert cost == sum(users8.count(x) for x in extra_key_labels(poset8, arc))
+
+    def test_large_user_counts_match_per_arc_definition(self, poset8):
+        # counts with many bits set exercise every popcount plane
+        users = UserAssignment.from_counts(poset8, {x: 2**i + i for i, x in enumerate("abcdefgh")})
+        wf = weight_function(poset8, users, poset8.closure)
+        for arc, cost in wf.items():
+            assert cost == sum(users.count(x) for x in extra_key_labels(poset8, arc))
+
+    def test_rejects_negative_user_counts(self, poset8):
+        with pytest.raises(PolicyError, match="non-negative"):
+            weight_function(poset8, UserAssignment.uniform(poset8, count=-1))
 
 
 class TestMinWeightTree:
@@ -316,3 +329,20 @@ def test_positive_user_counts_force_cover_arcs(instance):
     everyone = UserAssignment.uniform(poset, count=1)
     tree = min_weight_out_tree(poset, everyone, poset.closure)
     assert frozenset(tree.arcs()) <= poset.covers
+
+
+def test_ten_thousand_label_chain_from_policy_to_allocation():
+    # a 10,000-deep order: its 50M-pair closure is never decoded, and no
+    # step recurses on depth
+    n = 10_000
+    labels = [f"c{i:05d}" for i in range(n)]
+    doc = {"elements": labels, "arcs": [[x, y] for x, y in zip(labels, labels[1:])]}
+    poset, users = parse_policy(doc)
+    assert len(poset.covers) == n - 1
+    assert poset.closure_size == n * (n - 1) // 2
+    tree = min_leaf_out_tree(poset, users)
+    allocation = canonical_allocation(poset, tree)
+    assert all(allocation.phi[x] == {x} for x in labels)
+    metrics = scheme_metrics(poset, users, tree)
+    assert metrics.K_total == n
+    assert metrics.d_max == n - 1
