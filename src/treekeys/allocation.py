@@ -1,9 +1,11 @@
-"""Start-point allocation over a derivation out-tree, plus scheme metrics.
+"""Start-point allocation over a derivation forest, plus scheme metrics.
 
-Once a derivation tree is fixed, each label x needs a set of tree
+Once a derivation forest is fixed, each label x needs a set of forest
 positions ("start points") from which exactly the labels at or below x
 remain reachable. The canonical allocation is pointwise minimal: any
-allocation that enforces the policy on the same tree contains it.
+allocation that enforces the policy on the same forest contains it. The
+tree scheme's forest is one out-tree; the chain scheme's is the chain
+partition, each entry under its chain predecessor.
 """
 
 from __future__ import annotations
@@ -24,19 +26,21 @@ class KeyAllocation:
     def to_json_dict(self) -> dict[str, Any]:
         return {"phi": {label: sorted(points) for label, points in sorted(self.phi.items())}}
 
+    def sizes(self) -> dict[str, int]:
+        """The number of start points per label."""
+        return {label: len(points) for label, points in self.phi.items()}
 
-def start_points(poset: Poset, tree: DerivationOutTree, x: str) -> frozenset[str]:
-    """The pointwise-minimal start points of ``x`` on a validated ``tree``.
 
-    The root's only start point is itself. Any other label needs every z
-    at or below it whose tree parent it does not dominate: the tree arc
-    into z is the only way to reach z, and it comes from outside x's
-    down-set.
+def start_points(poset: Poset, parent: Mapping[str, str], x: str) -> frozenset[str]:
+    """The pointwise-minimal start points of ``x`` on a derivation forest.
+
+    ``parent`` maps each label with a forest parent to it; every other
+    label starts a tree of the forest. ``x`` needs every z at or below it
+    whose parent, if z has one, it does not dominate: the forest arc into
+    z is the only way to reach z, and it comes from outside x's down-set.
     """
-    if x == tree.root:
-        return frozenset({x})
     down = poset.down_set(x)
-    return frozenset(z for z in down if tree.parent[z] not in down)
+    return frozenset(z for z in down if parent.get(z) not in down)
 
 
 def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
@@ -46,12 +50,12 @@ def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation
     By ``start_points``, z is a start point of x exactly when x is at or
     above z but not at or above z's tree parent y, so each tree arc
     (y, z) hands z to the labels of ``up(z) - up(y)`` and to no others.
+    The root has no parent, so it goes to every label at or above it.
     """
     validate_tree(poset, tree)
     points: dict[str, list[str]] = {x: [] for x in poset.sorted_elements}
-    points[tree.root].append(tree.root)
-    for z, y in tree.parent.items():
-        for x in poset.up_difference(z, y):
+    for z in poset.labels:
+        for x in poset.up_difference(z, tree.parent.get(z)):
             points[x].append(z)
     return KeyAllocation(phi={x: frozenset(zs) for x, zs in points.items()})
 
@@ -127,28 +131,30 @@ class SchemeMetrics:
     d_max: int
     p: int
 
+    @classmethod
+    def from_sizes(
+        cls, users: UserAssignment, sizes: Mapping[str, int], d_max: int, p: int = 0
+    ) -> "SchemeMetrics":
+        """The metrics of a scheme that hands ``sizes[x]`` keys to each
+        user at label x."""
+        return cls(
+            K_total=sum(sizes.values()),
+            K_hat=sum(users.count(x) * k for x, k in sizes.items()),
+            k_max=max(sizes.values()),
+            d_max=d_max,
+            p=p,
+        )
+
     def to_json_dict(self) -> dict[str, int]:
         return asdict(self)
 
 
 def scheme_metrics(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> SchemeMetrics:
-    """Metrics of the tree scheme: ``tree`` with its canonical allocation."""
-    return _canonical_metrics(users, tree, canonical_allocation(poset, tree))
-
-
-def _canonical_metrics(
-    users: UserAssignment, tree: DerivationOutTree, canonical: KeyAllocation
-) -> SchemeMetrics:
-    """Metrics read off ``canonical``, which must be ``canonical_allocation(poset, tree)``.
+    """Metrics of the tree scheme: ``tree`` with its canonical allocation.
 
     The root's only start point is the root, so its walks are the tree
     depths, and no label's walk to u is longer than the depth of u.
     """
-    sizes = {x: len(points) for x, points in canonical.phi.items()}
-    return SchemeMetrics(
-        K_total=sum(sizes.values()),
-        K_hat=sum(users.count(x) * sizes[x] for x in sizes),
-        k_max=max(sizes.values()),
-        d_max=max(tree.depths().values()),
-        p=0,
+    return SchemeMetrics.from_sizes(
+        users, canonical_allocation(poset, tree).sizes(), max(tree.depths().values())
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .allocation import SchemeMetrics
+from .allocation import SchemeMetrics, start_points
 from .errors import PolicyError
 from .poset import ChainPartition, Poset, UserAssignment, _topological_order
 
@@ -27,13 +27,13 @@ class ChainScheme:
 
 
 def chain_scheme_build(poset: Poset, partition: ChainPartition) -> ChainScheme:
-    """Start points for every label: in each chain its down-set touches,
-    the topmost touched entry. A down-set meets each chain in a suffix, so
-    these are the touched entries whose chain predecessor is untouched."""
+    """Start points for every label on the chain forest: each chain entry's
+    parent is its predecessor in the chain, and chain heads have none. A
+    down-set meets each chain in a suffix, so a label starts at the
+    topmost entry of every chain its down-set touches."""
     partition.validate_for(poset)
     above = {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
-    downs = {x: poset.down_set(x) for x in poset.sorted_elements}
-    points = {x: frozenset(z for z in d if above.get(z) not in d) for x, d in downs.items()}
+    points = {x: start_points(poset, above, x) for x in poset.sorted_elements}
     return ChainScheme(partition=partition, start_points=points)
 
 
@@ -41,13 +41,10 @@ def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> S
     """Size parameters of a chain scheme (no public items, like the tree
     scheme). The root's down-set holds every chain whole, so the longest
     walk runs down the longest chain."""
-    sizes = {x: len(scheme.start_points[x]) for x in poset.sorted_elements}
-    return SchemeMetrics(
-        K_total=sum(sizes.values()),
-        K_hat=sum(users.count(x) * sizes[x] for x in sizes),
-        k_max=max(sizes.values()),
-        d_max=max(len(chain) for chain in scheme.partition.chains) - 1,
-        p=0,
+    return SchemeMetrics.from_sizes(
+        users,
+        {x: len(scheme.start_points[x]) for x in poset.sorted_elements},
+        max(len(chain) for chain in scheme.partition.chains) - 1,
     )
 
 
@@ -67,35 +64,20 @@ CLASSIC_SCHEMES = ("basic", "iterative", "direct")
 def classic_scheme_metrics(poset: Poset, users: UserAssignment, scheme: str) -> SchemeMetrics:
     """Size parameters of the classic public-information constructions.
 
-    basic hands every authorized key out directly; iterative publishes one
-    helper item per cover arc and walks them; direct publishes one per
-    strict-order pair and derives in a single step. K_total counts keys
-    per label, K_hat weights by users.
+    basic hands every authorized key out directly: its start points on the
+    empty forest are whole down-sets, counted by popcount. iterative
+    publishes one helper item per cover arc and walks them; direct
+    publishes one per strict-order pair and derives in a single step.
+    K_total counts keys per label, K_hat weights by users.
     """
-    n = len(poset.elements)
     if scheme == "basic":
-        down_sizes = {x: mask.bit_count() + 1 for x, mask in zip(poset.labels, poset.strict_down)}
-        return SchemeMetrics(
-            K_total=sum(down_sizes.values()),
-            K_hat=sum(users.count(x) * down_sizes[x] for x in down_sizes),
-            k_max=max(down_sizes.values()),
-            d_max=0,
-            p=0,
-        )
+        sizes = {x: mask.bit_count() + 1 for x, mask in zip(poset.labels, poset.strict_down)}
+        return SchemeMetrics.from_sizes(users, sizes, d_max=0)
+    one_key = dict.fromkeys(poset.labels, 1)
     if scheme == "iterative":
-        return SchemeMetrics(
-            K_total=n,
-            K_hat=users.total,
-            k_max=1,
-            d_max=_longest_cover_path(poset),
-            p=len(poset.covers),
+        return SchemeMetrics.from_sizes(
+            users, one_key, d_max=_longest_cover_path(poset), p=len(poset.covers)
         )
     if scheme == "direct":
-        return SchemeMetrics(
-            K_total=n,
-            K_hat=users.total,
-            k_max=1,
-            d_max=1,
-            p=poset.closure_size,
-        )
+        return SchemeMetrics.from_sizes(users, one_key, d_max=1, p=poset.closure_size)
     raise PolicyError(f"unknown scheme {scheme!r}; expected one of {CLASSIC_SCHEMES}")

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
-from .allocation import _canonical_metrics, canonical_allocation, scheme_metrics
+from .allocation import SchemeMetrics, canonical_allocation, scheme_metrics
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import (
     VIRTUAL_ROOT,
@@ -110,7 +110,7 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     build = min_leaf_out_tree if args.min_leaves else min_weight_out_tree
     tree = build(poset, users, candidate)
     allocation = canonical_allocation(poset, tree)
-    metrics = _canonical_metrics(users, tree, allocation)
+    metrics = SchemeMetrics.from_sizes(users, allocation.sizes(), max(tree.depths().values()))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tree.json", tree.to_json_dict())
@@ -205,7 +205,12 @@ def _key_source(
     """Object keys by label: looked up in ``--keystore`` or derived from
     ``--bundle``, either file read once per command."""
     if args.keystore:
-        keys = kdf.SecretStore.from_json_dict(_load_json(args.keystore)).keys
+        store = kdf.SecretStore.from_json_dict(_load_json(args.keystore))
+        if store.tree != tree:
+            raise PolicyError(
+                f"keystore {args.keystore} was made for a different tree than --tree"
+            )
+        keys = store.keys
 
         def stored(label: str) -> bytes:
             if label not in keys:

@@ -207,7 +207,7 @@ def derive(
     poset.require(bundle.holder)
     if not poset.leq(target, bundle.holder):
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
-    if set(bundle.secrets) != start_points(poset, tree, bundle.holder):
+    if set(bundle.secrets) != start_points(poset, tree.parent, bundle.holder):
         raise PolicyError(f"malformed bundle for {bundle.holder!r}: start points do not match")
     path: list[str] = []
     start = None

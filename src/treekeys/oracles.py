@@ -31,7 +31,6 @@ from .poset import (
 )
 from .trees import (
     DerivationOutTree,
-    extra_key_labels,
     min_leaf_out_tree,
     min_weight_out_tree,
     weight_function,
@@ -134,6 +133,24 @@ def _literal_arc_weights(
                 total += users.count(x)
         weights[(y, z)] = total
     return weights
+
+
+def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
+    """Labels whose holders need the arc's child as an extra start point.
+
+    For arc (y, z) these are the labels at or above z that do not dominate
+    y: if (y, z) is the tree's only way into z, holders at such labels can
+    no longer reach z through y and must start at z directly. The root
+    never qualifies.
+    """
+    y, z = arc
+    if (y, z) not in poset.closure:
+        raise PolicyError(f"({y!r}, {z!r}) is not an arc of the strict order")
+    return frozenset(
+        x
+        for x in poset.elements
+        if (x == z or (x, z) in poset.closure) and not (x == y or (x, y) in poset.closure)
+    )
 
 
 def brute_min_weight(
@@ -350,19 +367,20 @@ _CHECK_NAMES = (
 
 def _charge_set_algebra_ok(poset: Poset) -> bool:
     # stacked arcs charge disjoint label sets, and a shortcut arc charges
-    # at least their union
+    # exactly their union
     for x, y in poset.closure:
         for z in poset.elements:
             if (y, z) in poset.closure:
                 upper = extra_key_labels(poset, (x, y))
                 lower = extra_key_labels(poset, (y, z))
                 outer = extra_key_labels(poset, (x, z))
-                if upper & lower or not outer >= upper | lower:
+                if upper & lower or outer != upper | lower:
                     return False
     return True
 
 
 def _path_superadditivity_ok(poset: Poset, users: UserAssignment) -> bool:
+    # a shortcut arc costs exactly the sum of the arcs along any path below it
     weights = _literal_arc_weights(poset, users, poset.closure)
     succ: dict[str, list[str]] = {x: [] for x in poset.elements}
     for x, y in poset.closure:
@@ -370,7 +388,7 @@ def _path_superadditivity_ok(poset: Poset, users: UserAssignment) -> bool:
 
     def walk(path: list[str], total: int) -> bool:
         head, tail = path[0], path[-1]
-        if len(path) > 2 and weights[(head, tail)] < total:
+        if len(path) > 2 and weights[(head, tail)] != total:
             return False
         for nxt in succ[tail]:
             if not walk(path + [nxt], total + weights[(tail, nxt)]):

@@ -139,7 +139,7 @@ class Poset:
 
     ``closure`` (every strict-order pair) is decoded from the masks on
     first use; it serves the oracles and ``--arcs closure``. Each label's
-    down-set and up-set is decoded on first request and kept, so repeated
+    down-set is decoded on first request and kept, so repeated
     ``geq``/``leq`` queries are set lookups.
     """
 
@@ -150,9 +150,6 @@ class Poset:
     root: str
     virtual_root: bool = False
     _down_sets: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    _up_sets: dict[str, frozenset[str]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -275,11 +272,16 @@ class Poset:
             mask ^= low
         return out
 
-    def up_difference(self, z: str, y: str) -> list[str]:
-        """The labels at or above z that are not at or above y."""
-        i, j = self.index(z), self.index(y)
+    def up_difference(self, z: str, y: str | None) -> list[str]:
+        """The labels at or above z that are not at or above y (all of
+        them when y is None)."""
         up = self.strict_up
-        return self.members((up[i] | 1 << i) & ~(up[j] | 1 << j))
+        i = self.index(z)
+        mask = up[i] | 1 << i
+        if y is not None:
+            j = self.index(y)
+            mask &= ~(up[j] | 1 << j)
+        return self.members(mask)
 
     def above(self, x: str, y: str) -> bool:
         """True iff x is strictly above y; False if either is not a label."""
@@ -308,15 +310,6 @@ class Poset:
         except KeyError:
             i = self.index(x)
             found = self._down_sets[x] = frozenset(self.members(self.strict_down[i] | 1 << i))
-            return found
-
-    def up_set(self, x: str) -> frozenset[str]:
-        """Every label at or above x (x included); decoded once per label."""
-        try:
-            return self._up_sets[x]
-        except KeyError:
-            i = self.index(x)
-            found = self._up_sets[x] = frozenset(self.members(self.strict_up[i] | 1 << i))
             return found
 
     # geq and leq run hundreds of thousands of times on tiny posets, where a

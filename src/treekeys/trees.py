@@ -111,20 +111,6 @@ def validate_tree(poset: Poset, tree: DerivationOutTree) -> None:
             raise PolicyError(f"tree arc ({par!r}, {child!r}) does not point downward in the order")
 
 
-def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
-    """Labels whose holders need the arc's child as an extra start point.
-
-    For arc (y, z) these are the labels at or above z that do not dominate
-    y: if (y, z) is the tree's only way into z, holders at such labels can
-    no longer reach z through y and must start at z directly. The root
-    never qualifies.
-    """
-    y, z = arc
-    if not poset.above(y, z):
-        raise PolicyError(f"({y!r}, {z!r}) is not an arc of the strict order")
-    return frozenset(poset.up_difference(z, y))
-
-
 def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> frozenset[Arc]:
     if candidate_arcs is None:
         return poset.covers
@@ -171,18 +157,23 @@ def _cheapest_parents(
     """Each non-root label's minimum-weight candidate parents, sorted.
 
     Every minimum-cost tree picks one of these per label, and only these.
+    Arc (y, z) costs M(z) - M(y), so z's cheapest parents are its
+    candidates with the largest M.
     """
-    least: dict[str, int] = {}
+    users_above = _users_above(poset, users)
+    most: dict[str, int] = {}
     cheapest: dict[str, list[str]] = {x: [] for x in poset.sorted_elements if x != poset.root}
-    for (y, z), w in sorted(weight_function(poset, users, candidate_arcs).items()):
-        if z not in least or w < least[z]:
-            least[z] = w
+    for y, z in _checked_candidate_arcs(poset, candidate_arcs):
+        m = users_above[y]
+        if z not in most or m > most[z]:
+            most[z] = m
             cheapest[z] = [y]
-        elif w == least[z]:
+        elif m == most[z]:
             cheapest[z].append(y)
     for child, parents in cheapest.items():
         if not parents:
             raise PolicyError(f"label {child!r} has no candidate in-arc; tree cannot span it")
+        parents.sort()
     return cheapest
 
 

@@ -17,7 +17,6 @@ from treekeys import (
     classic_scheme_metrics,
     chain_metrics,
     chain_scheme_build,
-    extra_key_labels,
     min_weight_out_tree,
     parse_policy,
     scheme_metrics,
@@ -26,7 +25,7 @@ from treekeys import (
 )
 from treekeys.cli import main as cli_main
 from treekeys.kdf import self_check
-from treekeys.oracles import run_suite
+from treekeys.oracles import extra_key_labels, run_suite
 
 from conftest import SAMPLE_POLICY_DOC, SAMPLE_WEIGHTS
 

@@ -264,6 +264,27 @@ class TestShortKeyMaterial:
         assert not payload.with_name("report.txt.sealed").exists()
 
 
+def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd, tmp_path):
+    # the same seed on another minimum-cost tree: objects sealed with this
+    # keystore would not open from bundles made for --tree
+    assert tree8_gd.to_json_dict() != read_json(keyed_sample["tree"])
+    other_tree = tmp_path / "tree_gd.json"
+    other_tree.write_text(json.dumps(tree8_gd.to_json_dict()))
+    other_keys = tmp_path / "keys_gd"
+    assert run_process("keygen", keyed_sample["policy"], "--tree", other_tree, "--seed", SEED,
+                       "--out-dir", other_keys).returncode == 0
+    payload = tmp_path / "report.txt"
+    payload.write_bytes(b"numbers\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [{"path": str(payload), "label": "e"}]}))
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", other_keys / "keystore.json", "--manifest", manifest)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "was made for a different tree than --tree" in done.stderr
+    assert not payload.with_name("report.txt.sealed").exists()
+
+
 @pytest.mark.parametrize(
     "policy, message",
     [

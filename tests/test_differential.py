@@ -6,8 +6,10 @@ policies of that size compare the optimised reduction, allocation, arc
 weights, derivation depths, chain scheme and derivation with them
 directly, or with literal walks written out here. The min-leaf tree is
 compared whole with the re-matching greedy, on those policies, on a
-256-label MLS lattice and on small random ones. At 2000 labels the
-cover arcs are compared with networkx, when it is installed.
+256-label MLS lattice and on small random ones. The same three check the
+paper's comparison with chain-based schemes: the tree scheme never needs
+more keys. At 2000 labels the cover arcs are compared with networkx,
+when it is installed.
 
 The mask normalisation of ``Poset.from_arcs`` is compared with the
 set-based composition (closure, root, reduction) on those policies, the
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from treekeys import (
     VIRTUAL_ROOT,
     AuthorizationError,
+    DerivationOutTree,
     PolicyError,
     Poset,
     UserAssignment,
@@ -117,6 +120,49 @@ def test_chain_scheme_matches_literal_chain_scan(policy):
     scheme = chain_scheme_build(poset, partition)
     assert scheme.start_points == points
     assert chain_metrics(poset, users, scheme).d_max == longest
+
+
+def hung_tree(poset, partition):
+    """The chain forest made a tree: each chain entry under its chain
+    predecessor, and every chain head but the root under the root."""
+    parent = {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
+    parent.update((chain[0], poset.root) for chain in partition.chains if chain[0] != poset.root)
+    return DerivationOutTree(root=poset.root, parent=parent)
+
+
+def assert_tree_scheme_needs_no_more_keys_than_chains(poset, users):
+    """The hung tree hands each label a subset of its chain start points
+    (only the root does better, starting at itself instead of at every
+    chain head), and the cheapest tree needs no more keys than it."""
+    partition = min_chain_partition(poset)
+    chain = chain_scheme_build(poset, partition)
+    hung = hung_tree(poset, partition)
+    phi = canonical_allocation(poset, hung).phi
+    assert all(phi[x] <= chain.start_points[x] for x in poset.elements)
+    cheapest = scheme_metrics(poset, users, min_weight_out_tree(poset, users)).K_hat
+    hung_k_hat = scheme_metrics(poset, users, hung).K_hat
+    assert cheapest <= hung_k_hat <= chain_metrics(poset, users, chain).K_hat
+
+
+def test_tree_scheme_needs_no_more_keys_than_chains(policy):
+    assert_tree_scheme_needs_no_more_keys_than_chains(*policy)
+
+
+def test_tree_scheme_needs_no_more_keys_than_chains_on_mls_lattice():
+    assert_tree_scheme_needs_no_more_keys_than_chains(*parse_policy(mls_policy_doc(1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    element_count=st.integers(1, 12),
+    edge_density=st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tree_scheme_needs_no_more_keys_than_chains_on_small_policies(
+    element_count, edge_density, seed
+):
+    poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
+    assert_tree_scheme_needs_no_more_keys_than_chains(poset, random_users(poset, seed + 1))
 
 
 @pytest.mark.parametrize("arcs", ["covers", "closure"])
@@ -240,7 +286,10 @@ def _set_based_forms(elements, arcs, root_label):
 def _mask_forms(elements, arcs, root_label):
     poset = Poset.from_arcs(elements, arcs, root_label=root_label)
     downs = {x: poset.down_set(x) for x in poset.elements}
-    ups = {x: poset.up_set(x) for x in poset.elements}
+    ups = {
+        x: set(poset.members(up | 1 << i))
+        for i, (x, up) in enumerate(zip(poset.labels, poset.strict_up))
+    }
     return poset.elements, poset.covers, poset.closure, poset.root, poset.virtual_root, downs, ups
 
 
