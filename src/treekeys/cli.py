@@ -106,9 +106,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_build_tree(args: argparse.Namespace) -> int:
     poset, users = _load_policy(args)
-    candidate = poset.covers if args.arcs == "covers" else poset.closure
     build = min_leaf_out_tree if args.min_leaves else min_weight_out_tree
-    tree = build(poset, users, candidate)
+    tree = build(poset, users, closure=args.arcs == "closure")
     allocation = canonical_allocation(poset, tree)
     metrics = SchemeMetrics.from_sizes(users, allocation.sizes(), max(tree.depths().values()))
     out = Path(args.out_dir)
@@ -270,6 +269,8 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.base_seed < 0 or args.base_seed + max(args.seeds, 1) > 1 << 64:
+        raise PolicyError("--base-seed and --seeds must keep every seed in [0, 2**64)")
     poset, users = _load_policy(args)
     report = oracles.run_suite(poset, users, seeds=args.seeds, base_seed=args.base_seed)
     if args.json:

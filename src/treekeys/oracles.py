@@ -432,7 +432,7 @@ def _examine_instance(
     brute_weight, _ = brute_min_weight(poset, users)
     results["tree-weight-vs-enumeration"].record(optimized == brute_weight, payload)
 
-    closure_tree = min_weight_out_tree(poset, users, poset.closure)
+    closure_tree = min_weight_out_tree(poset, users, closure=True)
     closure_wf = weight_function(poset, users, poset.closure)
     closure_optimized = sum(closure_wf[a] for a in closure_tree.arcs())
     closure_brute, _ = brute_min_weight(poset, users, poset.closure)

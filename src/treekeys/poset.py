@@ -138,7 +138,7 @@ class Poset:
     y, and ``root`` is the unique maximum, possibly the virtual one.
 
     ``closure`` (every strict-order pair) is decoded from the masks on
-    first use; it serves the oracles and ``--arcs closure``. Each label's
+    first use; only the oracles and the tests read it. Each label's
     down-set is decoded on first request and kept, so repeated
     ``geq``/``leq`` queries are set lookups.
     """
@@ -394,11 +394,12 @@ class ChainPartition:
 
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "ChainPartition":
-        check_fields(document, {"chains"}, "partition")
-        chains = document.get("chains")
-        if not isinstance(chains, list) or not all(isinstance(c, list) for c in chains):
-            raise PolicyError("partition document must map 'chains' to a list of lists")
-        return cls(chains=tuple(tuple(str(lab) for lab in chain) for chain in chains))
+        chains = check_fields(document, {"chains"}, "partition").get("chains")
+        if not isinstance(chains, list) or not all(
+            isinstance(c, list) and all(isinstance(lab, str) for lab in c) for c in chains
+        ):
+            raise PolicyError("partition document must map 'chains' to lists of string labels")
+        return cls(chains=tuple(tuple(chain) for chain in chains))
 
 
 def min_chain_partition(poset: Poset) -> ChainPartition:
@@ -409,7 +410,8 @@ def min_chain_partition(poset: Poset) -> ChainPartition:
     is deterministic.
     """
     order = poset.sorted_elements
-    adjacency = {x: sorted(poset.down_set(x) - {x}) for x in order}
+    # already sorted: no strict down-set holds the virtual root, the rest is indexed sorted
+    adjacency = {x: poset.members(poset.strict_down[poset.index(x)]) for x in order}
     successor = max_bipartite_matching(adjacency)
     has_predecessor = set(successor.values())
     chains: list[tuple[str, ...]] = []
@@ -420,7 +422,6 @@ def min_chain_partition(poset: Poset) -> ChainPartition:
         while chain[-1] in successor:
             chain.append(successor[chain[-1]])
         chains.append(tuple(chain))
-    chains.sort(key=lambda c: c[0])
     return ChainPartition(chains=tuple(chains))
 
 

@@ -111,16 +111,6 @@ def validate_tree(poset: Poset, tree: DerivationOutTree) -> None:
             raise PolicyError(f"tree arc ({par!r}, {child!r}) does not point downward in the order")
 
 
-def _checked_candidate_arcs(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> frozenset[Arc]:
-    if candidate_arcs is None:
-        return poset.covers
-    arcs = frozenset(candidate_arcs)
-    stray = [arc for arc in arcs if not poset.above(*arc)]
-    if stray:
-        raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
-    return arcs
-
-
 def weight_function(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
 ) -> dict[Arc, int]:
@@ -130,7 +120,10 @@ def weight_function(
     in ``up(z) - up(y)`` number M(z) - M(y), where M(x) counts the users at
     or above x.
     """
-    arcs = _checked_candidate_arcs(poset, candidate_arcs)
+    arcs = poset.covers if candidate_arcs is None else frozenset(candidate_arcs)
+    stray = [arc for arc in arcs if not poset.above(*arc)]
+    if stray:
+        raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
     users_above = _users_above(poset, users)
     return {(y, z): users_above[z] - users_above[y] for y, z in arcs}
 
@@ -152,48 +145,53 @@ def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
 
 
 def _cheapest_parents(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None
+    poset: Poset, users: UserAssignment, *, closure: bool = False
 ) -> dict[str, list[str]]:
-    """Each non-root label's minimum-weight candidate parents, sorted.
+    """Each non-root label's minimum-weight parents, sorted.
 
     Every minimum-cost tree picks one of these per label, and only these.
-    Arc (y, z) costs M(z) - M(y), so z's cheapest parents are its
-    candidates with the largest M.
+    Arc (y, z) costs M(z) - M(y), so z's cheapest parents are its covers
+    with the largest M, or with ``closure`` every label above z with that
+    M: M only shrinks upward, so no label above z has a larger one.
     """
     users_above = _users_above(poset, users)
     most: dict[str, int] = {}
     cheapest: dict[str, list[str]] = {x: [] for x in poset.sorted_elements if x != poset.root}
-    for y, z in _checked_candidate_arcs(poset, candidate_arcs):
+    for y, z in poset.covers:
         m = users_above[y]
         if z not in most or m > most[z]:
             most[z] = m
             cheapest[z] = [y]
         elif m == most[z]:
             cheapest[z].append(y)
-    for child, parents in cheapest.items():
-        if not parents:
-            raise PolicyError(f"label {child!r} has no candidate in-arc; tree cannot span it")
+    if closure:
+        same_m: dict[int, int] = {}
+        for i, x in enumerate(poset.labels):
+            same_m[users_above[x]] = same_m.get(users_above[x], 0) | 1 << i
+        for z in cheapest:
+            cheapest[z] = poset.members(poset.strict_up[poset.index(z)] & same_m[most[z]])
+    for parents in cheapest.values():
         parents.sort()
     return cheapest
 
 
 def min_weight_out_tree(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, users: UserAssignment, *, closure: bool = False
 ) -> DerivationOutTree:
-    """The minimum-total-cost spanning out-tree over the candidate arcs.
+    """The cheapest spanning out-tree over the covers, or the whole order with ``closure``.
 
     Independently picks the cheapest in-arc for every non-root label; ties
     go to the lexicographically smallest parent, making the result
     deterministic.
     """
-    cheapest = _cheapest_parents(poset, users, candidate_arcs)
+    cheapest = _cheapest_parents(poset, users, closure=closure)
     return DerivationOutTree(
         root=poset.root, parent={child: parents[0] for child, parents in cheapest.items()}
     )
 
 
 def min_leaf_out_tree(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, users: UserAssignment, *, closure: bool = False
 ) -> DerivationOutTree:
     """Among minimum-cost spanning out-trees, one with the fewest leaves.
 
@@ -213,7 +211,7 @@ def min_leaf_out_tree(
     end at the dropped parent: any other would have augmented the
     matching before.
     """
-    cheapest = _cheapest_parents(poset, users, candidate_arcs)
+    cheapest = _cheapest_parents(poset, users, closure=closure)
     match = max_bipartite_matching(cheapest)  # label -> parent
     owner = {p: c for c, p in match.items()}  # parent -> label
     takers: dict[str, list[str]] = {}  # parent -> labels it may be matched with

@@ -364,6 +364,18 @@ class TestCompare:
         table = json.loads(out)
         assert table["chain"]["K_total"] == table["tree"]["K_total"] == 3
 
+    @pytest.mark.parametrize("label, entry", [("1", 1), ("None", None)], ids=["int", "null"])
+    def test_non_string_partition_label_exits_one(self, label, entry, tmp_path):
+        # the label the entry would turn into under str() is a policy label
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps({"elements": [label], "arcs": []}))
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"chains": [[entry]]}))
+        done = run_process("compare", policy, "--partition", partition)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "lists of string labels" in done.stderr
+
 
 class TestEncryptDecrypt:
     def make_manifest(self, tmp_path, label):
@@ -531,6 +543,15 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[-2] == "policy not examined: 10 labels, over the enumeration limit of 9"
         assert lines[-1].startswith("verification FAILED")
+
+    @pytest.mark.parametrize(
+        "seeds, base_seed", [("0", "-1"), ("2", str(2**64 - 1))], ids=["negative", "past-2**64"]
+    )
+    def test_seed_outside_64_bits_exits_one(self, seeds, base_seed, policy_file):
+        done = run_process("verify", policy_file, "--seeds", seeds, "--base-seed", base_seed)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "every seed in [0, 2**64)" in done.stderr
 
     def test_failure_exits_three(self, run, policy_file, monkeypatch):
         from treekeys import oracles

@@ -5,8 +5,9 @@ references in ``treekeys.oracles`` scale to a few hundred: seeded sparse
 policies of that size compare the optimised reduction, allocation, arc
 weights, derivation depths, chain scheme and derivation with them
 directly, or with literal walks written out here. The min-leaf tree is
-compared whole with the re-matching greedy, on those policies, on a
-256-label MLS lattice and on small random ones. The same three check the
+compared whole with the re-matching greedy, and the cheapest parents
+over the whole order with the literal arc weights, on those policies, on
+a 256-label MLS lattice and on small random ones. The same three check the
 paper's comparison with chain-based schemes: the tree scheme never needs
 more keys. At 2000 labels the cover arcs are compared with networkx,
 when it is installed.
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from treekeys import (
     VIRTUAL_ROOT,
     AuthorizationError,
+    ChainPartition,
     DerivationOutTree,
     PolicyError,
     Poset,
@@ -44,15 +46,19 @@ from treekeys import (
     transitive_reduction,
     weight_function,
 )
+from treekeys.matching import max_bipartite_matching
 from treekeys.oracles import (
     RandomPosetSpec,
+    _in_arc_lists,
     _literal_arc_weights,
     allocation_by_definition,
+    brute_min_weight,
     brute_reduction,
     random_poset,
     random_users,
     rematching_min_leaf_tree,
 )
+from treekeys.trees import _cheapest_parents
 
 from conftest import mls_policy_doc, sparse_policy_doc
 
@@ -176,18 +182,16 @@ def test_weights_match_literal_definition(policy, arcs):
 @pytest.mark.parametrize("arcs", ["covers", "closure"])
 def test_min_leaf_tree_matches_rematching_greedy(policy, arcs):
     poset, users = policy
-    candidates = getattr(poset, arcs)
-    expected = rematching_min_leaf_tree(poset, users, candidates)
-    assert min_leaf_out_tree(poset, users, candidates) == expected
+    expected = rematching_min_leaf_tree(poset, users, getattr(poset, arcs))
+    assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 
 
 @pytest.mark.parametrize("arcs", ["covers", "closure"])
 def test_min_leaf_tree_matches_rematching_greedy_on_mls_lattice(arcs):
     poset, users = parse_policy(mls_policy_doc(1))
     assert len(poset.elements) == 256
-    candidates = getattr(poset, arcs)
-    expected = rematching_min_leaf_tree(poset, users, candidates)
-    assert min_leaf_out_tree(poset, users, candidates) == expected
+    expected = rematching_min_leaf_tree(poset, users, getattr(poset, arcs))
+    assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,23 +206,22 @@ def test_min_leaf_tree_matches_rematching_greedy_on_small_policies(
 ):
     poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
     users = random_users(poset, seed + 1)
-    candidates = getattr(poset, arcs)
-    expected = rematching_min_leaf_tree(poset, users, candidates)
-    assert min_leaf_out_tree(poset, users, candidates) == expected
+    expected = rematching_min_leaf_tree(poset, users, getattr(poset, arcs))
+    assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 
 
 def _two_layers(edges):
-    """A policy whose cheapest-parent table is ``edges``, with its candidate arcs.
+    """A policy whose cheapest-parent table is ``edges``.
 
-    Every parent sits above every child and nobody holds a label, so every
-    arc costs 0 and the candidate arcs alone decide the table.
+    Each parent sits above exactly the children that list it, and nobody
+    holds a label, so every cover costs 0 and the covers are the table.
     """
-    children = sorted(edges)
-    parents = sorted({p for ps in edges.values() for p in ps})
-    poset = Poset.from_arcs(children + parents, [(p, c) for p in parents for c in children])
-    arcs = {(poset.root, p) for p in parents if p != poset.root}
-    arcs |= {(p, c) for c, ps in edges.items() for p in ps}
-    return poset, UserAssignment.uniform(poset, count=0), arcs
+    labels = sorted(set(edges) | {p for ps in edges.values() for p in ps})
+    poset = Poset.from_arcs(labels, [(p, c) for c, ps in edges.items() for p in ps])
+    users = UserAssignment.uniform(poset, count=0)
+    table = _cheapest_parents(poset, users)
+    assert all(table[c] == sorted(ps) for c, ps in edges.items())
+    return poset, users
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,8 +239,73 @@ def _two_layers(edges):
 # a rejected candidate must give its parent back to the label it took it from
 @example({"c0": ["p0", "p2"], "c1": ["p0", "p1"], "c2": ["p0"]})
 def test_min_leaf_tree_matches_rematching_greedy_on_any_table(edges):
-    poset, users, arcs = _two_layers(edges)
-    assert min_leaf_out_tree(poset, users, arcs) == rematching_min_leaf_tree(poset, users, arcs)
+    poset, users = _two_layers(edges)
+    assert min_leaf_out_tree(poset, users) == rematching_min_leaf_tree(poset, users)
+
+
+def assert_closure_table_matches_literal_weights(poset, users):
+    weights = _literal_arc_weights(poset, users, poset.closure)
+    expected = {}
+    for child, parents in _in_arc_lists(poset, poset.closure).items():
+        least = min(weights[(p, child)] for p in parents)
+        expected[child] = [p for p in parents if weights[(p, child)] == least]
+    table = _cheapest_parents(poset, users, closure=True)
+    assert table == expected
+    assert list(table) == [x for x in poset.sorted_elements if x != poset.root]
+
+
+def test_closure_table_matches_literal_weights(policy):
+    assert_closure_table_matches_literal_weights(*policy)
+
+
+def test_closure_table_matches_literal_weights_on_mls_lattice():
+    assert_closure_table_matches_literal_weights(*parse_policy(mls_policy_doc(1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    element_count=st.integers(1, 12),
+    edge_density=st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.8]),
+    seed=st.integers(0, 2**32 - 1),
+    most_users=st.sampled_from([0, 1, 3]),
+)
+def test_closure_table_matches_literal_weights_on_small_policies(
+    element_count, edge_density, seed, most_users
+):
+    # few users per label, so many labels hold none and parents tie
+    poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
+    users = random_users(poset, seed + 1, high=most_users)
+    assert_closure_table_matches_literal_weights(poset, users)
+
+
+def test_virtual_root_sorting_first():
+    # the virtual root "0" sorts before every label but is indexed last, and
+    # it ties as a closure parent wherever no label above holds users
+    doc = {
+        "elements": ["a", "b", "c", "d", "e", "f"],
+        "arcs": [["a", "c"], ["b", "c"], ["b", "d"], ["c", "e"], ["d", "f"]],
+        "users": {"a": 1, "c": 2},
+    }
+    poset, users = parse_policy(doc, root_label="0")
+    assert poset.labels[-1] == poset.sorted_elements[0] == "0"
+    order = poset.sorted_elements
+    successor = max_bipartite_matching({x: sorted(poset.down_set(x) - {x}) for x in order})
+    chains = []
+    for head in (x for x in order if x not in successor.values()):
+        chain = [head]
+        while chain[-1] in successor:
+            chain.append(successor[chain[-1]])
+        chains.append(tuple(chain))
+    assert min_chain_partition(poset) == ChainPartition(chains=tuple(chains))
+
+    assert _cheapest_parents(poset, users, closure=True)["f"] == ["0", "b", "d"]
+    best, _ = brute_min_weight(poset, users, poset.closure)
+    weights = weight_function(poset, users, poset.closure)
+    for build in (min_weight_out_tree, min_leaf_out_tree):
+        tree = build(poset, users, closure=True)
+        assert sum(weights[arc] for arc in tree.arcs()) == best
+    expected = rematching_min_leaf_tree(poset, users, poset.closure)
+    assert min_leaf_out_tree(poset, users, closure=True) == expected
 
 
 def test_derive_fails_closed_on_every_pair():
