@@ -43,21 +43,27 @@ def start_points(poset: Poset, parent: Mapping[str, str], x: str) -> frozenset[s
     return frozenset(z for z in down if parent.get(z) not in down)
 
 
-def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
-    """The pointwise-minimal allocation for ``tree``: every label's start
-    points, in time linear in the labels plus the start points handed out.
+def forest_start_points(poset: Poset, parent: Mapping[str, str]) -> dict[str, frozenset[str]]:
+    """Every label's ``start_points`` on a derivation forest, in time
+    linear in the labels plus the start points handed out.
 
     By ``start_points``, z is a start point of x exactly when x is at or
-    above z but not at or above z's tree parent y, so each tree arc
-    (y, z) hands z to the labels of ``up(z) - up(y)`` and to no others.
-    The root has no parent, so it goes to every label at or above it.
+    above z but not at or above z's forest parent y, so each forest arc
+    (y, z) hands z to the labels of ``up(z) - up(y)`` and to no others. A
+    label with no parent goes to every label at or above it.
     """
-    validate_tree(poset, tree)
     points: dict[str, list[str]] = {x: [] for x in poset.sorted_elements}
     for z in poset.labels:
-        for x in poset.up_difference(z, tree.parent.get(z)):
+        for x in poset.up_difference(z, parent.get(z)):
             points[x].append(z)
-    return KeyAllocation(phi={x: frozenset(zs) for x, zs in points.items()})
+    return {x: frozenset(zs) for x, zs in points.items()}
+
+
+def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
+    """The pointwise-minimal allocation for ``tree``: the start points of
+    every label on the tree, whose only parentless label is the root."""
+    validate_tree(poset, tree)
+    return KeyAllocation(phi=forest_start_points(poset, tree.parent))
 
 
 @dataclass(frozen=True)

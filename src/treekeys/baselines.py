@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .allocation import SchemeMetrics, start_points
+from .allocation import SchemeMetrics, forest_start_points
 from .errors import PolicyError
 from .poset import ChainPartition, Poset, UserAssignment, _topological_order
 
@@ -33,8 +33,7 @@ def chain_scheme_build(poset: Poset, partition: ChainPartition) -> ChainScheme:
     topmost entry of every chain its down-set touches."""
     partition.validate_for(poset)
     above = {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
-    points = {x: start_points(poset, above, x) for x in poset.sorted_elements}
-    return ChainScheme(partition=partition, start_points=points)
+    return ChainScheme(partition=partition, start_points=forest_start_points(poset, above))
 
 
 def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> SchemeMetrics:

@@ -31,7 +31,13 @@ from .poset import (
     parse_policy,
     width,
 )
-from .trees import DerivationOutTree, min_leaf_out_tree, min_weight_out_tree, validate_tree
+from .trees import (
+    DerivationOutTree,
+    min_leaf_out_tree,
+    min_weight_out_tree,
+    validate_tree,
+    weighted_key_total,
+)
 
 
 class _UsageError(Exception):
@@ -110,6 +116,11 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     tree = build(poset, users, closure=args.arcs == "closure")
     allocation = canonical_allocation(poset, tree)
     metrics = SchemeMetrics.from_sizes(users, allocation.sizes(), max(tree.depths().values()))
+    expected = weighted_key_total(poset, users, tree)
+    if metrics.K_hat != expected:
+        raise VerificationError(
+            f"K_hat={metrics.K_hat} differs from the tree's arc cost total {expected}"
+        )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tree.json", tree.to_json_dict())
@@ -269,6 +280,8 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.seeds < 0:
+        raise PolicyError(f"--seeds must be 0 or more, got {args.seeds}")
     if args.base_seed < 0 or args.base_seed + max(args.seeds, 1) > 1 << 64:
         raise PolicyError("--base-seed and --seeds must keep every seed in [0, 2**64)")
     poset, users = _load_policy(args)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import string
 import time
@@ -315,6 +316,14 @@ class CheckResult:
             self.passed = False
             self.counterexample = payload
 
+    def merge(self, later: "CheckResult") -> None:
+        """Fold in the result of instances examined after this one's, by
+        ``record``'s rules: the counts add up and the first failure wins."""
+        self.instances += later.instances
+        if not later.passed and self.passed:
+            self.passed = False
+            self.counterexample = later.counterexample
+
 
 @dataclass
 class VerificationReport:
@@ -530,29 +539,22 @@ def _examine_instance(
     results["coalition-reachability"].record(coalition_ok, payload)
 
 
-def run_suite(
-    poset: Poset,
-    users: UserAssignment,
-    *,
-    seeds: int = 0,
-    base_seed: int = 0,
-) -> VerificationReport:
-    """Run the battery on the given policy, then on ``seeds`` random instances.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Random instances stay small enough (at most 8 labels) for exhaustive
-    enumeration to act as the reference. A larger policy is not examined,
-    so with no random instances every check is skipped and none passes.
-    """
-    start = time.perf_counter()
-    results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
-    report = VerificationReport(checks=[results[name] for name in _CHECK_NAMES])
-    n = len(poset.elements)
-    if n <= TREE_ENUMERATION_MAX_LABELS:
-        _examine_instance(poset, users, base_seed, results, {"instance": "policy"})
-    else:
-        limit = TREE_ENUMERATION_MAX_LABELS
-        report.skip_reason = f"{n} labels, over the enumeration limit of {limit}"
-    for i in range(seeds):
+
+def _examine_block(
+    block: range, base_seed: int, results: dict[str, CheckResult] | None = None
+) -> dict[str, CheckResult]:
+    """Examine the random instances ``base_seed + i`` for i in ``block``,
+    in order, recording into ``results`` (fresh ones if not given)."""
+    if results is None:
+        results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
+    for i in block:
         seed = base_seed + i
         spec = RandomPosetSpec(
             element_count=4 + i % 4,
@@ -568,5 +570,57 @@ def run_suite(
             "edge_density": round(spec.edge_density, 3),
         }
         _examine_instance(instance, instance_users, seed, results, payload)
+    return results
+
+
+def run_suite(
+    poset: Poset,
+    users: UserAssignment,
+    *,
+    seeds: int = 0,
+    base_seed: int = 0,
+) -> VerificationReport:
+    """Run the battery on the given policy, then on ``seeds`` random instances.
+
+    Random instances stay small enough (at most 8 labels) for exhaustive
+    enumeration to act as the reference. A larger policy is not examined,
+    so with no random instances every check is skipped and none passes.
+
+    Each instance depends on its index alone, so ``range(seeds)`` is cut
+    into one contiguous block per usable CPU. Forked workers examine every
+    block but the first while this process examines the policy and the
+    first block; the blocks' results are then merged in order, so the
+    report is the one a single process would give. Workers are forked,
+    not spawned, so they start with every module already imported; the
+    command-line process runs no other thread for a fork to copy mid-lock.
+    """
+    start = time.perf_counter()
+    k = max(1, min(_usable_cpus(), seeds)) if hasattr(os, "fork") else 1
+    cuts = [seeds * b // k for b in range(k + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
+    report = VerificationReport(checks=[results[name] for name in _CHECK_NAMES])
+    pool = None
+    if k > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
+    try:
+        # with no pool there is one block, and nothing to submit
+        futures = [pool.submit(_examine_block, block, base_seed) for block in blocks[1:]]
+        n = len(poset.elements)
+        if n <= TREE_ENUMERATION_MAX_LABELS:
+            _examine_instance(poset, users, base_seed, results, {"instance": "policy"})
+        else:
+            limit = TREE_ENUMERATION_MAX_LABELS
+            report.skip_reason = f"{n} labels, over the enumeration limit of {limit}"
+        _examine_block(blocks[0], base_seed, results)
+        for future in futures:
+            for name, later in future.result().items():
+                results[name].merge(later)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     report.elapsed_seconds = time.perf_counter() - start
     return report

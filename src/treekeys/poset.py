@@ -384,7 +384,7 @@ class ChainPartition:
                     raise PolicyError(f"label {label!r} appears in more than one chain")
                 seen.add(label)
             for upper, lower in zip(chain, chain[1:]):
-                if not (poset.geq(upper, lower) and upper != lower):
+                if not poset.above(upper, lower):
                     raise PolicyError(
                         f"chain entries {upper!r}, {lower!r} are not strictly decreasing"
                     )

@@ -4,14 +4,14 @@ Container layout: magic "PKAS1", two-byte big-endian label length, the
 label's UTF-8 bytes, a 12-byte nonce, then the ChaCha20-Poly1305
 ciphertext. The label rides as associated data, so a ciphertext cannot be
 replayed under a different label even though the label itself is public.
+
+``cryptography`` is imported on the first seal or unseal, so commands
+that never touch a sealed object do not load it.
 """
 
 from __future__ import annotations
 
 import os
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .errors import PolicyError, VerificationError
 
@@ -22,6 +22,8 @@ _LEN_BYTES = 2
 
 def seal(key: bytes, label: str, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:
     """Encrypt ``plaintext`` under the object key for ``label``."""
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
     encoded = label.encode("utf-8")
     if not encoded or len(encoded) > 0xFFFF:
         raise PolicyError(f"label must encode to 1..65535 bytes, got {len(encoded)}")
@@ -54,6 +56,9 @@ def unseal(key: bytes, blob: bytes) -> tuple[str, bytes]:
     Raises VerificationError when authentication fails (tampered payload,
     wrong key, or a label/ciphertext mismatch).
     """
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+
     label = sealed_label(blob)
     encoded = label.encode("utf-8")
     offset = len(MAGIC) + _LEN_BYTES + len(encoded)

@@ -144,6 +144,19 @@ def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
     }
 
 
+def weighted_key_total(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> int:
+    """K_hat as the tree's arc costs give it: every arc (y, z) costs
+    M(z) - M(y), and the root's holders add M(root) for the root's own key.
+
+    The canonical allocation hands out exactly one start point per user
+    per unit of arc cost, so its K_hat must equal this total.
+    """
+    users_above = _users_above(poset, users)
+    return users_above[tree.root] + sum(
+        users_above[z] - users_above[y] for z, y in tree.parent.items()
+    )
+
+
 def _cheapest_parents(
     poset: Poset, users: UserAssignment, *, closure: bool = False
 ) -> dict[str, list[str]]:

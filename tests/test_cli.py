@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from treekeys import KeyAllocation, cli
 from treekeys.cli import main
 
 from conftest import sparse_policy_doc
@@ -114,6 +115,27 @@ class TestBuildTree:
         code, _, _ = run("build-tree", path, "--out-dir", out_dir)
         assert code == 0
         assert read_json(out_dir / "metrics.json")["K_total"] == 3
+
+
+    def test_allocation_short_of_the_arc_costs_exits_three(
+        self, run, policy_file, tmp_path, monkeypatch
+    ):
+        # K_hat must equal the tree's arc costs plus the root's own key:
+        # an allocation that drops a start point is caught before any write
+        real = cli.canonical_allocation
+
+        def short(poset, tree):
+            phi = dict(real(poset, tree).phi)
+            x = min(x for x, points in phi.items() if len(points) > 1)
+            phi[x] = frozenset({x})
+            return KeyAllocation(phi=phi)
+
+        monkeypatch.setattr(cli, "canonical_allocation", short)
+        out_dir = tmp_path / "short"
+        code, _, err = run("build-tree", policy_file, "--out-dir", out_dir)
+        assert code == 3
+        assert "K_hat=10 differs from the tree's arc cost total 11" in err
+        assert not out_dir.exists()
 
 
 class TestKeygen:
@@ -543,6 +565,13 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[-2] == "policy not examined: 10 labels, over the enumeration limit of 9"
         assert lines[-1].startswith("verification FAILED")
+
+    def test_negative_seed_count_exits_one(self, policy_file):
+        done = run_process("verify", policy_file, "--seeds", "-3")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "--seeds must be 0 or more, got -3" in done.stderr
+        assert done.stdout == ""
 
     @pytest.mark.parametrize(
         "seeds, base_seed", [("0", "-1"), ("2", str(2**64 - 1))], ids=["negative", "past-2**64"]

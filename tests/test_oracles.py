@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import pytest
 
 from treekeys import (
@@ -5,7 +8,9 @@ from treekeys import (
     Poset,
     UserAssignment,
     canonical_allocation,
+    oracles,
 )
+from treekeys.errors import PolicyError
 from treekeys.oracles import (
     EnumerationBudgetError,
     RandomPosetSpec,
@@ -155,3 +160,67 @@ class TestSuite:
         assert not check.passed
         assert check.instances == 3
         assert check.counterexample == {"seed": 2}  # first failure wins
+
+
+class TestSplitSuite:
+    """``run_suite`` cuts the random instances into one block per usable CPU."""
+
+    def test_report_does_not_depend_on_the_cpu_count(self, poset8, users8, monkeypatch):
+        docs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+            doc = run_suite(poset8, users8, seeds=50).to_json_dict()
+            del doc["elapsed_seconds"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["passed"] and all(c["instances"] == 51 for c in docs[0]["checks"])
+
+    def test_lowest_failing_seed_wins_across_blocks(self, poset8, users8, monkeypatch):
+        # three blocks of 20 seeds; seeds 25 and 45 fail in the two worker blocks
+        real = oracles.brute_width
+        monkeypatch.setattr(oracles, "brute_width", real)
+        examine = oracles._examine_instance
+
+        def failing_at(poset, users, seed, results, payload):
+            oracles.brute_width = (lambda p: -1) if payload.get("seed") in (25, 45) else real
+            examine(poset, users, seed, results, payload)
+
+        monkeypatch.setattr(oracles, "_examine_instance", failing_at)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
+        report = run_suite(poset8, users8, seeds=60)
+        assert all(c.instances == 61 for c in report.checks)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == ["width-vs-bruteforce"]
+        assert failed[0].counterexample["seed"] == 25
+
+    def test_worker_error_reaches_the_caller_as_its_type(self, poset8, users8, monkeypatch):
+        real = oracles.random_poset
+
+        def broken(spec):
+            if spec.seed == 40:  # in the second of two blocks
+                raise PolicyError(f"raised in process {os.getpid()}")
+            return real(spec)
+
+        monkeypatch.setattr(oracles, "random_poset", broken)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 2)
+        with pytest.raises(PolicyError, match="raised in process") as caught:
+            run_suite(poset8, users8, seeds=50)
+        assert int(str(caught.value).rsplit(" ", 1)[1]) != os.getpid()
+
+    @pytest.mark.parametrize("seeds", [0, 1])
+    def test_zero_or_one_seed_starts_no_worker(self, poset8, users8, monkeypatch, seeds):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
+        report = run_suite(poset8, users8, seeds=seeds)
+        assert report.passed and all(c.instances == 1 + seeds for c in report.checks)
+        with pytest.raises(AssertionError, match="worker pool"):
+            run_suite(poset8, users8, seeds=2)
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert oracles._usable_cpus() == 5

@@ -58,3 +58,22 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path):
     assert "Traceback" not in done.stderr
     record = json.loads(spans.read_text(encoding="utf-8"))
     assert record["exit"] == 0 and "cli.main" in record["names"]
+
+
+def test_cli_import_loads_every_traced_module_and_no_cipher():
+    # the tracer reads every module it names out of sys.modules after
+    # importing treekeys.cli alone; cryptography loads on the first seal
+    modules = sorted(f"treekeys.{name}" for name in load_tracing().SPANNED)
+    probe = (
+        "import json, sys, treekeys.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('treekeys', 'cryptography'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert [m for m in modules if m not in loaded] == []
+    assert [m for m in loaded if m.startswith("cryptography")] == []
