@@ -51,15 +51,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path: str) -> Any:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise PolicyError(
             f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, huge integers, deep nesting
+        raise PolicyError(f"cannot parse {path}: {exc}") from exc
 
 
 def _write_json(path: Path, data: Mapping[str, Any]) -> None:

@@ -205,7 +205,7 @@ def derive(
     """
     poset.require(target)
     poset.require(bundle.holder)
-    if not poset.leq(target, bundle.holder):
+    if not (target == bundle.holder or poset.above(bundle.holder, target)):
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
     if set(bundle.secrets) != start_points(poset, tree.parent, bundle.holder):
         raise PolicyError(f"malformed bundle for {bundle.holder!r}: start points do not match")

@@ -244,7 +244,7 @@ def brute_width(poset: Poset) -> int:
     for size in range(len(order), best, -1):
         for combo in itertools.combinations(order, size):
             if all(
-                not poset.geq(a, b) and not poset.geq(b, a)
+                (a, b) not in poset.closure and (b, a) not in poset.closure
                 for a, b in itertools.combinations(combo, 2)
             ):
                 best = size
@@ -515,7 +515,7 @@ def _examine_instance(
     refusal_ok = True
     for x in poset.sorted_elements:
         for y in poset.sorted_elements:
-            if poset.leq(y, x):
+            if y == x or (x, y) in poset.closure:
                 if kdf.derive(poset, tree, bundles[x], y) != store.keys[y]:
                     derive_ok = False
             else:

@@ -19,7 +19,7 @@ All values here are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Mapping
 
@@ -138,9 +138,7 @@ class Poset:
     y, and ``root`` is the unique maximum, possibly the virtual one.
 
     ``closure`` (every strict-order pair) is decoded from the masks on
-    first use; only the oracles and the tests read it. Each label's
-    down-set is decoded on first request and kept, so repeated
-    ``geq``/``leq`` queries are set lookups.
+    first use; only the oracles and the tests read it.
     """
 
     labels: tuple[str, ...]
@@ -149,9 +147,6 @@ class Poset:
     covers: frozenset[Arc]
     root: str
     virtual_root: bool = False
-    _down_sets: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @classmethod
     def from_arcs(
@@ -173,7 +168,7 @@ class Poset:
 
         Raises CycleError on a directed cycle (self-loops included),
         UnknownLabelError on an arc naming a label outside ``elements``,
-        and PolicyError if the root label is needed but already taken.
+        and PolicyError if the root label is needed but empty or taken.
         """
         seen: set[str] = set()
         for lab in elements:
@@ -211,6 +206,8 @@ class Poset:
         maximal = [v for v in range(len(labels)) if not hidden >> v & 1]
         added = len(maximal) > 1
         if added:
+            if not isinstance(root_label, str) or not root_label:
+                raise PolicyError(f"the root label must be a non-empty string, got {root_label!r}")
             if root_label in seen:
                 raise PolicyError(f"reserved root label {root_label!r} already in use")
             order.insert(0, len(labels))
@@ -304,30 +301,9 @@ class Poset:
         return sum(mask.bit_count() for mask in self.strict_down)
 
     def down_set(self, x: str) -> frozenset[str]:
-        """Every label at or below x (x included); decoded once per label."""
-        try:
-            return self._down_sets[x]
-        except KeyError:
-            i = self.index(x)
-            found = self._down_sets[x] = frozenset(self.members(self.strict_down[i] | 1 << i))
-            return found
-
-    # geq and leq run hundreds of thousands of times on tiny posets, where a
-    # set lookup beats a bit test; both read the cached down-sets.
-
-    def geq(self, x: str, y: str) -> bool:
-        """True iff x is at or above y (a non-label is above only itself)."""
-        try:
-            return y in self._down_sets[x]
-        except KeyError:
-            return y in self.down_set(x) if x in self._index else x == y
-
-    def leq(self, x: str, y: str) -> bool:
-        """True iff x is at or below y (a non-label is below only itself)."""
-        try:
-            return x in self._down_sets[y]
-        except KeyError:
-            return x in self.down_set(y) if y in self._index else x == y
+        """Every label at or below x (x included), decoded from its down-mask."""
+        i = self.index(x)
+        return frozenset(self.members(self.strict_down[i] | 1 << i))
 
     def cover_children(self, x: str) -> tuple[str, ...]:
         self.require(x)
@@ -361,10 +337,6 @@ class UserAssignment:
 
     def count(self, label: str) -> int:
         return self.counts.get(label, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)

@@ -308,18 +308,20 @@ def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd
 
 
 @pytest.mark.parametrize(
-    "policy, message",
+    "policy, options, message",
     [
-        ({"elements": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "c"], ["c", "a"]]},
+        ({"elements": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "c"], ["c", "a"]]}, [],
          "cycle detected"),
-        ({"elements": ["a", "b", "⊤"], "arcs": []}, "reserved root label '⊤' already in use"),
+        ({"elements": ["a", "b", "⊤"], "arcs": []}, [], "reserved root label '⊤' already in use"),
+        ({"elements": ["a", "b"], "arcs": []}, ["--root-label", ""],
+         "root label must be a non-empty string, got ''"),
     ],
-    ids=["cycle", "taken-root-label"],
+    ids=["cycle", "taken-root-label", "empty-root-label"],
 )
-def test_unnormalisable_policy_exits_one(policy, message, tmp_path):
+def test_unnormalisable_policy_exits_one(policy, options, message, tmp_path):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(policy), encoding="utf-8")
-    done = run_process("analyze", path)
+    done = run_process("analyze", path, *options)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert message in done.stderr

@@ -1,10 +1,13 @@
-"""Arbitrary JSON into every document loader, through the CLI in process.
+"""Arbitrary JSON and arbitrary bytes into every document loader, through
+the CLI in process.
 
 One of the six documents a command reads (policy, tree, bundle, keystore,
-manifest, partition) is replaced by an arbitrary JSON value, or by a
-valid document with one value somewhere inside it replaced or dropped.
-Whatever the document, the exit-code contract holds: the command returns
-0, 1, 2 or 3 and raises nothing.
+manifest, partition) is replaced by an arbitrary JSON value, by a valid
+document with one value somewhere inside it replaced or dropped, or by
+arbitrary bytes. Whatever the document, the exit-code contract holds: the
+command returns 0, 1, 2 or 3 and raises nothing. Files that no JSON
+loader accepts (bad UTF-8, an integer too long to convert, nesting deeper
+than the recursion limit) exit 1.
 """
 
 import contextlib
@@ -117,15 +120,39 @@ def variants(draw, valid):
     return document
 
 
+def documents(valid):
+    """The bytes of a JSON variant of ``valid``, or arbitrary bytes."""
+    return variants(valid).map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=40)
+
+
+def _run_with(valid_files, command, kind, content):
+    """Run ``command`` in a fresh deployment whose ``kind`` document is ``content``."""
+    kinds = [arg[1:-1] for arg in command if arg.startswith("{")]
+    with tempfile.TemporaryDirectory() as work, _inside(work):
+        for name, valid in valid_files.items():
+            Path(f"{name}.json" if "." not in name else name).write_bytes(valid)
+        Path(f"{kind}.json").write_bytes(content)
+        return _main_quietly([arg.format(**{k: f"{k}.json" for k in kinds}) for arg in command])
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=st.sampled_from(COMMANDS), data=st.data())
 def test_any_document_keeps_the_exit_code_contract(valid_files, command, data):
     kinds = [arg[1:-1] for arg in command if arg.startswith("{")]
     kind = data.draw(st.sampled_from(kinds), label="kind")
-    document = data.draw(variants(json.loads(valid_files[kind])), label="document")
-    with tempfile.TemporaryDirectory() as work, _inside(work):
-        for name, content in valid_files.items():
-            Path(f"{name}.json" if "." not in name else name).write_bytes(content)
-        Path(f"{kind}.json").write_text(json.dumps(document))
-        argv = [arg.format(**{k: f"{k}.json" for k in kinds}) for arg in command]
-        assert _main_quietly(argv) in (0, 1, 2, 3)
+    content = data.draw(documents(json.loads(valid_files[kind])), label="document")
+    assert _run_with(valid_files, command, kind, content) in (0, 1, 2, 3)
+
+
+UNLOADABLE = {
+    "bad-utf8": b'{"elements": ["\xff\xfe"]}',
+    "long-integer": b"[" + b"7" * 5000 + b"]",
+    "deep-nesting": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("content", UNLOADABLE.values(), ids=list(UNLOADABLE))
+@pytest.mark.parametrize("kind", ["policy", "tree", "bundle", "keystore", "manifest", "partition"])
+def test_unloadable_file_exits_one(valid_files, kind, content):
+    command = next(c for c in COMMANDS if f"{{{kind}}}" in c)
+    assert _run_with(valid_files, command, kind, content) == 1

@@ -170,6 +170,12 @@ class TestRootAugmentation:
         poset = Poset.from_arcs(["x", "y"], [], root_label="TOP")
         assert poset.root == "TOP"
 
+    @pytest.mark.parametrize("root_label", ["", None])
+    def test_root_label_must_be_a_non_empty_string_when_added(self, root_label):
+        with pytest.raises(PolicyError, match="root label must be a non-empty string"):
+            Poset.from_arcs(["x", "y"], [], root_label=root_label)
+        assert Poset.from_arcs(["x", "y"], [("x", "y")], root_label=root_label).root == "x"
+
     def test_virtual_root_cannot_hold_users(self):
         poset = Poset.from_arcs(["x", "y"], [])
         with pytest.raises(PolicyError, match="virtual root"):
