@@ -15,7 +15,7 @@ from typing import Mapping
 
 from .allocation import SchemeMetrics, forest_start_points
 from .errors import PolicyError
-from .poset import ChainPartition, Poset, UserAssignment, _topological_order
+from .poset import ChainPartition, Poset, UserAssignment
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,12 @@ def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> S
 
 
 def _longest_cover_path(poset: Poset) -> int:
-    below: dict[str, set[str]] = {x: set() for x in poset.elements}
-    for x, y in poset.covers:
-        below[x].add(y)
-    height: dict[str, int] = {}
-    for x in reversed(_topological_order(below)):  # children before parents
-        height[x] = max((1 + height[c] for c in below[x]), default=0)
+    """Cover arcs on the longest downward path. Sorting by down-mask popcount
+    puts children first; each label's height then flows up to its covers."""
+    height = dict.fromkeys(poset.labels, 0)
+    for i in sorted(range(len(poset.labels)), key=lambda i: poset.strict_down[i].bit_count()):
+        for y in poset.members(poset.cover_up[i]):
+            height[y] = max(height[y], height[poset.labels[i]] + 1)
     return max(height.values())
 
 
@@ -74,9 +74,8 @@ def classic_scheme_metrics(poset: Poset, users: UserAssignment, scheme: str) -> 
         return SchemeMetrics.from_sizes(users, sizes, d_max=0)
     one_key = dict.fromkeys(poset.labels, 1)
     if scheme == "iterative":
-        return SchemeMetrics.from_sizes(
-            users, one_key, d_max=_longest_cover_path(poset), p=len(poset.covers)
-        )
+        p = sum(mask.bit_count() for mask in poset.cover_up)
+        return SchemeMetrics.from_sizes(users, one_key, d_max=_longest_cover_path(poset), p=p)
     if scheme == "direct":
         return SchemeMetrics.from_sizes(users, one_key, d_max=1, p=poset.closure_size)
     raise PolicyError(f"unknown scheme {scheme!r}; expected one of {CLASSIC_SCHEMES}")

@@ -58,8 +58,11 @@ def _load_json(path: str) -> Any:
         raise PolicyError(
             f"parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, huge integers, deep nesting
+    except (UnicodeDecodeError, RecursionError) as exc:  # bad UTF-8, deep nesting
         raise PolicyError(f"cannot parse {path}: {exc}") from exc
+    except ValueError as exc:  # the only other: an integer literal too long to convert
+        raise PolicyError(f"cannot parse {path}: it holds an integer literal longer than "
+                          f"the {sys.get_int_max_str_digits()}-digit limit") from exc
 
 
 def _write_json(path: Path, data: Mapping[str, Any]) -> None:
@@ -76,6 +79,10 @@ def _load_tree(poset: Poset, path: str) -> DerivationOutTree:
     return tree
 
 
+#: What ``encrypt`` appends to each object's file name and ``decrypt`` removes.
+SEALED_SUFFIX = ".sealed"
+
+
 def _bundle_filename(label: str) -> str:
     return f"sigma_{urllib.parse.quote(label, safe='')}.json"
 
@@ -85,17 +92,15 @@ def _bundle_filename(label: str) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
-    original_maximal = (
-        poset.cover_children(poset.root) if poset.virtual_root else (poset.root,)
-    )
+    top = 1 << poset.index(poset.root) if poset.virtual_root else 0  # the maximal labels' up-mask
     info = {
         "elements": len(poset.elements),
-        "cover_arcs": len(poset.covers),
+        "cover_arcs": sum(mask.bit_count() for mask in poset.cover_up),
         "closure_arcs": poset.closure_size,
         "width": width(poset),
         "root": poset.root,
         "augmented": poset.virtual_root,
-        "maximal": list(original_maximal),
+        "maximal": [x for x, up in zip(poset.labels, poset.strict_up) if up == top],
     }
     if args.json:
         print(json.dumps(info, sort_keys=True, indent=2))
@@ -202,6 +207,12 @@ def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
         path, label = entry["path"], entry["label"]
         if not isinstance(path, str) or not isinstance(label, str):
             raise PolicyError(f"manifest entry {entry!r} must give 'path' and 'label' as strings")
+        try:
+            os.fsencode(path)
+        except UnicodeEncodeError:
+            raise PolicyError(f"manifest path {path!r} has no file system encoding") from None
+        if "\0" in path:
+            raise PolicyError(f"manifest path {path!r} contains a NUL character")
         poset.require(label)
         if poset.virtual_root and label == poset.root:
             raise PolicyError("objects cannot be labeled with the virtual root")
@@ -244,7 +255,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
         sealed = sealing.seal(key, label, plaintext)
-        target = path.with_name(path.name + args.suffix)
+        target = path.with_name(path.name + SEALED_SUFFIX)
         target.write_bytes(sealed)
         print(f"sealed {path} -> {target} (label {label})")
     return 0
@@ -256,6 +267,12 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     object_key = _key_source(args, poset, tree)
     for name in args.sealed:
         path = Path(name)
+        base = path.name.removesuffix(SEALED_SUFFIX)
+        if base in ("", ".", ".."):
+            raise PolicyError(f"{path} leaves no file name once {SEALED_SUFFIX!r} is removed")
+        if not args.out_dir and base == path.name:
+            raise PolicyError(f"{path} does not end with {SEALED_SUFFIX!r}; "
+                              "pass --out-dir to choose a destination")
         try:
             blob = path.read_bytes()
         except OSError as exc:
@@ -264,16 +281,8 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
         poset.require(label)
         key = object_key(label)
         _, plaintext = sealing.unseal(key, blob)
-        if args.out_dir:
-            base = path.name[: -len(args.suffix)] if path.name.endswith(args.suffix) else path.name
-            target = Path(args.out_dir) / base
-            target.parent.mkdir(parents=True, exist_ok=True)
-        elif path.name.endswith(args.suffix):
-            target = path.with_name(path.name[: -len(args.suffix)])
-        else:
-            raise PolicyError(
-                f"{path} does not end with {args.suffix!r}; pass --out-dir to choose a destination"
-            )
+        target = Path(args.out_dir) / base if args.out_dir else path.with_name(base)
+        target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(plaintext)
         print(f"opened {path} -> {target} (label {label})")
     return 0
@@ -357,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         holder = p.add_mutually_exclusive_group(required=True)
         holder.add_argument("--keystore", help="full keystore (administrator)")
         holder.add_argument("--bundle", help="a holder's bundle; keys are derived")
-        p.add_argument("--suffix", default=".sealed")
         if name == "encrypt":
             p.add_argument("--manifest", required=True,
                            help='JSON: {"objects": [{"path": ..., "label": ...}]}')

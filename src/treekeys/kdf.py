@@ -173,14 +173,10 @@ def setup(
         raise ValueError(f"randomness source must yield {KEY_BYTES} bytes")
     secrets: dict[str, bytes] = {tree.root: root_secret}
     keys: dict[str, bytes] = {}
-    kids = tree.children_map()
-    stack = [tree.root]
-    while stack:
-        x = stack.pop()
+    for x in tree.depths():  # root first: every parent's secret is ready
+        if x != tree.root:
+            secrets[x] = prf(secrets[tree.parent[x]], encode_label(x))
         keys[x] = prf(secrets[x], encode_label(x))
-        for child in reversed(kids[x]):
-            secrets[child] = prf(secrets[x], encode_label(child))
-            stack.append(child)
     store = SecretStore(tree=tree, secrets=secrets, keys=keys)
     bundles = {
         x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in sorted(allocation.phi[x])})
@@ -209,16 +205,14 @@ def derive(
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
     if set(bundle.secrets) != start_points(poset, tree.parent, bundle.holder):
         raise PolicyError(f"malformed bundle for {bundle.holder!r}: start points do not match")
-    path: list[str] = []
-    start = None
-    for anc in tree.ancestors(target):
-        path.append(anc)
-        if anc in bundle.secrets:
-            start = anc
+    path: list[str] = []  # the target up to, not including, the covering start point
+    for start in tree.ancestors(target):
+        if start in bundle.secrets:
             break
-    if start is None:
+        path.append(start)
+    else:
         raise PolicyError(f"no start point of {bundle.holder!r} covers {target!r}")
     secret = bundle.secrets[start]
-    for step in reversed(path[:-1]):
+    for step in reversed(path):
         secret = prf(secret, encode_label(step))
     return prf(secret, encode_label(target))

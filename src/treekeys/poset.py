@@ -1,14 +1,15 @@
 """Finite partially ordered sets of security labels.
 
 A label hierarchy is stored as bitmasks over a fixed label index: per
-label, the labels strictly below it and the labels strictly above it,
-plus the cover arcs (the order's diagram, written parent -> child). The
-full strict order (the transitive closure, as pairs) is a view decoded
-from the masks on first use. Every poset is rooted: when the input order
-has more than one maximal label, a reserved virtual top label is placed
-above all of them so that every label is reachable from a single point.
-Labels are unique non-empty strings; their bytes feed the key derivation
-PRF, so uniqueness matters beyond aesthetics.
+label, the labels strictly below it, the labels strictly above it, and
+the labels that cover it (its parents in the order's diagram). The cover
+arcs and the full strict order (the transitive closure), as pairs, are
+views decoded from the masks on first use. Every poset is rooted: when
+the input order has more than one maximal label, a reserved virtual top
+label is placed above all of them so that every label is reachable from
+a single point. Labels are unique non-empty strings that encode as
+UTF-8; those bytes feed the key derivation PRF, so uniqueness matters
+beyond aesthetics.
 
 ``transitive_closure``, ``transitive_reduction`` and ``ensure_root`` are
 the set-based reference for the normalisation ``Poset.from_arcs`` does on
@@ -50,6 +51,15 @@ def _topological_order(adjacency: Mapping[str, set[str]]) -> list[str]:
     if len(order) != len(adjacency):
         raise CycleError("cycle detected: the order relation is not antisymmetric")
     return order
+
+
+def _check_label(lab: Any, what: str) -> None:
+    """Raise PolicyError unless ``lab`` is a non-empty string that encodes as
+    UTF-8 (its bytes feed the PRF); only lone surrogates fail the round trip."""
+    if not isinstance(lab, str) or not lab:
+        raise PolicyError(f"{what} must be a non-empty string, got {lab!r}")
+    if lab.encode("utf-8", "replace").decode("utf-8") != lab:
+        raise PolicyError(f"{what} {lab!r} does not encode as UTF-8")
 
 
 def transitive_closure(arcs: Iterable[Arc], elements: Iterable[str]) -> frozenset[Arc]:
@@ -134,17 +144,19 @@ class Poset:
     ``labels`` is the label index: the input labels sorted, then the
     virtual root if one was added. Bit j of ``strict_down[i]`` is set iff
     ``labels[i]`` is strictly above ``labels[j]``; ``strict_up`` is the
-    converse. ``covers`` holds the cover arcs as pairs (x, y) with x above
-    y, and ``root`` is the unique maximum, possibly the virtual one.
+    converse, and bit j of ``cover_up[i]`` is set iff ``labels[j]``
+    covers ``labels[i]``. ``root`` is the unique maximum, possibly the
+    virtual one.
 
-    ``closure`` (every strict-order pair) is decoded from the masks on
-    first use; only the oracles and the tests read it.
+    ``covers`` (the cover pairs) and ``closure`` (every strict-order pair)
+    are decoded from the masks on first use; only the oracles, the
+    default arcs of ``weight_function`` and the tests read them.
     """
 
     labels: tuple[str, ...]
     strict_down: tuple[int, ...]
     strict_up: tuple[int, ...]
-    covers: frozenset[Arc]
+    cover_up: tuple[int, ...]
     root: str
     virtual_root: bool = False
 
@@ -164,16 +176,16 @@ class Poset:
         the OR of its input children's masks and bits, and its cover
         children are the input children inside no input child's mask
         (every label below it lies at or below some input child). Up-masks
-        then flow down the covers, parents first.
+        and cover masks then flow down the covers, parents first.
 
         Raises CycleError on a directed cycle (self-loops included),
         UnknownLabelError on an arc naming a label outside ``elements``,
-        and PolicyError if the root label is needed but empty or taken.
+        and PolicyError on a label, or a needed root label, that is empty,
+        not UTF-8 or (for the root) taken.
         """
         seen: set[str] = set()
         for lab in elements:
-            if not isinstance(lab, str) or not lab:
-                raise PolicyError(f"labels must be non-empty strings, got {lab!r}")
+            _check_label(lab, "each label")
             if lab in seen:
                 raise PolicyError(f"duplicate element {lab!r}")
             seen.add(lab)
@@ -206,8 +218,7 @@ class Poset:
         maximal = [v for v in range(len(labels)) if not hidden >> v & 1]
         added = len(maximal) > 1
         if added:
-            if not isinstance(root_label, str) or not root_label:
-                raise PolicyError(f"the root label must be a non-empty string, got {root_label!r}")
+            _check_label(root_label, "the root label")
             if root_label in seen:
                 raise PolicyError(f"reserved root label {root_label!r} already in use")
             order.insert(0, len(labels))
@@ -218,21 +229,14 @@ class Poset:
         else:
             root = labels[maximal[0]]
         up = [0] * len(labels)
+        cover_up = [0] * len(labels)
         for v in order:  # parents first
             mask = up[v] | 1 << v
             for c in cover_kids[v]:
                 up[c] |= mask
-        covers = frozenset(
-            (labels[v], labels[c]) for v, kids in enumerate(cover_kids) for c in kids
-        )
-        return cls(
-            labels=tuple(labels),
-            strict_down=tuple(down),
-            strict_up=tuple(up),
-            covers=covers,
-            root=root,
-            virtual_root=added,
-        )
+                cover_up[c] |= 1 << v
+        return cls(labels=tuple(labels), strict_down=tuple(down), strict_up=tuple(up),
+                   cover_up=tuple(cover_up), root=root, virtual_root=added)
 
     # -- order queries ----------------------------------------------------
 
@@ -256,8 +260,7 @@ class Poset:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
     def require(self, label: str) -> None:
-        if label not in self._index:
-            raise UnknownLabelError(f"unknown label {label!r}")
+        self.index(label)  # raises UnknownLabelError for a stranger
 
     def members(self, mask: int) -> list[str]:
         """The labels whose bits are set in ``mask``, in index order."""
@@ -289,6 +292,13 @@ class Poset:
             return False
 
     @cached_property
+    def covers(self) -> frozenset[Arc]:
+        """Every cover pair (x, y), x covering y, decoded from the masks."""
+        return frozenset(
+            (x, y) for y, mask in zip(self.labels, self.cover_up) for x in self.members(mask)
+        )
+
+    @cached_property
     def closure(self) -> frozenset[Arc]:
         """Every strict-order pair (x, y), x above y, decoded from the masks."""
         return frozenset(
@@ -304,10 +314,6 @@ class Poset:
         """Every label at or below x (x included), decoded from its down-mask."""
         i = self.index(x)
         return frozenset(self.members(self.strict_down[i] | 1 << i))
-
-    def cover_children(self, x: str) -> tuple[str, ...]:
-        self.require(x)
-        return tuple(sorted(y for p, y in self.covers if p == x))
 
 
 @dataclass(frozen=True)

@@ -34,49 +34,43 @@ class DerivationOutTree:
         return tuple((p, c) for c, p in sorted(self.parent.items()))
 
     def children_map(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {self.root: []}
-        for child in self.parent:
-            out.setdefault(child, [])
-        for child, par in self.parent.items():
+        out: dict[str, list[str]] = {v: [] for v in (self.root, *self.parent)}
+        for child, par in sorted(self.parent.items()):
             out.setdefault(par, []).append(child)
-        return {v: tuple(sorted(kids)) for v, kids in out.items()}
+        return {v: tuple(kids) for v, kids in out.items()}
 
     def leaves(self) -> frozenset[str]:
         return (frozenset(self.parent) | {self.root}) - set(self.parent.values())
 
     def depths(self) -> dict[str, int]:
+        """Every label's distance from the root, root first in breadth-first
+        order. Raises PolicyError unless the parent map is a tree under the root."""
+        kids = self.children_map()
         out = {self.root: 0}
-        for label in self.parent:
-            trail = []
-            v = label
-            while v not in out:
-                trail.append(v)
-                if len(trail) > len(self.parent):
-                    raise PolicyError("parent map contains a cycle")
-                v = self.parent[v]
-            base = out[v]
-            for hop, lab in enumerate(reversed(trail), start=1):
-                out[lab] = base + hop
+        walk = [] if self.root in self.parent else [self.root]
+        for v in walk:
+            for child in kids[v]:
+                out[child] = out[v] + 1
+                walk.append(child)
+        if len(walk) != len(kids):  # a cycle, a parent outside the tree, or one of the root
+            raise PolicyError("parent map is not a tree under its root")
         return out
 
     def ancestors(self, label: str) -> Iterator[str]:
         """label, its parent, and so on up to the root."""
-        v = label
-        yield v
-        steps = 0
-        while v in self.parent:
-            steps += 1
-            if steps > len(self.parent):
-                raise PolicyError("parent map contains a cycle")
-            v = self.parent[v]
-            yield v
+        yield label
+        for _ in range(len(self.parent) + 1):  # one more step than a path can take
+            if label not in self.parent:
+                return
+            label = self.parent[label]
+            yield label
+        raise PolicyError("parent map contains a cycle")
 
     def descendant_sets(self) -> dict[str, frozenset[str]]:
         """For each label, everything reachable from it in the tree (itself included)."""
         kids = self.children_map()
-        depth = self.depths()
         out: dict[str, frozenset[str]] = {}
-        for v in sorted(kids, key=depth.__getitem__, reverse=True):  # children first
+        for v in reversed(self.depths()):  # children first
             acc = {v}
             for child in kids[v]:
                 acc |= out[child]
@@ -168,23 +162,17 @@ def _cheapest_parents(
     M: M only shrinks upward, so no label above z has a larger one.
     """
     users_above = _users_above(poset, users)
-    most: dict[str, int] = {}
-    cheapest: dict[str, list[str]] = {x: [] for x in poset.sorted_elements if x != poset.root}
-    for y, z in poset.covers:
-        m = users_above[y]
-        if z not in most or m > most[z]:
-            most[z] = m
-            cheapest[z] = [y]
-        elif m == most[z]:
-            cheapest[z].append(y)
-    if closure:
-        same_m: dict[int, int] = {}
-        for i, x in enumerate(poset.labels):
-            same_m[users_above[x]] = same_m.get(users_above[x], 0) | 1 << i
-        for z in cheapest:
-            cheapest[z] = poset.members(poset.strict_up[poset.index(z)] & same_m[most[z]])
-    for parents in cheapest.values():
-        parents.sort()
+    same_m: dict[int, int] = {}
+    for i, x in enumerate(poset.labels):
+        same_m[users_above[x]] = same_m.get(users_above[x], 0) | 1 << i
+    cheapest: dict[str, list[str]] = {}
+    for i, z in enumerate(poset.labels):
+        if z != poset.root:
+            parents = poset.members(poset.cover_up[i])
+            most = max([users_above[y] for y in parents])
+            if closure:
+                parents = poset.members(poset.strict_up[i] & same_m[most])
+            cheapest[z] = sorted([y for y in parents if users_above[y] == most])
     return cheapest
 
 

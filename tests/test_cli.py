@@ -315,8 +315,15 @@ def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd
         ({"elements": ["a", "b", "⊤"], "arcs": []}, [], "reserved root label '⊤' already in use"),
         ({"elements": ["a", "b"], "arcs": []}, ["--root-label", ""],
          "root label must be a non-empty string, got ''"),
+        # a lone surrogate is a valid JSON string, but it has no UTF-8 bytes for the PRF
+        ({"elements": ["a", "\ud800"], "arcs": [["a", "\ud800"]]}, [],
+         "label '\\ud800' does not encode as UTF-8"),
+        # argv decodes the byte 0xff to the lone surrogate U+DCFF
+        ({"elements": ["a", "b"], "arcs": []}, ["--root-label", "\udcff"],
+         "root label '\\udcff' does not encode as UTF-8"),
     ],
-    ids=["cycle", "taken-root-label", "empty-root-label"],
+    ids=["cycle", "taken-root-label", "empty-root-label", "surrogate-label",
+         "surrogate-root-label"],
 )
 def test_unnormalisable_policy_exits_one(policy, options, message, tmp_path):
     path = tmp_path / "policy.json"
@@ -325,6 +332,71 @@ def test_unnormalisable_policy_exits_one(policy, options, message, tmp_path):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert message in done.stderr
+
+
+def test_long_integer_literal_names_the_digit_limit(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_text("[" + "7" * 5000 + "]")
+    done = run_process("analyze", path)
+    assert done.returncode == 1
+    assert "integer literal longer than the 4300-digit limit" in done.stderr
+    assert "set_int_max_str_digits" not in done.stderr
+
+
+@pytest.mark.parametrize("object_path", ["doc\u0000x", "doc\ud800"], ids=["nul", "surrogate"])
+def test_manifest_path_that_names_no_file_exits_one(keyed_sample, tmp_path, object_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [{"path": object_path, "label": "e"}]}))
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json", "--manifest", manifest)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "manifest path" in done.stderr
+
+
+@pytest.fixture
+def sealed_report(keyed_sample, tmp_path):
+    """``report.txt`` sealed under label e, next to its plaintext."""
+    payload = tmp_path / "report.txt"
+    payload.write_bytes(b"numbers\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [{"path": str(payload), "label": "e"}]}))
+    assert run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json",
+                       "--manifest", manifest).returncode == 0
+    return payload.with_name("report.txt.sealed")
+
+
+def test_encrypt_has_no_suffix_option(keyed_sample, sealed_report, tmp_path):
+    # an empty suffix used to seal each object over its own plaintext
+    payload = tmp_path / "report.txt"
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json",
+                       "--manifest", tmp_path / "manifest.json", "--suffix", "")
+    assert done.returncode == 1
+    assert "unrecognized arguments: --suffix" in done.stderr
+    assert payload.read_bytes() == b"numbers\n"
+
+
+@pytest.mark.parametrize(
+    "name, options",
+    [("report.txt.sealed", ["--suffix", ""]), (".sealed", []),
+     (".sealed", ["--out-dir", "opened"]), ("..sealed", [])],
+    ids=["suffix-option", "bare-suffix", "bare-suffix-out-dir", "dot-dot"],
+)
+def test_decrypt_without_a_plaintext_name_exits_one(
+    keyed_sample, sealed_report, tmp_path, name, options
+):
+    sealed = tmp_path / "box" / name
+    sealed.parent.mkdir()
+    sealed.write_bytes(sealed_report.read_bytes())
+    options = [tmp_path / opt if opt == "opened" else opt for opt in options]
+    done = run_process("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json", sealed, *options)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert sorted(p.name for p in sealed.parent.iterdir()) == [name]
+    assert not (tmp_path / "opened").exists()
 
 
 def _command_reading(kind, keyed, document, tmp_path):

@@ -28,15 +28,18 @@ from conftest import SAMPLE_ELEMENTS, SAMPLE_PARTITION_DOC, SAMPLE_POLICY_DOC
 
 SEED = "ab" * 32
 
+#: Text that may hold lone surrogates (category Cs): valid JSON, but no UTF-8.
+TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=6)
+
 JSON = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()
-    | st.text(max_size=6)
+    | TEXT
     | st.sampled_from(SAMPLE_ELEMENTS),
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6) | st.sampled_from(SAMPLE_ELEMENTS), inner, max_size=4),
+    | st.dictionaries(TEXT | st.sampled_from(SAMPLE_ELEMENTS), inner, max_size=4),
     max_leaves=10,
 )
 
