@@ -100,14 +100,16 @@ def _in_arc_lists(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> dict[st
     return by_child
 
 
-def enumerate_out_trees(
-    poset: Poset, candidate_arcs: Iterable[Arc] | None = None
-) -> Iterator[DerivationOutTree]:
-    """Yield every spanning out-tree exactly once.
+def _parent_tuples(
+    poset: Poset, candidate_arcs: Iterable[Arc] | None
+) -> tuple[list[str], Iterator[tuple[str, ...]]]:
+    """The non-root labels, sorted, and every spanning out-tree as a tuple
+    of their parents in that order.
 
     Each non-root label independently picks one candidate in-arc; the
     Cartesian product of those picks ranges over exactly the spanning
-    out-trees. Refuses instances beyond the enumeration budget.
+    out-trees. Refuses instances beyond the enumeration budget before
+    the first tuple.
     """
     if len(poset.elements) > TREE_ENUMERATION_MAX_LABELS:
         raise EnumerationBudgetError(
@@ -118,7 +120,15 @@ def enumerate_out_trees(
     count = math.prod(len(by_child[c]) for c in children)
     if count > TREE_ENUMERATION_LIMIT:
         raise EnumerationBudgetError(f"{count} spanning out-trees exceed the enumeration budget")
-    for combo in itertools.product(*(by_child[c] for c in children)):
+    return children, itertools.product(*(by_child[c] for c in children))
+
+
+def enumerate_out_trees(
+    poset: Poset, candidate_arcs: Iterable[Arc] | None = None
+) -> Iterator[DerivationOutTree]:
+    """Yield every spanning out-tree exactly once (see ``_parent_tuples``)."""
+    children, combos = _parent_tuples(poset, candidate_arcs)
+    for combo in combos:
         yield DerivationOutTree(root=poset.root, parent=dict(zip(children, combo)))
 
 
@@ -154,36 +164,42 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     )
 
 
+def _tuple_weights(
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None
+) -> tuple[list[str], Iterator[tuple[int, tuple[str, ...]]]]:
+    """Every spanning out-tree as ``_parent_tuples`` gives it, paired with
+    its total literal arc cost."""
+    if candidate_arcs is not None:
+        candidate_arcs = frozenset(candidate_arcs)  # read twice below
+    children, combos = _parent_tuples(poset, candidate_arcs)
+    column: dict[str, dict[str, int]] = {c: {} for c in children}
+    for (y, z), w in _literal_arc_weights(poset, users, candidate_arcs).items():
+        column[z][y] = w
+    tables = [column[c] for c in children]
+    return children, (
+        (sum(table[p] for table, p in zip(tables, combo)), combo) for combo in combos
+    )
+
+
 def brute_min_weight(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
 ) -> tuple[int, DerivationOutTree]:
-    """Exhaustive minimum total arc cost over all spanning out-trees."""
-    weights = _literal_arc_weights(poset, users, candidate_arcs)
-    best: tuple[int, DerivationOutTree] | None = None
-    for tree in enumerate_out_trees(poset, candidate_arcs):
-        total = sum(weights[(p, c)] for c, p in tree.parent.items())
-        if best is None or total < best[0]:
-            best = (total, tree)
-    assert best is not None  # a rooted poset always has at least one tree
-    return best
+    """Exhaustive minimum total arc cost over all spanning out-trees; the
+    tree is the first cheapest one in enumeration order."""
+    children, weighted = _tuple_weights(poset, users, candidate_arcs)
+    best_weight, best = min(weighted, key=lambda pair: pair[0])
+    return best_weight, DerivationOutTree(root=poset.root, parent=dict(zip(children, best)))
 
 
 def brute_min_leaf_count(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
 ) -> int:
-    """Fewest leaves among minimum-cost spanning out-trees, by enumeration."""
-    weights = _literal_arc_weights(poset, users, candidate_arcs)
-    best_weight: int | None = None
-    best_leaves: int | None = None
-    for tree in enumerate_out_trees(poset, candidate_arcs):
-        total = sum(weights[(p, c)] for c, p in tree.parent.items())
-        leaves = len(tree.leaves())
-        if best_weight is None or total < best_weight:
-            best_weight, best_leaves = total, leaves
-        elif total == best_weight and leaves < best_leaves:
-            best_leaves = leaves
-    assert best_leaves is not None
-    return best_leaves
+    """Fewest leaves among minimum-cost spanning out-trees, by enumeration.
+
+    A tree's leaves are the labels that are nobody's parent."""
+    _, weighted = _tuple_weights(poset, users, candidate_arcs)
+    n = len(poset.elements)
+    return min((total, n - len(set(combo))) for total, combo in weighted)[1]
 
 
 def rematching_min_leaf_tree(
@@ -499,7 +515,7 @@ def _examine_instance(
         lhs = sum(
             users.count(x) * len(other_alloc.phi[x]) for x in poset.elements if x != poset.root
         )
-        rhs = sum(weight_function(poset, users, other.arcs()).values())
+        rhs = sum(closure_wf[a] for a in other.arcs())
         if lhs != rhs:
             identity_ok = False
             break
@@ -573,6 +589,61 @@ def _examine_block(
     return results
 
 
+def _fork_worker(block: range, base_seed: int) -> tuple[int, int]:
+    """Fork a process that writes ``_examine_block``'s results for
+    ``block``, or the exception it raised, pickled to a pipe. Returns the
+    pid and the pipe's read end. The child leaves through ``os._exit``
+    whatever happens, so it never returns into the caller's stack."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome: object = _examine_block(block, base_seed)
+        except Exception as exc:
+            outcome = exc
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:  # an exception that does not pickle
+            data = pickle.dumps(RuntimeError(f"worker failed with {outcome!r}: {exc}"))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect_worker(pid: int, read_end: int) -> dict[str, CheckResult]:
+    """Read a forked worker's pipe to its end and reap the worker; return
+    its results or raise its exception, or RuntimeError if it ended
+    without writing them."""
+    import pickle
+
+    with os.fdopen(read_end, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    if status != 0 or not data:
+        raise RuntimeError(
+            f"verify worker {pid} ended with status {os.waitstatus_to_exitcode(status)} "
+            "before writing its results"
+        )
+    outcome = pickle.loads(data)  # written by this program's own fork
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
 def run_suite(
     poset: Poset,
     users: UserAssignment,
@@ -587,12 +658,13 @@ def run_suite(
     so with no random instances every check is skipped and none passes.
 
     Each instance depends on its index alone, so ``range(seeds)`` is cut
-    into one contiguous block per usable CPU. Forked workers examine every
-    block but the first while this process examines the policy and the
-    first block; the blocks' results are then merged in order, so the
-    report is the one a single process would give. Workers are forked,
-    not spawned, so they start with every module already imported; the
-    command-line process runs no other thread for a fork to copy mid-lock.
+    into one contiguous block per usable CPU. One forked worker per block
+    but the first examines its block while this process examines the
+    policy and the first block; each worker returns its results over its
+    own pipe, and the blocks are merged in order, so the report is the one
+    a single process would give. Workers are forked, not spawned, so they
+    start with every module already imported; the command-line process
+    runs no other thread for a fork to copy mid-lock.
     """
     start = time.perf_counter()
     k = max(1, min(_usable_cpus(), seeds)) if hasattr(os, "fork") else 1
@@ -600,15 +672,10 @@ def run_suite(
     blocks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
     report = VerificationReport(checks=[results[name] for name in _CHECK_NAMES])
-    pool = None
-    if k > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(k - 1, mp_context=multiprocessing.get_context("fork"))
+    workers: list[tuple[int, int]] = []  # (pid, pipe read end), not yet collected
     try:
-        # with no pool there is one block, and nothing to submit
-        futures = [pool.submit(_examine_block, block, base_seed) for block in blocks[1:]]
+        for block in blocks[1:]:
+            workers.append(_fork_worker(block, base_seed))
         n = len(poset.elements)
         if n <= TREE_ENUMERATION_MAX_LABELS:
             _examine_instance(poset, users, base_seed, results, {"instance": "policy"})
@@ -616,11 +683,15 @@ def run_suite(
             limit = TREE_ENUMERATION_MAX_LABELS
             report.skip_reason = f"{n} labels, over the enumeration limit of {limit}"
         _examine_block(blocks[0], base_seed, results)
-        for future in futures:
-            for name, later in future.result().items():
+        while workers:
+            for name, later in _collect_worker(*workers.pop(0)).items():
                 results[name].merge(later)
     finally:
-        if pool is not None:
-            pool.shutdown()
+        if workers:  # only after an error: stop the rest
+            import signal
+        for pid, read_end in workers:
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     report.elapsed_seconds = time.perf_counter() - start
     return report

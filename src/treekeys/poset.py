@@ -249,13 +249,14 @@ class Poset:
         return tuple(sorted(self.labels))
 
     @cached_property
-    def _index(self) -> dict[str, int]:
+    def positions(self) -> Mapping[str, int]:
+        """Every label's bit position in the masks; ``index`` checks the label."""
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         """The label's bit position in the masks."""
         try:
-            return self._index[label]
+            return self.positions[label]
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
@@ -285,7 +286,7 @@ class Poset:
 
     def above(self, x: str, y: str) -> bool:
         """True iff x is strictly above y; False if either is not a label."""
-        index = self._index
+        index = self.positions
         try:
             return bool(self.strict_down[index[x]] >> index[y] & 1)
         except KeyError:

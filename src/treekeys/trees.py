@@ -11,6 +11,8 @@ in-arc per label" produce the tree that minimizes total key hand-outs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import PolicyError, check_fields
@@ -33,11 +35,17 @@ class DerivationOutTree:
         """Tree arcs as (parent, child) pairs, sorted by child."""
         return tuple((p, c) for c, p in sorted(self.parent.items()))
 
-    def children_map(self) -> dict[str, tuple[str, ...]]:
+    @cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {v: [] for v in (self.root, *self.parent)}
         for child, par in sorted(self.parent.items()):
             out.setdefault(par, []).append(child)
         return {v: tuple(kids) for v, kids in out.items()}
+
+    def children_map(self) -> Mapping[str, tuple[str, ...]]:
+        """Every label's tree children, sorted. Built once per tree and
+        shared by every caller, so it is read-only."""
+        return MappingProxyType(self._children)
 
     def leaves(self) -> frozenset[str]:
         return (frozenset(self.parent) | {self.root}) - set(self.parent.values())
@@ -162,17 +170,27 @@ def _cheapest_parents(
     M: M only shrinks upward, so no label above z has a larger one.
     """
     users_above = _users_above(poset, users)
-    same_m: dict[int, int] = {}
-    for i, x in enumerate(poset.labels):
-        same_m[users_above[x]] = same_m.get(users_above[x], 0) | 1 << i
+    labels = poset.labels
+    same_m: dict[int, int] = {}  # M -> the labels with that M, as a mask
+    if closure:
+        for i, x in enumerate(labels):
+            same_m[users_above[x]] = same_m.get(users_above[x], 0) | 1 << i
     cheapest: dict[str, list[str]] = {}
-    for i, z in enumerate(poset.labels):
-        if z != poset.root:
-            parents = poset.members(poset.cover_up[i])
-            most = max([users_above[y] for y in parents])
-            if closure:
-                parents = poset.members(poset.strict_up[i] & same_m[most])
-            cheapest[z] = sorted([y for y in parents if users_above[y] == most])
+    for i, (z, covers) in enumerate(zip(labels, poset.cover_up)):
+        if z == poset.root:
+            continue
+        most, parents = -1, []
+        while covers:  # the covers with the largest M, highest bit first
+            top = covers.bit_length() - 1
+            covers ^= 1 << top
+            y = labels[top]
+            if users_above[y] > most:
+                most, parents = users_above[y], [y]
+            elif users_above[y] == most:
+                parents.append(y)
+        if closure:
+            parents = poset.members(poset.strict_up[i] & same_m[most])
+        cheapest[z] = sorted(parents) if len(parents) > 1 else parents
     return cheapest
 
 

@@ -640,6 +640,18 @@ class TestVerify:
         assert lines[-2] == "policy not examined: 10 labels, over the enumeration limit of 9"
         assert lines[-1].startswith("verification FAILED")
 
+    def test_forked_workers_report_as_one_process(self, run, policy_file, monkeypatch):
+        done = run_process("verify", policy_file, "--seeds", "40", "--json")
+        assert done.returncode == 0, done.stderr
+        forked = json.loads(done.stdout)
+        monkeypatch.setattr(cli.oracles, "_usable_cpus", lambda: 1)
+        code, out, _ = run("verify", policy_file, "--seeds", "40", "--json")
+        assert code == 0
+        alone = json.loads(out)
+        del forked["elapsed_seconds"], alone["elapsed_seconds"]
+        assert forked == alone
+        assert all(c["instances"] == 41 for c in alone["checks"])
+
     def test_negative_seed_count_exits_one(self, policy_file):
         done = run_process("verify", policy_file, "--seeds", "-3")
         assert done.returncode == 1

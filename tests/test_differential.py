@@ -111,6 +111,22 @@ def test_derivation_depth_matches_literal_walk(policy, trees):
         assert scheme_metrics(poset, users, tree).d_max == longest
 
 
+def test_depths_match_literal_parent_walk(policy, trees):
+    poset, _ = policy
+    for tree in trees:
+        literal = {}
+        for x in poset.elements:
+            steps, v = 0, x
+            while v != tree.root:
+                v = tree.parent[v]
+                steps += 1
+            literal[x] = steps
+        depths = tree.depths()
+        assert depths == literal
+        position = {v: i for i, v in enumerate(depths)}  # root first, parents first
+        assert all(position[p] < position[c] for c, p in tree.parent.items())
+
+
 def test_chain_scheme_matches_literal_chain_scan(policy):
     poset, users = policy
     partition = min_chain_partition(poset)

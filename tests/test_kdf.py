@@ -165,6 +165,25 @@ class TestDerive:
         with pytest.raises(PolicyError, match="malformed bundle"):
             derive(poset, tree, truncated, "f")
 
+    def test_bundle_must_hold_exactly_the_start_points(self, sample_scheme):
+        # toggle each label, and a stranger, in and out of every holder's bundle
+        poset, tree, store, bundles = sample_scheme
+        phi = canonical_allocation(poset, tree).phi
+        for holder in poset.sorted_elements:
+            points = set(bundles[holder].secrets)
+            assert points == phi[holder]
+            for z in [*poset.sorted_elements, "zz"]:
+                secrets = {v: store.secrets.get(v, bytes(KEY_BYTES)) for v in points ^ {z}}
+                bad = SigmaBundle(holder=holder, secrets=secrets)
+                with pytest.raises(PolicyError, match="malformed bundle"):
+                    derive(poset, tree, bad, holder)
+        # the target is checked, then authorised, before the bundle
+        bad = SigmaBundle(holder="c", secrets={})
+        with pytest.raises(AuthorizationError):
+            derive(poset, tree, bad, "e")
+        with pytest.raises(PolicyError, match="unknown label 'zz'"):
+            derive(poset, tree, bad, "zz")
+
     def test_rejects_unknown_labels(self, sample_scheme):
         poset, tree, _, bundles = sample_scheme
         with pytest.raises(Exception):

@@ -1,5 +1,6 @@
-import concurrent.futures
+import itertools
 import os
+import signal
 
 import pytest
 
@@ -19,6 +20,7 @@ from treekeys.oracles import (
     brute_min_weight,
     coalition_reachability,
     enumerate_out_trees,
+    extra_key_labels,
     random_poset,
     random_users,
     run_suite,
@@ -72,6 +74,44 @@ class TestBruteMinWeight:
 
     def test_sample_min_leaf_count(self, poset8, users8):
         assert brute_min_leaf_count(poset8, users8) == 3
+
+    @pytest.mark.parametrize("closure", [False, True], ids=["covers", "closure"])
+    def test_parent_tuples_match_a_loop_over_enumerated_trees(self, closure):
+        for seed in range(300):
+            spec = RandomPosetSpec(
+                element_count=3 + seed % 5, edge_density=0.2 + 0.1 * (seed % 6), seed=seed
+            )
+            poset = random_poset(spec)
+            users = random_users(poset, seed + 1)
+            arcs = poset.closure if closure else None
+            best = fewest = None
+            for tree in enumerate_out_trees(poset, arcs):
+                total = sum(
+                    users.count(x) for arc in tree.arcs() for x in extra_key_labels(poset, arc)
+                )
+                if best is None or total < best[0]:
+                    best = (total, tree)
+                if fewest is None or (total, len(tree.leaves())) < fewest:
+                    fewest = (total, len(tree.leaves()))
+            assert brute_min_weight(poset, users, arcs) == best, seed
+            assert brute_min_leaf_count(poset, users, arcs) == fewest[1], seed
+
+    @pytest.mark.parametrize("brute", [brute_min_weight, brute_min_leaf_count])
+    def test_budgets_are_enforced_before_any_tree(self, poset8, users8, monkeypatch, brute):
+        products = []
+        real = itertools.product
+        monkeypatch.setattr(itertools, "product", lambda *a: products.append(a) or real(*a))
+        labels = [f"v{i}" for i in range(10)]
+        wide = Poset.from_arcs(labels, [])
+        with pytest.raises(EnumerationBudgetError, match="limit is 9"):
+            brute(wide, UserAssignment.uniform(wide))
+        monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 7)  # the sample has 8 trees
+        with pytest.raises(EnumerationBudgetError, match="8 spanning out-trees"):
+            brute(poset8, users8)
+        assert products == []
+        monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 8)
+        brute(poset8, users8)
+        assert len(products) == 1
 
 
 class TestAllocationByDefinition:
@@ -209,16 +249,46 @@ class TestSplitSuite:
 
     @pytest.mark.parametrize("seeds", [0, 1])
     def test_zero_or_one_seed_starts_no_worker(self, poset8, users8, monkeypatch, seeds):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a worker pool was started")
+        forks = []
+        real = os.fork
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        def counting_fork():
+            forks.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
         report = run_suite(poset8, users8, seeds=seeds)
         assert report.passed and all(c.instances == 1 + seeds for c in report.checks)
-        with pytest.raises(AssertionError, match="worker pool"):
-            run_suite(poset8, users8, seeds=2)
+        assert forks == []
+        report = run_suite(poset8, users8, seeds=2)
+        assert report.passed and all(c.instances == 3 for c in report.checks)
+        assert forks == [os.getpid()]
+
+    def test_worker_that_dies_without_writing_makes_the_caller_raise(
+        self, poset8, users8, monkeypatch
+    ):
+        caller = os.getpid()
+        real = oracles._examine_block
+
+        def dying(block, base_seed, results=None):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real(block, base_seed, results)
+
+        def hung(signum, frame):
+            raise TimeoutError("run_suite waited on a dead worker")
+
+        monkeypatch.setattr(oracles, "_examine_block", dying)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="before writing its results"):
+                run_suite(poset8, users8, seeds=30)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

@@ -62,12 +62,14 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path):
 
 def test_cli_import_loads_every_traced_module_and_no_cipher():
     # the tracer reads every module it names out of sys.modules after
-    # importing treekeys.cli alone; cryptography loads on the first seal
+    # importing treekeys.cli alone; cryptography loads on the first seal,
+    # and pickle only when verify forks its workers
     modules = sorted(f"treekeys.{name}" for name in load_tracing().SPANNED)
+    lazy = ("cryptography", "pickle", "multiprocessing", "concurrent")
     probe = (
         "import json, sys, treekeys.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('treekeys', 'cryptography'))))"
+        f"('treekeys', *{lazy!r}))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
@@ -76,4 +78,4 @@ def test_cli_import_loads_every_traced_module_and_no_cipher():
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout)
     assert [m for m in modules if m not in loaded] == []
-    assert [m for m in loaded if m.startswith("cryptography")] == []
+    assert [m for m in loaded if m.split(".")[0] in lazy] == []

@@ -201,6 +201,14 @@ class TestTreeValue:
         assert depths["h"] == 0 and depths["a"] == 4
         assert list(tree8_gd.ancestors("a")) == ["a", "c", "d", "g", "h"]
 
+    def test_children_map_is_shared_and_read_only(self, tree8_gd):
+        first = tree8_gd.children_map()
+        literal = {v: tuple(sorted(c for c, p in tree8_gd.parent.items() if p == v))
+                   for v in "abcdefgh"}
+        assert first == tree8_gd.children_map() == literal
+        with pytest.raises(TypeError):
+            first["h"] = ()
+
     def test_descendant_sets(self, tree8_gd):
         reach = tree8_gd.descendant_sets()
         assert reach["g"] == {"g", "d", "e", "a", "b", "c"}
