@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .allocation import canonical_allocation
+from .allocation import canonical_allocation, start_points
 from .errors import AuthorizationError, PolicyError, check_fields
 from .poset import Poset
 from .trees import DerivationOutTree
@@ -185,31 +185,6 @@ def setup(
     return store, bundles
 
 
-def _holds_its_start_points(poset: Poset, tree: DerivationOutTree, bundle: SigmaBundle) -> bool:
-    """True iff the bundle holds exactly its holder's start points on
-    ``tree``, read off the holder's down-mask: by
-    ``allocation.start_points``, a label in that mask is a start point iff
-    it has no tree parent or its parent's bit lies outside the mask."""
-    position = poset.positions
-    h = position[bundle.holder]
-    down = poset.strict_down[h] | 1 << h
-    held = 0
-    for z in bundle.secrets:
-        if z not in position:
-            return False
-        held |= 1 << position[z]
-    labels, parent = poset.labels, tree.parent
-    points = 0
-    rest = down
-    while rest:  # highest bit first
-        top = rest.bit_length() - 1
-        rest ^= 1 << top
-        par = parent.get(labels[top])
-        if par is None or not down >> position[par] & 1:
-            points |= 1 << top
-    return held == points
-
-
 def derive(
     poset: Poset,
     tree: DerivationOutTree,
@@ -228,7 +203,7 @@ def derive(
     poset.require(bundle.holder)
     if not (target == bundle.holder or poset.above(bundle.holder, target)):
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
-    if not _holds_its_start_points(poset, tree, bundle):
+    if set(bundle.secrets) != start_points(poset, tree.parent, bundle.holder):
         raise PolicyError(f"malformed bundle for {bundle.holder!r}: start points do not match")
     path: list[str] = []  # the target up to, not including, the covering start point
     for start in tree.ancestors(target):

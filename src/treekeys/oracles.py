@@ -611,12 +611,16 @@ def _fork_worker(block: range, base_seed: int) -> tuple[int, int]:
         os.close(read_end)
         try:
             outcome: object = _examine_block(block, base_seed)
-        except Exception as exc:
-            outcome = exc
-        try:
-            data = pickle.dumps(outcome)
-        except Exception as exc:  # an exception that does not pickle
-            data = pickle.dumps(RuntimeError(f"worker failed with {outcome!r}: {exc}"))
+        except Exception as exc:  # sent with its traceback, which pickling drops
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                pickle.dumps(exc)
+            except Exception as why:  # an exception that does not pickle
+                exc = RuntimeError(f"worker failed with {exc!r}: {why}")
+            outcome = exc, trace
+        data = pickle.dumps(outcome)
         with os.fdopen(write_end, "wb") as pipe:
             pipe.write(data)
         code = 0
@@ -626,8 +630,8 @@ def _fork_worker(block: range, base_seed: int) -> tuple[int, int]:
 
 def _collect_worker(pid: int, read_end: int) -> dict[str, CheckResult]:
     """Read a forked worker's pipe to its end and reap the worker; return
-    its results or raise its exception, or RuntimeError if it ended
-    without writing them."""
+    its results, or raise its exception with the worker's traceback as its
+    cause, or RuntimeError if it ended without writing either."""
     import pickle
 
     with os.fdopen(read_end, "rb") as pipe:
@@ -639,8 +643,9 @@ def _collect_worker(pid: int, read_end: int) -> dict[str, CheckResult]:
             "before writing its results"
         )
     outcome = pickle.loads(data)  # written by this program's own fork
-    if isinstance(outcome, BaseException):
-        raise outcome
+    if isinstance(outcome, tuple):  # the worker's exception and traceback
+        exc, trace = outcome
+        raise exc from RuntimeError(f"in verify worker {pid}:\n{trace}")
     return outcome
 
 

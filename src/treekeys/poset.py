@@ -249,14 +249,13 @@ class Poset:
         return tuple(sorted(self.labels))
 
     @cached_property
-    def positions(self) -> Mapping[str, int]:
-        """Every label's bit position in the masks; ``index`` checks the label."""
+    def _index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         """The label's bit position in the masks."""
         try:
-            return self.positions[label]
+            return self._index[label]
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
@@ -286,7 +285,7 @@ class Poset:
 
     def above(self, x: str, y: str) -> bool:
         """True iff x is strictly above y; False if either is not a label."""
-        index = self.positions
+        index = self._index
         try:
             return bool(self.strict_down[index[x]] >> index[y] & 1)
         except KeyError:

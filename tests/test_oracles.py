@@ -246,6 +246,10 @@ class TestSplitSuite:
         with pytest.raises(PolicyError, match="raised in process") as caught:
             run_suite(poset8, users8, seeds=50)
         assert int(str(caught.value).rsplit(" ", 1)[1]) != os.getpid()
+        # the worker's own frames arrive as the cause
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        cause = str(caught.value.__cause__)
+        assert ", in broken\n" in cause and ", in _examine_block\n" in cause
 
     @pytest.mark.parametrize("seeds", [0, 1])
     def test_zero_or_one_seed_starts_no_worker(self, poset8, users8, monkeypatch, seeds):
