@@ -243,20 +243,28 @@ def _key_source(
     return lambda label: kdf.derive(poset, tree, bundle, label)
 
 
+def _refuse_shared_targets(sources: list[Path], targets: list[Path]) -> None:
+    """Refuse, before anything is written, two sources bound for one file."""
+    first: dict[Path, int] = {}
+    for i, target in enumerate(targets):
+        if (j := first.setdefault(target.resolve(), i)) != i:
+            raise PolicyError(f"{sources[j]} and {sources[i]} would both be written to {target}")
+
+
 def cmd_encrypt(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
     entries = _load_manifest(poset, args.manifest)
+    targets = [path.with_name(path.name + SEALED_SUFFIX) for path, _ in entries]
+    _refuse_shared_targets([path for path, _ in entries], targets)
     object_key = _key_source(args, poset, tree)
-    for path, label in entries:
+    for (path, label), target in zip(entries, targets):
         key = object_key(label)
         try:
             plaintext = path.read_bytes()
         except OSError as exc:
             raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        sealed = sealing.seal(key, label, plaintext)
-        target = path.with_name(path.name + SEALED_SUFFIX)
-        target.write_bytes(sealed)
+        target.write_bytes(sealing.seal(key, label, plaintext))
         print(f"sealed {path} -> {target} (label {label})")
     return 0
 
@@ -264,15 +272,19 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
 def cmd_decrypt(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
-    object_key = _key_source(args, poset, tree)
-    for name in args.sealed:
-        path = Path(name)
+    paths = [Path(name) for name in args.sealed]
+    targets = []
+    for path in paths:
         base = path.name.removesuffix(SEALED_SUFFIX)
         if base in ("", ".", ".."):
             raise PolicyError(f"{path} leaves no file name once {SEALED_SUFFIX!r} is removed")
         if not args.out_dir and base == path.name:
             raise PolicyError(f"{path} does not end with {SEALED_SUFFIX!r}; "
                               "pass --out-dir to choose a destination")
+        targets.append(Path(args.out_dir) / base if args.out_dir else path.with_name(base))
+    _refuse_shared_targets(paths, targets)
+    object_key = _key_source(args, poset, tree)
+    for path, target in zip(paths, targets):
         try:
             blob = path.read_bytes()
         except OSError as exc:
@@ -281,7 +293,6 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
         poset.require(label)
         key = object_key(label)
         _, plaintext = sealing.unseal(key, blob)
-        target = Path(args.out_dir) / base if args.out_dir else path.with_name(base)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(plaintext)
         print(f"opened {path} -> {target} (label {label})")

@@ -136,14 +136,7 @@ def _literal_arc_weights(
     poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None
 ) -> dict[Arc, int]:
     arcs = poset.covers if candidate_arcs is None else frozenset(candidate_arcs)
-    weights: dict[Arc, int] = {}
-    for y, z in arcs:
-        total = 0
-        for x in poset.elements:
-            if (x == z or (x, z) in poset.closure) and not (x == y or (x, y) in poset.closure):
-                total += users.count(x)
-        weights[(y, z)] = total
-    return weights
+    return {arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs}
 
 
 def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
@@ -331,14 +324,6 @@ class CheckResult:
         if not ok and self.passed:
             self.passed = False
             self.counterexample = payload
-
-    def merge(self, later: "CheckResult") -> None:
-        """Fold in the result of instances examined after this one's, by
-        ``record``'s rules: the counts add up and the first failure wins."""
-        self.instances += later.instances
-        if not later.passed and self.passed:
-            self.passed = False
-            self.counterexample = later.counterexample
 
 
 @dataclass
@@ -589,64 +574,23 @@ def _examine_block(
     return results
 
 
-def _fork_worker(block: range, base_seed: int) -> tuple[int, int]:
-    """Fork a process that writes ``_examine_block``'s results for
-    ``block``, or the exception it raised, pickled to a pipe. Returns the
-    pid and the pipe's read end. The child leaves through ``os._exit``
-    whatever happens, so it never returns into the caller's stack."""
-    import pickle
-
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
+def _fork_worker(block: range, base_seed: int) -> int:
+    """Fork a process that examines ``block`` and return its pid. The
+    child's exit status is its report: 0 only when every check passed on
+    all of ``block``, 1 after a failure or an exception, which the caller
+    finds again by examining the block itself. The child leaves through
+    ``os._exit`` whatever happens, so it never returns into the caller's
+    stack."""
+    pid = os.fork()
     if pid:
-        os.close(write_end)
-        return pid, read_end
+        return pid
     code = 1
     try:
-        os.close(read_end)
-        try:
-            outcome: object = _examine_block(block, base_seed)
-        except Exception as exc:  # sent with its traceback, which pickling drops
-            import traceback
-
-            trace = traceback.format_exc()
-            try:
-                pickle.dumps(exc)
-            except Exception as why:  # an exception that does not pickle
-                exc = RuntimeError(f"worker failed with {exc!r}: {why}")
-            outcome = exc, trace
-        data = pickle.dumps(outcome)
-        with os.fdopen(write_end, "wb") as pipe:
-            pipe.write(data)
-        code = 0
+        results = _examine_block(block, base_seed)
+        if all(c.passed and c.instances == len(block) for c in results.values()):
+            code = 0
     finally:
         os._exit(code)
-
-
-def _collect_worker(pid: int, read_end: int) -> dict[str, CheckResult]:
-    """Read a forked worker's pipe to its end and reap the worker; return
-    its results, or raise its exception with the worker's traceback as its
-    cause, or RuntimeError if it ended without writing either."""
-    import pickle
-
-    with os.fdopen(read_end, "rb") as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if status != 0 or not data:
-        raise RuntimeError(
-            f"verify worker {pid} ended with status {os.waitstatus_to_exitcode(status)} "
-            "before writing its results"
-        )
-    outcome = pickle.loads(data)  # written by this program's own fork
-    if isinstance(outcome, tuple):  # the worker's exception and traceback
-        exc, trace = outcome
-        raise exc from RuntimeError(f"in verify worker {pid}:\n{trace}")
-    return outcome
 
 
 def run_suite(
@@ -665,11 +609,13 @@ def run_suite(
     Each instance depends on its index alone, so ``range(seeds)`` is cut
     into one contiguous block per usable CPU. One forked worker per block
     but the first examines its block while this process examines the
-    policy and the first block; each worker returns its results over its
-    own pipe, and the blocks are merged in order, so the report is the one
-    a single process would give. Workers are forked, not spawned, so they
-    start with every module already imported; the command-line process
-    runs no other thread for a fork to copy mid-lock.
+    policy and the first block. A worker reports only whether its block
+    passed, through its exit status; this process examines again, in
+    block order, every block that did not pass, so a failure's
+    counterexample, an exception, or a worker that died is met here just
+    as a single process would meet it. Workers are forked, not spawned, so
+    they start with every module already imported; the command-line
+    process runs no other thread for a fork to copy mid-lock.
     """
     start = time.perf_counter()
     k = max(1, min(_usable_cpus(), seeds)) if hasattr(os, "fork") else 1
@@ -677,7 +623,7 @@ def run_suite(
     blocks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
     report = VerificationReport(checks=[results[name] for name in _CHECK_NAMES])
-    workers: list[tuple[int, int]] = []  # (pid, pipe read end), not yet collected
+    workers: list[int] = []  # pids not yet reaped
     try:
         for block in blocks[1:]:
             workers.append(_fork_worker(block, base_seed))
@@ -688,15 +634,15 @@ def run_suite(
             limit = TREE_ENUMERATION_MAX_LABELS
             report.skip_reason = f"{n} labels, over the enumeration limit of {limit}"
         _examine_block(blocks[0], base_seed, results)
-        while workers:
-            for name, later in _collect_worker(*workers.pop(0)).items():
-                results[name].merge(later)
+        for block in blocks[1:]:
+            _, status = os.waitpid(workers.pop(0), 0)
+            if status == 0:
+                for result in results.values():
+                    result.instances += len(block)
+            else:
+                _examine_block(block, base_seed, results)
     finally:
-        if workers:  # only after an error: stop the rest
-            import signal
-        for pid, read_end in workers:
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
+        for pid in workers:  # only after an error: let the rest finish
             os.waitpid(pid, 0)
     report.elapsed_seconds = time.perf_counter() - start
     return report

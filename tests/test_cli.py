@@ -399,6 +399,46 @@ def test_decrypt_without_a_plaintext_name_exits_one(
     assert not (tmp_path / "opened").exists()
 
 
+def test_encrypt_two_entries_for_one_sealed_file_exits_one(keyed_sample, tmp_path):
+    # the second entry spells the same object differently
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d1" / "x").write_bytes(b"x")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(tmp_path / "d1" / "x"), "label": "a"},
+        {"path": str(tmp_path / "d1" / ".." / "d1" / "x"), "label": "h"},
+    ]}))
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json", "--manifest", manifest)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "would both be written to" in done.stderr
+    assert done.stdout == ""
+    assert sorted(p.name for p in (tmp_path / "d1").iterdir()) == ["x"]
+
+
+def test_decrypt_two_objects_to_one_output_exits_one(keyed_sample, tmp_path):
+    sealed = []
+    for folder, label in (("d1", "e"), ("d2", "f")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "x").write_bytes(folder.encode())
+        manifest = tmp_path / f"{folder}.json"
+        manifest.write_text(json.dumps(
+            {"objects": [{"path": str(tmp_path / folder / "x"), "label": label}]}))
+        assert run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                           "--keystore", keyed_sample["keys"] / "keystore.json",
+                           "--manifest", manifest).returncode == 0
+        sealed.append(tmp_path / folder / "x.sealed")
+    done = run_process("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json",
+                       *sealed, "--out-dir", tmp_path / "od")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "would both be written to" in done.stderr
+    assert done.stdout == ""
+    assert not (tmp_path / "od").exists()
+
+
 def _command_reading(kind, keyed, document, tmp_path):
     """A command line whose first use of ``document`` loads it as ``kind``."""
     policy, tree, keys = keyed["policy"], keyed["tree"], keyed["keys"]

@@ -1,6 +1,6 @@
 import itertools
 import os
-import signal
+import traceback
 
 import pytest
 
@@ -245,11 +245,10 @@ class TestSplitSuite:
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: 2)
         with pytest.raises(PolicyError, match="raised in process") as caught:
             run_suite(poset8, users8, seeds=50)
-        assert int(str(caught.value).rsplit(" ", 1)[1]) != os.getpid()
-        # the worker's own frames arrive as the cause
-        assert isinstance(caught.value.__cause__, RuntimeError)
-        cause = str(caught.value.__cause__)
-        assert ", in broken\n" in cause and ", in _examine_block\n" in cause
+        # the caller met the error again in its own run of the failed block
+        assert int(str(caught.value).rsplit(" ", 1)[1]) == os.getpid()
+        frames = "".join(traceback.format_tb(caught.value.__traceback__))
+        assert ", in broken\n" in frames and ", in _examine_block\n" in frames
 
     @pytest.mark.parametrize("seeds", [0, 1])
     def test_zero_or_one_seed_starts_no_worker(self, poset8, users8, monkeypatch, seeds):
@@ -269,30 +268,56 @@ class TestSplitSuite:
         assert report.passed and all(c.instances == 3 for c in report.checks)
         assert forks == [os.getpid()]
 
-    def test_worker_that_dies_without_writing_makes_the_caller_raise(
-        self, poset8, users8, monkeypatch
-    ):
+    def test_dying_workers_block_is_examined_by_the_caller(self, poset8, users8, monkeypatch):
         caller = os.getpid()
         real = oracles._examine_block
+        examined = []
 
         def dying(block, base_seed, results=None):
             if os.getpid() != caller:
                 os._exit(1)
+            examined.append(block)
             return real(block, base_seed, results)
 
-        def hung(signum, frame):
-            raise TimeoutError("run_suite waited on a dead worker")
-
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 1)
+        alone = run_suite(poset8, users8, seeds=30).to_json_dict()
         monkeypatch.setattr(oracles, "_examine_block", dying)
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(60)
-        try:
-            with pytest.raises(RuntimeError, match="before writing its results"):
-                run_suite(poset8, users8, seeds=30)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+        forked = run_suite(poset8, users8, seeds=30).to_json_dict()
+        del alone["elapsed_seconds"], forked["elapsed_seconds"]
+        assert forked == alone
+        assert examined == [range(0, 10), range(10, 20), range(20, 30)]
+
+    def test_passing_workers_block_is_not_examined_again(self, poset8, users8, monkeypatch):
+        caller = os.getpid()
+        seen = []
+        examine = oracles._examine_instance
+
+        def noting(poset, users, seed, results, payload):
+            if os.getpid() == caller:
+                seen.append(payload.get("seed", "policy"))
+            examine(poset, users, seed, results, payload)
+
+        monkeypatch.setattr(oracles, "_examine_instance", noting)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 2)
+        report = run_suite(poset8, users8, seeds=40)
+        assert report.passed and all(c.instances == 41 for c in report.checks)
+        assert seen == ["policy", *range(20)]
+
+    def test_error_in_the_callers_block_leaves_no_child(self, poset8, users8, monkeypatch):
+        real = oracles.random_poset
+
+        def broken(spec):
+            if spec.seed == 5:  # in the caller's own block
+                raise PolicyError("raised in the caller")
+            return real(spec)
+
+        monkeypatch.setattr(oracles, "random_poset", broken)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)
+        with pytest.raises(PolicyError, match="raised in the caller"):
+            run_suite(poset8, users8, seeds=30)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)

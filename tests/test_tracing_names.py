@@ -62,8 +62,7 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path):
 
 def test_cli_import_loads_every_traced_module_and_no_cipher():
     # the tracer reads every module it names out of sys.modules after
-    # importing treekeys.cli alone; cryptography loads on the first seal,
-    # and pickle only when verify forks its workers
+    # importing treekeys.cli alone; cryptography loads on the first seal
     modules = sorted(f"treekeys.{name}" for name in load_tracing().SPANNED)
     lazy = ("cryptography", "pickle", "multiprocessing", "concurrent")
     probe = (
