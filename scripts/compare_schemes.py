@@ -20,7 +20,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from treekeys import (
     UserAssignment,
     chain_metrics,
-    chain_scheme_build,
     classic_scheme_metrics,
     min_chain_partition,
     min_weight_out_tree,
@@ -53,8 +52,7 @@ def main() -> int:
 
         tree = min_weight_out_tree(poset, users)
         tree_m = scheme_metrics(poset, users, tree)
-        chain = chain_scheme_build(poset, min_chain_partition(poset))
-        chain_m = chain_metrics(poset, users, chain)
+        chain_m = chain_metrics(poset, users, min_chain_partition(poset))
         basic_m = classic_scheme_metrics(poset, users, "basic")
         direct_m = classic_scheme_metrics(poset, users, "direct")
 

@@ -15,7 +15,6 @@ from treekeys import (
     ChainPartition,
     canonical_allocation,
     chain_metrics,
-    chain_scheme_build,
     classic_scheme_metrics,
     derive,
     min_weight_out_tree,
@@ -71,12 +70,11 @@ def main() -> int:
           f"(matches keystore: {got == store.keys['a']})")
 
     print("\nscheme comparison (same policy):")
-    chain = chain_scheme_build(poset, PARTITION)
     rows = {
         "basic": classic_scheme_metrics(poset, users, "basic"),
         "iterative": classic_scheme_metrics(poset, users, "iterative"),
         "direct": classic_scheme_metrics(poset, users, "direct"),
-        "chain": chain_metrics(poset, users, chain),
+        "chain": chain_metrics(poset, users, PARTITION),
         "tree": metrics,
     }
     print(f"  {'scheme':<10} {'K':>4} {'k':>3} {'p':>4} {'d':>3}")

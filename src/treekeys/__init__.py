@@ -9,7 +9,6 @@ for comparison and certification.
 """
 
 from .allocation import (
-    EnforcementReport,
     KeyAllocation,
     SchemeMetrics,
     canonical_allocation,
@@ -18,7 +17,6 @@ from .allocation import (
     validate_enforcement,
 )
 from .baselines import (
-    ChainScheme,
     chain_metrics,
     chain_scheme_build,
     classic_scheme_metrics,

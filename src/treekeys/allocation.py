@@ -73,27 +73,17 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class EnforcementReport:
-    """Outcome of checking an allocation against a tree and policy."""
-
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def validate_enforcement(
     poset: Poset,
     tree: DerivationOutTree,
     allocation: KeyAllocation,
-) -> EnforcementReport:
+) -> tuple[Violation, ...]:
     """Check the three enforcement conditions by explicit tree reachability.
 
     Every label must be its own start point, every authorized label must be
     reachable from some start point, and no start point may reach an
-    unauthorized label. Violations are reported, not raised.
+    unauthorized label. Violations are returned, not raised: none means
+    the allocation enforces the policy.
     """
     validate_tree(poset, tree)
     reach = tree.descendant_sets()
@@ -118,7 +108,7 @@ def validate_enforcement(
             violations.append(
                 Violation("overreach", x, f"start points reach unauthorized label {u!r}")
             )
-    return EnforcementReport(violations=tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

@@ -10,40 +10,33 @@ to quantify trade-offs, not to ship keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
-from .allocation import SchemeMetrics, forest_start_points
+from .allocation import KeyAllocation, SchemeMetrics, forest_start_points
 from .errors import PolicyError
 from .poset import ChainPartition, Poset, UserAssignment
 
 
-@dataclass(frozen=True)
-class ChainScheme:
-    """A chain partition plus, per label, the chain tops its users need."""
-
-    partition: ChainPartition
-    start_points: Mapping[str, frozenset[str]]
-
-
-def chain_scheme_build(poset: Poset, partition: ChainPartition) -> ChainScheme:
+def chain_scheme_build(poset: Poset, partition: ChainPartition) -> KeyAllocation:
     """Start points for every label on the chain forest: each chain entry's
     parent is its predecessor in the chain, and chain heads have none. A
     down-set meets each chain in a suffix, so a label starts at the
-    topmost entry of every chain its down-set touches."""
+    topmost entry of every chain its down-set touches. A partition of the
+    policy's own labels gets the virtual root, if one was added, as a
+    chain of its own."""
+    if poset.virtual_root and not any(poset.root in chain for chain in partition.chains):
+        partition = ChainPartition(chains=((poset.root,), *partition.chains))
     partition.validate_for(poset)
     above = {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
-    return ChainScheme(partition=partition, start_points=forest_start_points(poset, above))
+    return KeyAllocation(phi=forest_start_points(poset, above))
 
 
-def chain_metrics(poset: Poset, users: UserAssignment, scheme: ChainScheme) -> SchemeMetrics:
-    """Size parameters of a chain scheme (no public items, like the tree
-    scheme). The root's down-set holds every chain whole, so the longest
-    walk runs down the longest chain."""
+def chain_metrics(poset: Poset, users: UserAssignment, partition: ChainPartition) -> SchemeMetrics:
+    """Size parameters of the chain scheme on ``partition`` (no public
+    items, like the tree scheme). The root's down-set holds every chain
+    whole, so the longest walk runs down the longest chain."""
     return SchemeMetrics.from_sizes(
         users,
-        {x: len(scheme.start_points[x]) for x in poset.sorted_elements},
-        max(len(chain) for chain in scheme.partition.chains) - 1,
+        chain_scheme_build(poset, partition).sizes(),
+        max(len(chain) for chain in partition.chains) - 1,
     )
 
 

@@ -36,7 +36,7 @@ from .trees import (
     min_leaf_out_tree,
     min_weight_out_tree,
     validate_tree,
-    weighted_key_total,
+    weight_function,
 )
 
 
@@ -121,7 +121,8 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     tree = build(poset, users, closure=args.arcs == "closure")
     allocation = canonical_allocation(poset, tree)
     metrics = SchemeMetrics.from_sizes(users, allocation.sizes(), max(tree.depths().values()))
-    expected = weighted_key_total(poset, users, tree)
+    # the arc costs plus the root's own key, held by M(root) = the root's users
+    expected = users.count(tree.root) + sum(weight_function(poset, users, tree.arcs()).values())
     if metrics.K_hat != expected:
         raise VerificationError(
             f"K_hat={metrics.K_hat} differs from the tree's arc cost total {expected}"
@@ -177,13 +178,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         partition = ChainPartition.from_json_dict(_load_json(args.partition))
     else:
         partition = min_chain_partition(poset)
-    chain = baselines.chain_scheme_build(poset, partition)
     tree = min_weight_out_tree(poset, users)
     rows = {
         name: baselines.classic_scheme_metrics(poset, users, name)
         for name in baselines.CLASSIC_SCHEMES
     }
-    rows["chain"] = baselines.chain_metrics(poset, users, chain)
+    rows["chain"] = baselines.chain_metrics(poset, users, partition)
     rows["tree"] = scheme_metrics(poset, users, tree)
     if args.json:
         print(json.dumps({k: m.to_json_dict() for k, m in rows.items()}, sort_keys=True, indent=2))
@@ -244,10 +244,16 @@ def _key_source(
 
 
 def _refuse_shared_targets(sources: list[Path], targets: list[Path]) -> None:
-    """Refuse, before anything is written, two sources bound for one file."""
+    """Refuse, before anything is written, two sources bound for one file,
+    and a target that is a source of the same command, its own included."""
+    inputs = {source.resolve(): source for source in sources}
     first: dict[Path, int] = {}
     for i, target in enumerate(targets):
-        if (j := first.setdefault(target.resolve(), i)) != i:
+        resolved = target.resolve()
+        if resolved in inputs:
+            raise PolicyError(f"the output of {sources[i]} would overwrite the input "
+                              f"{inputs[resolved]}")
+        if (j := first.setdefault(resolved, i)) != i:
             raise PolicyError(f"{sources[j]} and {sources[i]} would both be written to {target}")
 
 

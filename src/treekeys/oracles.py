@@ -229,18 +229,16 @@ def rematching_min_leaf_tree(
 
 
 def allocation_by_definition(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
-    """Start points transcribed literally from their set-builder definition."""
-    arcs = [(p, c) for c, p in tree.parent.items()]
+    """Start points transcribed literally from their set-builder definition:
+    a non-root label x starts at z for every tree arc (y, z) that strands
+    x, that is, whose extra-key labels hold x."""
+    extra = {arc: extra_key_labels(poset, arc) for arc in tree.arcs()}
     phi: dict[str, frozenset[str]] = {}
     for x in poset.elements:
         if x == tree.root:
             phi[x] = frozenset({x})
         else:
-            phi[x] = frozenset(
-                z
-                for y, z in arcs
-                if (x == z or (x, z) in poset.closure) and not (x, y) in poset.closure and x != y
-            )
+            phi[x] = frozenset(z for (_, z), labels in extra.items() if x in labels)
     return KeyAllocation(phi=phi)
 
 
@@ -289,7 +287,7 @@ def coalition_reachability(
     members = sorted(set(coalition))
     for v in members:
         poset.require(v)
-    kids = tree.children_map()
+    kids = tree.children
     reached: set[str] = set()
     frontier: list[str] = []
     for v in members:
@@ -461,8 +459,9 @@ def _examine_instance(
     results["allocation-vs-definition"].record(
         allocation.phi == allocation_by_definition(poset, tree).phi, payload
     )
-    report = validate_enforcement(poset, tree, allocation)
-    results["allocation-enforces-policy"].record(report.ok, payload)
+    results["allocation-enforces-policy"].record(
+        not validate_enforcement(poset, tree, allocation), payload
+    )
 
     # a broken allocation must be flagged: strip a non-trivial start point,
     # or (for trees where every set is a singleton) inflate one instead
@@ -481,9 +480,7 @@ def _examine_instance(
                 tampered[x].add(outside[0])
                 break
     bad = KeyAllocation(phi={x: frozenset(v) for x, v in tampered.items()})
-    detected = (
-        bad.phi == allocation.phi or not validate_enforcement(poset, tree, bad).ok
-    )
+    detected = bad.phi == allocation.phi or bool(validate_enforcement(poset, tree, bad))
     results["invalid-allocation-detected"].record(detected, payload)
 
     results["charge-set-algebra"].record(_charge_set_algebra_ok(poset), payload)

@@ -36,16 +36,13 @@ class DerivationOutTree:
         return tuple((p, c) for c, p in sorted(self.parent.items()))
 
     @cached_property
-    def _children(self) -> dict[str, tuple[str, ...]]:
+    def children(self) -> Mapping[str, tuple[str, ...]]:
+        """Every label's tree children, sorted. Built once per tree and
+        shared by every caller, so it is read-only."""
         out: dict[str, list[str]] = {v: [] for v in (self.root, *self.parent)}
         for child, par in sorted(self.parent.items()):
             out.setdefault(par, []).append(child)
-        return {v: tuple(kids) for v, kids in out.items()}
-
-    def children_map(self) -> Mapping[str, tuple[str, ...]]:
-        """Every label's tree children, sorted. Built once per tree and
-        shared by every caller, so it is read-only."""
-        return MappingProxyType(self._children)
+        return MappingProxyType({v: tuple(kids) for v, kids in out.items()})
 
     def leaves(self) -> frozenset[str]:
         return (frozenset(self.parent) | {self.root}) - set(self.parent.values())
@@ -53,7 +50,7 @@ class DerivationOutTree:
     def depths(self) -> dict[str, int]:
         """Every label's distance from the root, root first in breadth-first
         order. Raises PolicyError unless the parent map is a tree under the root."""
-        kids = self.children_map()
+        kids = self.children
         out = {self.root: 0}
         walk = [] if self.root in self.parent else [self.root]
         for v in walk:
@@ -76,7 +73,7 @@ class DerivationOutTree:
 
     def descendant_sets(self) -> dict[str, frozenset[str]]:
         """For each label, everything reachable from it in the tree (itself included)."""
-        kids = self.children_map()
+        kids = self.children
         out: dict[str, frozenset[str]] = {}
         for v in reversed(self.depths()):  # children first
             acc = {v}
@@ -144,19 +141,6 @@ def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
         x: sum(w * ((up | 1 << i) & plane).bit_count() for w, plane in planes)
         for i, (x, up) in enumerate(zip(poset.labels, poset.strict_up))
     }
-
-
-def weighted_key_total(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> int:
-    """K_hat as the tree's arc costs give it: every arc (y, z) costs
-    M(z) - M(y), and the root's holders add M(root) for the root's own key.
-
-    The canonical allocation hands out exactly one start point per user
-    per unit of arc cost, so its K_hat must equal this total.
-    """
-    users_above = _users_above(poset, users)
-    return users_above[tree.root] + sum(
-        users_above[z] - users_above[y] for z, y in tree.parent.items()
-    )
 
 
 def _cheapest_parents(

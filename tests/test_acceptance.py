@@ -73,9 +73,8 @@ def test_criterion_03_minimum_tree_and_key_count(poset8, users8):
 
 
 def test_criterion_04_chain_partition_key_count(poset8, users8, partition8):
-    scheme = chain_scheme_build(poset8, partition8)
-    assert scheme.start_points["d"] == {"c", "d"}
-    assert chain_metrics(poset8, users8, scheme).K_total == 13
+    assert chain_scheme_build(poset8, partition8).phi["d"] == {"c", "d"}
+    assert chain_metrics(poset8, users8, partition8).K_total == 13
 
 
 def test_criterion_05_classic_scheme_sizes(poset8, users8):

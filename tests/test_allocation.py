@@ -70,7 +70,7 @@ class TestCanonicalAllocation:
 class TestValidateEnforcement:
     def test_canonical_is_valid_and_minimal(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        assert validate_enforcement(poset8, tree8_gd, allocation).ok
+        assert validate_enforcement(poset8, tree8_gd, allocation) == ()
         assert allocation.phi == allocation_by_definition(poset8, tree8_gd).phi
 
     def test_missing_start_point_is_flagged(self, poset8, tree8_gd):
@@ -78,38 +78,36 @@ class TestValidateEnforcement:
         allocation = canonical_allocation(poset8, tree8_gd)
         phi = dict(allocation.phi)
         phi["b"] = frozenset({"b"})
-        report = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
-        assert not report.ok
-        assert any(v.kind == "unreachable" and v.label == "b" for v in report.violations)
+        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        assert any(v.kind == "unreachable" and v.label == "b" for v in violations)
 
     def test_overreaching_start_point_is_flagged(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
         phi = dict(allocation.phi)
         phi["c"] = frozenset({"c", "e"})
-        report = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
-        assert not report.ok
-        assert any(v.kind == "overreach" and v.label == "c" for v in report.violations)
+        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        assert any(v.kind == "overreach" and v.label == "c" for v in violations)
 
     def test_missing_self_is_flagged(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
         phi = dict(allocation.phi)
         phi["g"] = frozenset({"d", "e"})  # covers down(g) minus g itself
-        report = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
-        assert any(v.kind == "membership" and v.label == "g" for v in report.violations)
+        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        assert any(v.kind == "membership" and v.label == "g" for v in violations)
 
     def test_unknown_start_point_is_flagged(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
         phi = dict(allocation.phi)
         phi["g"] = phi["g"] | {"zz"}
-        report = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
-        assert any(v.kind == "unknown" for v in report.violations)
+        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        assert any(v.kind == "unknown" for v in violations)
 
     def test_valid_but_wasteful_allocation(self, poset8, tree8_gd):
         # an extra start point below h is wasteful but stays sound
         allocation = canonical_allocation(poset8, tree8_gd)
         phi = dict(allocation.phi)
         phi["h"] = frozenset({"h", "a"})
-        assert validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi)).ok
+        assert validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi)) == ()
 
 
 class TestSchemeMetrics:
@@ -155,7 +153,7 @@ def test_start_points_may_exceed_the_width():
     allocation = canonical_allocation(poset, tree)
     assert width(poset) == 2
     assert allocation.phi["f"] == {"b", "d", "f"}
-    assert validate_enforcement(poset, tree, allocation).ok
+    assert validate_enforcement(poset, tree, allocation) == ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,7 +192,7 @@ def test_canonical_always_validates(instance):
     from treekeys import min_weight_out_tree
 
     tree = min_weight_out_tree(poset, users)
-    assert validate_enforcement(poset, tree, canonical_allocation(poset, tree)).ok
+    assert validate_enforcement(poset, tree, canonical_allocation(poset, tree)) == ()
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,8 +231,7 @@ def test_valid_allocations_contain_the_canonical_one(instance, salt):
         if candidates and rng.random() < 0.7:
             extra.add(rng.choice(candidates))
         phi[x] = canonical.phi[x] | extra
-    report = validate_enforcement(poset, tree, KeyAllocation(phi=phi))
-    assert report.ok
+    assert validate_enforcement(poset, tree, KeyAllocation(phi=phi)) == ()
     assert all(phi[x] >= canonical.phi[x] for x in poset.elements)
 
     victims = [x for x in poset.sorted_elements if len(canonical.phi[x]) > 1]
@@ -242,4 +239,4 @@ def test_valid_allocations_contain_the_canonical_one(instance, salt):
         victim = rng.choice(victims)
         dropped = dict(canonical.phi)
         dropped[victim] = frozenset(sorted(dropped[victim])[1:])
-        assert not validate_enforcement(poset, tree, KeyAllocation(phi=dropped)).ok
+        assert validate_enforcement(poset, tree, KeyAllocation(phi=dropped)) != ()

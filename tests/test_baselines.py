@@ -23,14 +23,13 @@ def total_order(n=4):
 
 class TestChainScheme:
     def test_sample_start_points(self, poset8, partition8):
-        scheme = chain_scheme_build(poset8, partition8)
-        assert scheme.start_points["d"] == {"c", "d"}
-        assert scheme.start_points["h"] == {"f", "h"}
-        assert scheme.start_points["a"] == {"a"}
+        phi = chain_scheme_build(poset8, partition8).phi
+        assert phi["d"] == {"c", "d"}
+        assert phi["h"] == {"f", "h"}
+        assert phi["a"] == {"a"}
 
     def test_sample_needs_13_keys(self, poset8, users8, partition8):
-        scheme = chain_scheme_build(poset8, partition8)
-        metrics = chain_metrics(poset8, users8, scheme)
+        metrics = chain_metrics(poset8, users8, partition8)
         assert metrics.K_total == 13
         assert metrics.K_hat == 13
         assert metrics.k_max == 2
@@ -40,8 +39,18 @@ class TestChainScheme:
     def test_total_order_single_chain(self):
         poset = total_order()
         partition = min_chain_partition(poset)
-        scheme = chain_scheme_build(poset, partition)
-        assert all(scheme.start_points[x] == {x} for x in poset.elements)
+        phi = chain_scheme_build(poset, partition).phi
+        assert all(phi[x] == {x} for x in poset.elements)
+
+    def test_virtual_root_gets_a_chain_of_its_own(self):
+        poset = Poset.from_arcs(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        assert poset.virtual_root
+        partition = ChainPartition(chains=(("a", "c"), ("b",)))
+        phi = chain_scheme_build(poset, partition).phi
+        assert phi[poset.root] == {poset.root, "a", "b"}
+        assert phi["b"] == {"b", "c"}
+        with_root = ChainPartition(chains=((poset.root, "a", "c"), ("b",)))
+        assert chain_scheme_build(poset, with_root).phi["b"] == phi["b"]
 
     def test_rejects_overlapping_chains(self, poset8):
         partition = ChainPartition(chains=(("h", "g", "e", "c", "a"), ("f", "d", "b", "a")))
@@ -117,21 +126,22 @@ class TestClassicSchemes:
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
 def test_minimal_partitions_bound_keys_by_width(seed, count):
     poset = random_poset(RandomPosetSpec(element_count=count, edge_density=0.3, seed=seed))
-    scheme = chain_scheme_build(poset, min_chain_partition(poset))
+    allocation = chain_scheme_build(poset, min_chain_partition(poset))
     w = width(poset)
-    assert all(len(points) <= w for points in scheme.start_points.values())
+    assert all(len(points) <= w for points in allocation.phi.values())
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
 def test_chain_scheme_is_sound_on_random_posets(seed, count):
     poset = random_poset(RandomPosetSpec(element_count=count, edge_density=0.35, seed=seed))
-    scheme = chain_scheme_build(poset, min_chain_partition(poset))
+    partition = min_chain_partition(poset)
+    phi = chain_scheme_build(poset, partition).phi
     for holder in poset.sorted_elements:
         # each start point opens its chain from there down
         derivable = set()
-        for chain in scheme.partition.chains:
+        for chain in partition.chains:
             for i, label in enumerate(chain):
-                if label in scheme.start_points[holder]:
+                if label in phi[holder]:
                     derivable.update(chain[i:])
         assert derivable == poset.down_set(holder)

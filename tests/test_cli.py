@@ -9,7 +9,7 @@ import pytest
 from treekeys import KeyAllocation, cli
 from treekeys.cli import main
 
-from conftest import sparse_policy_doc
+from conftest import SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC, sparse_policy_doc
 
 SEED = "ab" * 32
 
@@ -439,6 +439,73 @@ def test_decrypt_two_objects_to_one_output_exits_one(keyed_sample, tmp_path):
     assert not (tmp_path / "od").exists()
 
 
+def _files(folder):
+    return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+
+def test_encrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
+    # sealing x would overwrite x.sealed, the manifest's next plaintext
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    (folder / "x").write_bytes(b"first")
+    (folder / "x.sealed").write_bytes(b"second")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(folder / "x"), "label": "a"},
+        {"path": str(folder / "x.sealed"), "label": "a"},
+    ]}))
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json", "--manifest", manifest)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "would overwrite the input" in done.stderr
+    assert done.stdout == ""
+    assert _files(folder) == {"x": b"first", "x.sealed": b"second"}
+
+
+def test_decrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
+    # opening a.sealed.sealed would overwrite the container a.sealed before it is read
+    # a.sealed.sealed holds a plaintext that was named a.sealed
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    for name, plaintext in (("a.sealed", b"other"), ("a", b"plain")):
+        (folder / name).write_bytes(plaintext)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"objects": [{"path": str(folder / name), "label": "e"}]}))
+        assert run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                           "--keystore", keyed_sample["keys"] / "keystore.json",
+                           "--manifest", manifest).returncode == 0
+    (folder / "a").unlink()
+    before = _files(folder)
+    done = run_process("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json",
+                       folder / "a.sealed.sealed", folder / "a.sealed")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "would overwrite the input" in done.stderr
+    assert done.stdout == ""
+    assert _files(folder) == before
+
+
+def test_decrypt_over_its_own_input_exits_one(run, keyed_sample, tmp_path):
+    # a container without the suffix, opened into its own folder, names itself
+    (tmp_path / "x").write_bytes(b"plain")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [{"path": str(tmp_path / "x"), "label": "e"}]}))
+    keystore = keyed_sample["keys"] / "keystore.json"
+    assert run("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+               "--keystore", keystore, "--manifest", manifest)[0] == 0
+    (tmp_path / "x").unlink()
+    sealed = (tmp_path / "x.sealed").rename(tmp_path / "opaque")
+    container = sealed.read_bytes()
+    code, out, err = run("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                         "--keystore", keystore, sealed, "--out-dir", tmp_path)
+    assert code == 1
+    assert "would overwrite the input" in err
+    assert out == ""
+    assert sealed.read_bytes() == container
+
+
 def _command_reading(kind, keyed, document, tmp_path):
     """A command line whose first use of ``document`` loads it as ``kind``."""
     policy, tree, keys = keyed["policy"], keyed["tree"], keyed["keys"]
@@ -499,6 +566,35 @@ class TestCompare:
         code, out, _ = run("compare", path, "--json")
         table = json.loads(out)
         assert table["chain"]["K_total"] == table["tree"]["K_total"] == 3
+
+    @pytest.fixture
+    def headless_policy(self, tmp_path):
+        """The sample without h: f and g are maximal, under a virtual root."""
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps({
+            "elements": SAMPLE_ELEMENTS[:-1],
+            "arcs": [arc for arc in SAMPLE_POLICY_DOC["arcs"] if "h" not in arc],
+        }))
+        return policy
+
+    def test_partition_may_leave_out_the_virtual_root(self, run, headless_policy, tmp_path):
+        chains = [["g", "e", "c", "a"], ["f", "d", "b"]]
+        tables = []
+        for document in ({"chains": chains}, {"chains": [["⊤", *chains[0]], chains[1]]}):
+            partition = tmp_path / "partition.json"
+            partition.write_text(json.dumps(document))
+            code, out, _ = run("compare", headless_policy, "--partition", partition, "--json")
+            assert code == 0
+            tables.append(json.loads(out))
+        # the virtual root holds no users, so its chain adds no keys
+        assert tables[0]["chain"]["K_hat"] == tables[1]["chain"]["K_hat"] == 11
+
+    def test_partition_missing_a_policy_label_exits_one(self, run, headless_policy, tmp_path):
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"chains": [["g", "e", "c", "a"], ["f", "d"]]}))
+        code, _, err = run("compare", headless_policy, "--partition", partition)
+        assert code == 1
+        assert "partition does not cover labels: ['b']" in err
 
     @pytest.mark.parametrize("label, entry", [("1", 1), ("None", None)], ids=["int", "null"])
     def test_non_string_partition_label_exits_one(self, label, entry, tmp_path):

@@ -139,9 +139,8 @@ def test_chain_scheme_matches_literal_chain_scan(policy):
             if touched:
                 points[x].add(chain[touched[0]])
                 longest = max(longest, touched[-1] - touched[0])
-    scheme = chain_scheme_build(poset, partition)
-    assert scheme.start_points == points
-    assert chain_metrics(poset, users, scheme).d_max == longest
+    assert chain_scheme_build(poset, partition).phi == points
+    assert chain_metrics(poset, users, partition).d_max == longest
 
 
 def hung_tree(poset, partition):
@@ -157,13 +156,13 @@ def assert_tree_scheme_needs_no_more_keys_than_chains(poset, users):
     (only the root does better, starting at itself instead of at every
     chain head), and the cheapest tree needs no more keys than it."""
     partition = min_chain_partition(poset)
-    chain = chain_scheme_build(poset, partition)
+    chain = chain_scheme_build(poset, partition).phi
     hung = hung_tree(poset, partition)
     phi = canonical_allocation(poset, hung).phi
-    assert all(phi[x] <= chain.start_points[x] for x in poset.elements)
+    assert all(phi[x] <= chain[x] for x in poset.elements)
     cheapest = scheme_metrics(poset, users, min_weight_out_tree(poset, users)).K_hat
     hung_k_hat = scheme_metrics(poset, users, hung).K_hat
-    assert cheapest <= hung_k_hat <= chain_metrics(poset, users, chain).K_hat
+    assert cheapest <= hung_k_hat <= chain_metrics(poset, users, partition).K_hat
 
 
 def test_tree_scheme_needs_no_more_keys_than_chains(policy):

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import SAMPLE_POLICY_DOC
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,19 +47,27 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path):
+@pytest.mark.parametrize("command, expected", [
+    (["analyze"], ["cli.main"]),
+    # chain_metrics builds the chain allocation itself, through the traced name
+    (["compare", "--json"], ["cli.main", "baselines.chain_scheme_build", "baselines.chain_metrics"]),
+], ids=["analyze", "compare"])
+def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected):
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")
     spans = tmp_path / "s.json"
     done = subprocess.run(
-        [sys.executable, str(TRACING), "--out", str(spans), "--id", "1", "--", "analyze", str(policy)],
+        [sys.executable, str(TRACING), "--out", str(spans), "--id", "1", "--",
+         command[0], str(policy), *command[1:]],
         capture_output=True, text=True, timeout=120, cwd=ROOT,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     record = json.loads(spans.read_text(encoding="utf-8"))
-    assert record["exit"] == 0 and "cli.main" in record["names"]
+    assert record["exit"] == 0
+    called = {record["names"][span[0]] for span in record["spans"]}
+    assert [name for name in expected if name not in called] == []
 
 
 def test_cli_import_loads_every_traced_module_and_no_cipher():

@@ -201,11 +201,12 @@ class TestTreeValue:
         assert depths["h"] == 0 and depths["a"] == 4
         assert list(tree8_gd.ancestors("a")) == ["a", "c", "d", "g", "h"]
 
-    def test_children_map_is_shared_and_read_only(self, tree8_gd):
-        first = tree8_gd.children_map()
+    def test_children_is_shared_and_read_only(self, tree8_gd):
+        first = tree8_gd.children
         literal = {v: tuple(sorted(c for c, p in tree8_gd.parent.items() if p == v))
                    for v in "abcdefgh"}
-        assert first == tree8_gd.children_map() == literal
+        assert first is tree8_gd.children
+        assert first == literal
         with pytest.raises(TypeError):
             first["h"] = ()
 
