@@ -10,15 +10,13 @@ partition, each entry under its chain predecessor.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .poset import Poset, UserAssignment
 from .trees import DerivationOutTree, validate_tree
 
 
-@dataclass(frozen=True)
-class KeyAllocation:
+class KeyAllocation(NamedTuple):
     """Per-label start-point sets. Serialized under the "phi" key."""
 
     phi: Mapping[str, frozenset[str]]
@@ -66,8 +64,7 @@ def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation
     return KeyAllocation(phi=forest_start_points(poset, tree.parent))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "membership" | "unreachable" | "overreach" | "unknown"
     label: str
     detail: str
@@ -111,8 +108,7 @@ def validate_enforcement(
     return tuple(violations)
 
 
-@dataclass(frozen=True)
-class SchemeMetrics:
+class SchemeMetrics(NamedTuple):
     """Size parameters of an enforcement scheme.
 
     K_total counts start points over labels, K_hat weights them by users,
@@ -142,7 +138,7 @@ class SchemeMetrics:
         )
 
     def to_json_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
 def scheme_metrics(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> SchemeMetrics:

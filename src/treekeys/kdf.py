@@ -17,8 +17,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .allocation import canonical_allocation, start_points
 from .errors import AuthorizationError, PolicyError, check_fields
@@ -100,8 +99,7 @@ def _decode_secrets(values: Mapping[str, Any], what: str) -> dict[str, bytes]:
     return decoded
 
 
-@dataclass(frozen=True)
-class SecretStore:
+class SecretStore(NamedTuple):
     """All secrets and keys of one deployment, tied to its derivation tree."""
 
     tree: DerivationOutTree
@@ -127,8 +125,7 @@ class SecretStore:
         return cls(tree=tree, secrets=secrets, keys=keys)
 
 
-@dataclass(frozen=True)
-class SigmaBundle:
+class SigmaBundle(NamedTuple):
     """The secrets handed to holders at one label: one per start point."""
 
     holder: str

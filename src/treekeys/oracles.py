@@ -13,10 +13,8 @@ import itertools
 import math
 import os
 import random
-import string
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from . import kdf
 from .allocation import KeyAllocation, canonical_allocation, validate_enforcement
@@ -48,8 +46,7 @@ class EnumerationBudgetError(RuntimeError):
     """The instance has too many spanning out-trees to enumerate."""
 
 
-@dataclass(frozen=True)
-class RandomPosetSpec:
+class RandomPosetSpec(NamedTuple):
     """Deterministic recipe for a random rooted poset."""
 
     element_count: int
@@ -66,7 +63,7 @@ def random_poset(spec: RandomPosetSpec) -> Poset:
     if not 1 <= spec.element_count <= 12:
         raise PolicyError("element_count must be between 1 and 12")
     rng = random.Random(spec.seed)
-    labels = list(string.ascii_lowercase[: spec.element_count])
+    labels = list("abcdefghijkl"[: spec.element_count])
     arcs = []
     for i in range(spec.element_count):
         for j in range(i + 1, spec.element_count):
@@ -304,14 +301,14 @@ def coalition_reachability(
 # -- randomized battery -------------------------------------------------------
 
 
-@dataclass
 class CheckResult:
     """Aggregated outcome of one named check across all instances."""
 
-    name: str
-    passed: bool = True
-    instances: int = 0
-    counterexample: dict[str, Any] | None = None
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.passed = True
+        self.instances = 0
+        self.counterexample: dict[str, Any] | None = None
 
     @property
     def skipped(self) -> bool:  # no instance reached it: not a pass
@@ -324,11 +321,11 @@ class CheckResult:
             self.counterexample = payload
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    skip_reason: str | None = None  # why the policy itself was not examined
+    def __init__(self, checks: list[CheckResult]) -> None:
+        self.checks = checks
+        self.elapsed_seconds = 0.0
+        self.skip_reason: str | None = None  # why the policy itself was not examined
 
     @property
     def passed(self) -> bool:

@@ -20,9 +20,8 @@ All values here are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import CycleError, PolicyError, UnknownLabelError, check_fields
 from .matching import max_bipartite_matching
@@ -137,8 +136,31 @@ def ensure_root(
     return frozenset(new_elements), frozenset(new_closure), root_label, True
 
 
-@dataclass(frozen=True)
-class Poset:
+class Frozen:
+    """Read-only attributes, and ``==``, hash and repr over ``_fields``. The
+    constructors, like ``cached_property`` views, write to ``vars(self)``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, *_: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Poset(Frozen):
     """A rooted finite strict order over unique string labels.
 
     ``labels`` is the label index: the input labels sorted, then the
@@ -158,7 +180,14 @@ class Poset:
     strict_up: tuple[int, ...]
     cover_up: tuple[int, ...]
     root: str
-    virtual_root: bool = False
+    virtual_root: bool
+    _fields = ("labels", "strict_down", "strict_up", "cover_up", "root", "virtual_root")
+
+    def __init__(self, *, labels: tuple[str, ...], strict_down: tuple[int, ...],
+                 strict_up: tuple[int, ...], cover_up: tuple[int, ...], root: str,
+                 virtual_root: bool = False) -> None:
+        vars(self).update(labels=labels, strict_down=strict_down, strict_up=strict_up,
+                          cover_up=cover_up, root=root, virtual_root=virtual_root)
 
     @classmethod
     def from_arcs(
@@ -316,8 +345,7 @@ class Poset:
         return frozenset(self.members(self.strict_down[i] | 1 << i))
 
 
-@dataclass(frozen=True)
-class UserAssignment:
+class UserAssignment(NamedTuple):
     """How many users sit at each label. The virtual root never has users."""
 
     counts: Mapping[str, int]
@@ -345,8 +373,7 @@ class UserAssignment:
         return self.counts.get(label, 0)
 
 
-@dataclass(frozen=True)
-class ChainPartition:
+class ChainPartition(NamedTuple):
     """Disjoint chains covering the whole poset, each listed top to bottom."""
 
     chains: tuple[tuple[str, ...], ...]

@@ -10,18 +10,16 @@ in-arc per label" produce the tree that minimizes total key hand-outs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import PolicyError, check_fields
 from .matching import augment, max_bipartite_matching
-from .poset import Arc, Poset, UserAssignment
+from .poset import Arc, Frozen, Poset, UserAssignment
 
 
-@dataclass(frozen=True)
-class DerivationOutTree:
+class DerivationOutTree(Frozen):
     """A spanning out-tree whose arcs respect the order (parent above child).
 
     ``parent`` maps every non-root label to its unique parent; the root has
@@ -30,6 +28,10 @@ class DerivationOutTree:
 
     root: str
     parent: Mapping[str, str]
+    _fields = ("root", "parent")
+
+    def __init__(self, *, root: str, parent: Mapping[str, str]) -> None:
+        vars(self).update(root=root, parent=parent)
 
     def arcs(self) -> tuple[Arc, ...]:
         """Tree arcs as (parent, child) pairs, sorted by child."""

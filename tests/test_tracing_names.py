@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from treekeys.cli import main as cli_main
 
 from conftest import SAMPLE_POLICY_DOC
 
@@ -51,15 +52,22 @@ def test_every_traced_name_resolves():
     (["analyze"], ["cli.main"]),
     # chain_metrics builds the chain allocation itself, through the traced name
     (["compare", "--json"], ["cli.main", "baselines.chain_scheme_build", "baselines.chain_metrics"]),
-], ids=["analyze", "compare"])
+    # the tracer rewraps a classmethod on the bundle's class
+    (["derive", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "a"],
+     ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive"]),
+], ids=["analyze", "compare", "derive"])
 def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected):
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")
+    if command[0] == "derive":  # the tree and bundles it reads, made untraced
+        assert cli_main(["build-tree", str(policy), "--out-dir", str(tmp_path)]) == 0
+        assert cli_main(["keygen", str(policy), "--tree", str(tmp_path / "tree.json"),
+                         "--seed", "07" * 32, "--out-dir", str(tmp_path / "keys")]) == 0
     spans = tmp_path / "s.json"
     done = subprocess.run(
         [sys.executable, str(TRACING), "--out", str(spans), "--id", "1", "--",
          command[0], str(policy), *command[1:]],
-        capture_output=True, text=True, timeout=120, cwd=ROOT,
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert done.returncode == 0, done.stderr
@@ -70,11 +78,13 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expecte
     assert [name for name in expected if name not in called] == []
 
 
-def test_cli_import_loads_every_traced_module_and_no_cipher():
+def test_cli_import_loads_every_traced_module_and_nothing_lazy():
     # the tracer reads every module it names out of sys.modules after
-    # importing treekeys.cli alone; cryptography loads on the first seal
+    # importing treekeys.cli alone; cryptography loads on the first seal,
+    # and no command start pays for dataclasses or what it imports
     modules = sorted(f"treekeys.{name}" for name in load_tracing().SPANNED)
-    lazy = ("cryptography", "pickle", "multiprocessing", "concurrent")
+    lazy = ("cryptography", "pickle", "multiprocessing", "concurrent",
+            "dataclasses", "inspect", "ast", "string")
     probe = (
         "import json, sys, treekeys.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "

@@ -7,6 +7,8 @@ from treekeys import (
     DerivationOutTree,
     canonical_allocation,
     scheme_metrics,
+    seeded_bytes,
+    setup,
     Poset,
     PolicyError,
     UserAssignment,
@@ -209,6 +211,32 @@ class TestTreeValue:
         assert first == literal
         with pytest.raises(TypeError):
             first["h"] = ()
+
+    def test_values_are_read_only(self, poset8, users8, tree8_gd):
+        _, bundles = setup(poset8, tree8_gd, rng=seeded_bytes(b"read-only"))
+        values = [
+            (poset8, "root"),
+            (tree8_gd, "parent"),
+            (canonical_allocation(poset8, tree8_gd), "phi"),
+            (bundles["f"], "holder"),
+            (scheme_metrics(poset8, users8, tree8_gd), "K_hat"),
+        ]
+        for value, name in values:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, before)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is before
+
+    def test_cached_views_fill_once_on_read_only_values(self, tree8_gd):
+        poset = Poset.from_arcs(["a", "b", "c"], [("c", "b"), ("b", "a")])
+        tree = DerivationOutTree(root="h", parent=dict(tree8_gd.parent))
+        assert "closure" not in vars(poset) and "children" not in vars(tree)
+        closure, children = poset.closure, tree.children
+        assert poset.closure is closure and tree.children is children
+        assert closure == {("c", "b"), ("b", "a"), ("c", "a")}
+        assert children == tree8_gd.children
 
     def test_descendant_sets(self, tree8_gd):
         reach = tree8_gd.descendant_sets()
