@@ -39,7 +39,7 @@ PARTITION = ChainPartition(chains=(("h", "g", "e", "c", "a"), ("f", "d", "b")))
 
 def main() -> int:
     poset, users = parse_policy(POLICY)
-    print(f"labels: {' '.join(poset.sorted_elements)}")
+    print(f"labels: {' '.join(poset.labels)}")
     print(f"cover arcs: {len(poset.covers)}   order pairs: {len(poset.closure)}   "
           f"width: {width(poset)}   top: {poset.root}")
 
@@ -55,7 +55,7 @@ def main() -> int:
 
     allocation = canonical_allocation(poset, tree)
     print("\nstart points per label:")
-    for label in poset.sorted_elements:
+    for label in poset.labels:
         print(f"  {label}: {{{', '.join(sorted(allocation.phi[label]))}}}")
     metrics = scheme_metrics(poset, users, tree)
     print(f"\ntotals: K_total={metrics.K_total} K_hat={metrics.K_hat} "
@@ -63,7 +63,7 @@ def main() -> int:
 
     store, bundles = setup(poset, tree, rng=seeded_bytes(b"worked example"))
     print("\nkeystore (reproducible seed), first bytes of each key:")
-    for label in poset.sorted_elements:
+    for label in poset.labels:
         print(f"  k({label}) = {store.keys[label].hex()[:16]}…")
     got = derive(poset, tree, bundles["f"], "a")
     print(f"\nholder at f derives k(a): {got.hex()[:16]}… "

@@ -50,7 +50,7 @@ def forest_start_points(poset: Poset, parent: Mapping[str, str]) -> dict[str, fr
     (y, z) hands z to the labels of ``up(z) - up(y)`` and to no others. A
     label with no parent goes to every label at or above it.
     """
-    points: dict[str, list[str]] = {x: [] for x in poset.sorted_elements}
+    points: dict[str, list[str]] = {x: [] for x in poset.labels}
     for z in poset.labels:
         for x in poset.up_difference(z, parent.get(z)):
             points[x].append(z)
@@ -85,7 +85,7 @@ def validate_enforcement(
     validate_tree(poset, tree)
     reach = tree.descendant_sets()
     violations: list[Violation] = []
-    for x in poset.sorted_elements:
+    for x in poset.labels:
         points = allocation.phi.get(x, frozenset())
         unknown = sorted(points - poset.elements)
         for z in unknown:

@@ -157,7 +157,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "keystore.json", store.to_json_dict())
-    for label in poset.sorted_elements:
+    for label in poset.labels:
         _write_json(out / _bundle_filename(label), bundles[label].to_json_dict())
     print(f"wrote keystore.json and {len(bundles)} bundle files to {out}")
     return 0
@@ -213,7 +213,7 @@ def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
             raise PolicyError(f"manifest path {path!r} has no file system encoding") from None
         if "\0" in path:
             raise PolicyError(f"manifest path {path!r} contains a NUL character")
-        poset.require(label)
+        poset.index(label)
         if poset.virtual_root and label == poset.root:
             raise PolicyError("objects cannot be labeled with the virtual root")
         entries.append((Path(path), label))
@@ -296,7 +296,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
         label = sealing.sealed_label(blob)
-        poset.require(label)
+        poset.index(label)
         key = object_key(label)
         _, plaintext = sealing.unseal(key, blob)
         target.parent.mkdir(parents=True, exist_ok=True)

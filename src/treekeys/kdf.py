@@ -177,7 +177,7 @@ def setup(
     store = SecretStore(tree=tree, secrets=secrets, keys=keys)
     bundles = {
         x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in sorted(allocation.phi[x])})
-        for x in poset.sorted_elements
+        for x in poset.labels
     }
     return store, bundles
 
@@ -196,8 +196,8 @@ def derive(
     Walks the unique tree path from the covering start point down to the
     target, one PRF step per hop, then one final key step.
     """
-    poset.require(target)
-    poset.require(bundle.holder)
+    poset.index(target)
+    poset.index(bundle.holder)
     if not (target == bundle.holder or poset.above(bundle.holder, target)):
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
     if set(bundle.secrets) != start_points(poset, tree.parent, bundle.holder):

@@ -75,7 +75,7 @@ def random_poset(spec: RandomPosetSpec) -> Poset:
 def random_users(poset: Poset, seed: int, *, low: int = 0, high: int = 3) -> UserAssignment:
     """Random per-label user counts, deterministic in ``seed``."""
     rng = random.Random(seed)
-    counts = {x: rng.randint(low, high) for x in poset.sorted_elements}
+    counts = {x: rng.randint(low, high) for x in poset.labels}
     if poset.virtual_root:
         counts[poset.root] = 0
     return UserAssignment.from_counts(poset, counts)
@@ -86,7 +86,7 @@ def _in_arc_lists(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> dict[st
     stray = arcs - poset.closure
     if stray:
         raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
-    by_child: dict[str, list[str]] = {x: [] for x in poset.sorted_elements if x != poset.root}
+    by_child: dict[str, list[str]] = {x: [] for x in poset.labels if x != poset.root}
     for y, z in arcs:
         if z != poset.root:
             by_child[z].append(y)
@@ -241,7 +241,7 @@ def allocation_by_definition(poset: Poset, tree: DerivationOutTree) -> KeyAlloca
 
 def brute_width(poset: Poset) -> int:
     """Maximum antichain size by subset enumeration (12 labels or fewer)."""
-    order = poset.sorted_elements
+    order = poset.labels
     if len(order) > 12:
         raise EnumerationBudgetError("brute-force width limited to 12 labels")
     best = 0
@@ -283,7 +283,7 @@ def coalition_reachability(
     """
     members = sorted(set(coalition))
     for v in members:
-        poset.require(v)
+        poset.index(v)
     kids = tree.children
     reached: set[str] = set()
     frontier: list[str] = []
@@ -405,9 +405,9 @@ def _path_superadditivity_ok(poset: Poset, users: UserAssignment) -> bool:
 
 def _sample_coalitions(poset: Poset, seed: int) -> list[tuple[str, ...]]:
     rng = random.Random(seed)
-    singles = [(x,) for x in poset.sorted_elements]
+    singles = [(x,) for x in poset.labels]
     extra = []
-    pool = list(poset.sorted_elements)
+    pool = list(poset.labels)
     for size in (2, 3):
         if len(pool) >= size:
             extra.append(tuple(sorted(rng.sample(pool, size))))
@@ -508,8 +508,8 @@ def _examine_instance(
     results["secret-key-distinctness"].record(len(set(values)) == len(values), payload)
     derive_ok = True
     refusal_ok = True
-    for x in poset.sorted_elements:
-        for y in poset.sorted_elements:
+    for x in poset.labels:
+        for y in poset.labels:
             if y == x or (x, y) in poset.closure:
                 if kdf.derive(poset, tree, bundles[x], y) != store.keys[y]:
                     derive_ok = False

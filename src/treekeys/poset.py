@@ -163,16 +163,16 @@ class Frozen:
 class Poset(Frozen):
     """A rooted finite strict order over unique string labels.
 
-    ``labels`` is the label index: the input labels sorted, then the
-    virtual root if one was added. Bit j of ``strict_down[i]`` is set iff
-    ``labels[i]`` is strictly above ``labels[j]``; ``strict_up`` is the
-    converse, and bit j of ``cover_up[i]`` is set iff ``labels[j]``
-    covers ``labels[i]``. ``root`` is the unique maximum, possibly the
-    virtual one.
+    ``labels`` is the label index: every label sorted, the virtual root
+    (if one was added) included, so index order is sorted order. Bit j
+    of ``strict_down[i]`` is set iff ``labels[i]`` is strictly above
+    ``labels[j]``; ``strict_up`` is the converse, and bit j of
+    ``cover_up[i]`` is set iff ``labels[j]`` covers ``labels[i]``.
+    ``root`` is the unique maximum, possibly the virtual one.
 
     ``covers`` (the cover pairs) and ``closure`` (every strict-order pair)
-    are decoded from the masks on first use; only the oracles, the
-    default arcs of ``weight_function`` and the tests read them.
+    are decoded from the masks on first use; only the oracles and the
+    tests read them.
     """
 
     labels: tuple[str, ...]
@@ -201,11 +201,13 @@ class Poset(Frozen):
 
         ``arcs`` may be any subset of the intended strict order whose
         closure is that order (cover arcs, the full order, or anything in
-        between). Children come before parents: a label's down-mask is
-        the OR of its input children's masks and bits, and its cover
-        children are the input children inside no input child's mask
-        (every label below it lies at or below some input child). Up-masks
-        and cover masks then flow down the covers, parents first.
+        between). When several labels are no arc's lower end, the virtual
+        root is added above them before any mask is built. Children come
+        before parents: a label's down-mask is the OR of its input
+        children's masks and bits, and its cover children are the input
+        children inside no input child's mask (every label below it lies at
+        or below some input child). Up-masks and cover masks then flow down
+        the covers, parents first.
 
         Raises CycleError on a directed cycle (self-loops included),
         UnknownLabelError on an arc naming a label outside ``elements``,
@@ -220,8 +222,7 @@ class Poset(Frozen):
             seen.add(lab)
         if not seen:
             raise PolicyError("a policy needs at least one element")
-        labels = sorted(seen)
-        children: dict[str, set[str]] = {lab: set() for lab in labels}
+        children: dict[str, set[str]] = {lab: set() for lab in seen}
         for x, y in arcs:
             for lab in (x, y):
                 if lab not in seen:
@@ -229,8 +230,20 @@ class Poset(Frozen):
             if x == y:
                 raise CycleError(f"cycle detected: self-loop on {x!r}")
             children[x].add(y)
+        topological = _topological_order(children)
+        maximal = seen.difference(*children.values())  # no arc's lower end
+        if len(maximal) > 1:
+            _check_label(root_label, "the root label")
+            if root_label in seen:
+                raise PolicyError(f"reserved root label {root_label!r} already in use")
+            children[root_label] = maximal
+            topological.insert(0, root_label)
+            root = root_label
+        else:
+            (root,) = maximal
+        labels = sorted(children)
         index = {lab: i for i, lab in enumerate(labels)}
-        order = [index[lab] for lab in _topological_order(children)]
+        order = [index[lab] for lab in topological]
         down = [0] * len(labels)
         cover_kids: list[list[int]] = [[] for _ in labels]
         for v in reversed(order):  # children first
@@ -241,22 +254,6 @@ class Poset(Frozen):
                 bits |= 1 << c
             down[v] = below | bits
             cover_kids[v] = [c for c in kids if not below >> c & 1]
-        hidden = 0
-        for mask in down:
-            hidden |= mask
-        maximal = [v for v in range(len(labels)) if not hidden >> v & 1]
-        added = len(maximal) > 1
-        if added:
-            _check_label(root_label, "the root label")
-            if root_label in seen:
-                raise PolicyError(f"reserved root label {root_label!r} already in use")
-            order.insert(0, len(labels))
-            down.append((1 << len(labels)) - 1)
-            labels.append(root_label)
-            cover_kids.append(maximal)
-            root = root_label
-        else:
-            root = labels[maximal[0]]
         up = [0] * len(labels)
         cover_up = [0] * len(labels)
         for v in order:  # parents first
@@ -265,7 +262,7 @@ class Poset(Frozen):
                 up[c] |= mask
                 cover_up[c] |= 1 << v
         return cls(labels=tuple(labels), strict_down=tuple(down), strict_up=tuple(up),
-                   cover_up=tuple(cover_up), root=root, virtual_root=added)
+                   cover_up=tuple(cover_up), root=root, virtual_root=root not in seen)
 
     # -- order queries ----------------------------------------------------
 
@@ -274,22 +271,16 @@ class Poset(Frozen):
         return frozenset(self.labels)
 
     @cached_property
-    def sorted_elements(self) -> tuple[str, ...]:
-        return tuple(sorted(self.labels))
-
-    @cached_property
     def _index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
-        """The label's bit position in the masks."""
+        """The label's bit position in the masks, which is its sorted rank.
+        Raises UnknownLabelError for a label outside the poset."""
         try:
             return self._index[label]
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
-
-    def require(self, label: str) -> None:
-        self.index(label)  # raises UnknownLabelError for a stranger
 
     def members(self, mask: int) -> list[str]:
         """The labels whose bits are set in ``mask``, in index order."""
@@ -352,16 +343,16 @@ class UserAssignment(NamedTuple):
 
     @classmethod
     def uniform(cls, poset: Poset, count: int = 1) -> "UserAssignment":
-        values = {x: count for x in poset.sorted_elements}
+        values = {x: count for x in poset.labels}
         if poset.virtual_root:
             values[poset.root] = 0
         return cls(counts=values)
 
     @classmethod
     def from_counts(cls, poset: Poset, counts: Mapping[str, Any]) -> "UserAssignment":
-        values = {x: 0 for x in poset.sorted_elements}
+        values = {x: 0 for x in poset.labels}
         for label, count in counts.items():
-            poset.require(label)
+            poset.index(label)
             if not isinstance(count, int) or isinstance(count, bool) or count < 0:
                 raise PolicyError(f"user count for {label!r} must be a non-negative integer")
             if poset.virtual_root and label == poset.root and count != 0:
@@ -384,7 +375,7 @@ class ChainPartition(NamedTuple):
             if not chain:
                 raise PolicyError("empty chain in partition")
             for label in chain:
-                poset.require(label)
+                poset.index(label)
                 if label in seen:
                     raise PolicyError(f"label {label!r} appears in more than one chain")
                 seen.add(label)
@@ -411,16 +402,15 @@ def min_chain_partition(poset: Poset) -> ChainPartition:
     """A minimum chain partition (as many chains as the poset is wide).
 
     Computed as a minimum path cover of the strict order via maximum
-    bipartite matching; ties are resolved lexicographically, so the result
+    bipartite matching over the down-masks. Labels and mask bits are both
+    in sorted order, so ties are resolved lexicographically and the result
     is deterministic.
     """
-    order = poset.sorted_elements
-    # already sorted: no strict down-set holds the virtual root, the rest is indexed sorted
-    adjacency = {x: poset.members(poset.strict_down[poset.index(x)]) for x in order}
+    adjacency = {x: poset.members(down) for x, down in zip(poset.labels, poset.strict_down)}
     successor = max_bipartite_matching(adjacency)
     has_predecessor = set(successor.values())
     chains: list[tuple[str, ...]] = []
-    for head in order:
+    for head in poset.labels:
         if head in has_predecessor:
             continue
         chain = [head]

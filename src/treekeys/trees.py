@@ -113,7 +113,7 @@ def validate_tree(poset: Poset, tree: DerivationOutTree) -> None:
 
 
 def weight_function(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
 ) -> dict[Arc, int]:
     """Arc costs for every candidate arc: the users at its extra-key labels.
 
@@ -121,7 +121,7 @@ def weight_function(
     in ``up(z) - up(y)`` number M(z) - M(y), where M(x) counts the users at
     or above x.
     """
-    arcs = poset.covers if candidate_arcs is None else frozenset(candidate_arcs)
+    arcs = frozenset(candidate_arcs)
     stray = [arc for arc in arcs if not poset.above(*arc)]
     if stray:
         raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
@@ -166,17 +166,14 @@ def _cheapest_parents(
         if z == poset.root:
             continue
         most, parents = -1, []
-        while covers:  # the covers with the largest M, highest bit first
-            top = covers.bit_length() - 1
-            covers ^= 1 << top
-            y = labels[top]
+        for y in poset.members(covers):  # the covers with the largest M, in label order
             if users_above[y] > most:
                 most, parents = users_above[y], [y]
             elif users_above[y] == most:
                 parents.append(y)
         if closure:
             parents = poset.members(poset.strict_up[i] & same_m[most])
-        cheapest[z] = sorted(parents) if len(parents) > 1 else parents
+        cheapest[z] = parents
     return cheapest
 
 
@@ -225,7 +222,7 @@ def min_leaf_out_tree(
             takers.setdefault(p, []).append(child)
     chosen: dict[str, str] = {}
     used: set[str] = set()
-    for child in sorted(cheapest):
+    for child in cheapest:
         chosen[child] = ""  # fixed: out of the matching and of every search
         freed = match.pop(child, None)
         if freed is not None:

@@ -234,7 +234,7 @@ def test_valid_allocations_contain_the_canonical_one(instance, salt):
     assert validate_enforcement(poset, tree, KeyAllocation(phi=phi)) == ()
     assert all(phi[x] >= canonical.phi[x] for x in poset.elements)
 
-    victims = [x for x in poset.sorted_elements if len(canonical.phi[x]) > 1]
+    victims = [x for x in poset.labels if len(canonical.phi[x]) > 1]
     if victims:
         victim = rng.choice(victims)
         dropped = dict(canonical.phi)

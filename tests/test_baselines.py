@@ -137,7 +137,7 @@ def test_chain_scheme_is_sound_on_random_posets(seed, count):
     poset = random_poset(RandomPosetSpec(element_count=count, edge_density=0.35, seed=seed))
     partition = min_chain_partition(poset)
     phi = chain_scheme_build(poset, partition).phi
-    for holder in poset.sorted_elements:
+    for holder in poset.labels:
         # each start point opens its chain from there down
         derivable = set()
         for chain in partition.chains:

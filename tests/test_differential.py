@@ -101,7 +101,7 @@ def test_derivation_depth_matches_literal_walk(policy, trees):
     for tree in trees:
         phi = canonical_allocation(poset, tree).phi
         longest = 0
-        for x in poset.sorted_elements:
+        for x in poset.labels:
             for u in poset.down_set(x):
                 steps, v = 0, u
                 while v not in phi[x]:  # up the tree to a start point
@@ -131,7 +131,7 @@ def test_chain_scheme_matches_literal_chain_scan(policy):
     poset, users = policy
     partition = min_chain_partition(poset)
     points, longest = {}, 0
-    for x in poset.sorted_elements:
+    for x in poset.labels:
         down = poset.down_set(x)
         points[x] = set()
         for chain in partition.chains:
@@ -266,7 +266,7 @@ def assert_closure_table_matches_literal_weights(poset, users):
         expected[child] = [p for p in parents if weights[(p, child)] == least]
     table = _cheapest_parents(poset, users, closure=True)
     assert table == expected
-    assert list(table) == [x for x in poset.sorted_elements if x != poset.root]
+    assert list(table) == [x for x in poset.labels if x != poset.root]
 
 
 def test_closure_table_matches_literal_weights(policy):
@@ -294,7 +294,7 @@ def test_closure_table_matches_literal_weights_on_small_policies(
 
 
 def test_virtual_root_sorting_first():
-    # the virtual root "0" sorts before every label but is indexed last, and
+    # the virtual root "0" sorts, and so is indexed, before every label, and
     # it ties as a closure parent wherever no label above holds users
     doc = {
         "elements": ["a", "b", "c", "d", "e", "f"],
@@ -302,8 +302,8 @@ def test_virtual_root_sorting_first():
         "users": {"a": 1, "c": 2},
     }
     poset, users = parse_policy(doc, root_label="0")
-    assert poset.labels[-1] == poset.sorted_elements[0] == "0"
-    order = poset.sorted_elements
+    assert poset.labels[0] == "0"
+    order = sorted(poset.elements)
     successor = max_bipartite_matching({x: sorted(poset.down_set(x) - {x}) for x in order})
     chains = []
     for head in (x for x in order if x not in successor.values()):
@@ -328,9 +328,9 @@ def test_derive_fails_closed_on_every_pair():
     tree = min_weight_out_tree(poset, users)
     store, bundles = setup(poset, tree, rng=seeded_bytes(b"differential"))
     authorized = refused = 0
-    for holder in poset.sorted_elements:
+    for holder in poset.labels:
         below = poset.down_set(holder)
-        for target in poset.sorted_elements:
+        for target in poset.labels:
             if target in below:
                 assert derive(poset, tree, bundles[holder], target) == store.keys[target]
                 authorized += 1

@@ -35,9 +35,20 @@ def _sample_without_top():
     }
 
 
+def _sample_without_top_sorting_after_root():
+    """The sample without its top, every label prefixed so that the added
+    virtual root "⊤" sorts before every other label."""
+    document = _sample_without_top()
+    return {
+        "elements": [f"文{x}" for x in document["elements"]],
+        "arcs": [[f"文{x}", f"文{y}"] for x, y in document["arcs"]],
+    }
+
+
 CASES = {
     "sample": lambda: SAMPLE_POLICY_DOC,
     "sample-without-top": _sample_without_top,
+    "sample-without-top-root-first": _sample_without_top_sorting_after_root,
     "sparse-500": lambda: sparse_policy_doc(500, seed=7),
     **{f"sparse-40-{seed}": (lambda seed=seed: sparse_policy_doc(40, seed)) for seed in (1, 2, 3)},
 }

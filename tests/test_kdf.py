@@ -142,7 +142,7 @@ class TestDerive:
 
     def test_every_authorized_pair(self, sample_scheme):
         poset, tree, store, bundles = sample_scheme
-        for holder, target in itertools.product(poset.sorted_elements, repeat=2):
+        for holder, target in itertools.product(poset.labels, repeat=2):
             if target in poset.down_set(holder):
                 got = derive(poset, tree, bundles[holder], target)
                 assert got == store.keys[target]
@@ -154,7 +154,7 @@ class TestDerive:
 
     def test_refuses_every_unauthorized_pair(self, sample_scheme):
         poset, tree, _, bundles = sample_scheme
-        for holder, target in itertools.product(poset.sorted_elements, repeat=2):
+        for holder, target in itertools.product(poset.labels, repeat=2):
             if target not in poset.down_set(holder):
                 with pytest.raises(AuthorizationError):
                     derive(poset, tree, bundles[holder], target)
@@ -169,10 +169,10 @@ class TestDerive:
         # toggle each label, and a stranger, in and out of every holder's bundle
         poset, tree, store, bundles = sample_scheme
         phi = canonical_allocation(poset, tree).phi
-        for holder in poset.sorted_elements:
+        for holder in poset.labels:
             points = set(bundles[holder].secrets)
             assert points == phi[holder]
-            for z in [*poset.sorted_elements, "zz"]:
+            for z in [*poset.labels, "zz"]:
                 secrets = {v: store.secrets.get(v, bytes(KEY_BYTES)) for v in points ^ {z}}
                 bad = SigmaBundle(holder=holder, secrets=secrets)
                 with pytest.raises(PolicyError, match="malformed bundle"):
@@ -245,8 +245,8 @@ def test_random_schemes_derive_exactly_their_down_sets(seed, count):
     users = random_users(poset, seed + 1)
     tree = min_weight_out_tree(poset, users)
     store, bundles = setup(poset, tree, rng=seeded_bytes(seed.to_bytes(8, "big")))
-    for holder in poset.sorted_elements:
-        for target in poset.sorted_elements:
+    for holder in poset.labels:
+        for target in poset.labels:
             if target in poset.down_set(holder):
                 got = derive(poset, tree, bundles[holder], target)
                 assert got == store.keys[target]

@@ -144,7 +144,7 @@ class TestCoalitions:
         import itertools
 
         allocation = canonical_allocation(poset8, tree8_gd)
-        for members in itertools.combinations(poset8.sorted_elements, 2):
+        for members in itertools.combinations(poset8.labels, 2):
             reached = coalition_reachability(poset8, tree8_gd, allocation, members)
             expected = poset8.down_set(members[0]) | poset8.down_set(members[1])
             assert reached == expected

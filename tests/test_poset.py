@@ -8,6 +8,7 @@ from treekeys import (
     PolicyError,
     UnknownLabelError,
     UserAssignment,
+    VIRTUAL_ROOT,
     min_chain_partition,
     parse_policy,
     transitive_closure,
@@ -17,6 +18,23 @@ from treekeys import (
 from treekeys.oracles import RandomPosetSpec, brute_reduction, brute_width, random_poset
 
 from conftest import SAMPLE_COVERS, SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC
+
+
+@st.composite
+def shuffled_policies(draw):
+    """Random elements and arcs of an acyclic order, shuffled, with a root
+    label that sorts before, among or after the labels ("0" < "a.." <
+    "m" < "z.." < "⊤")."""
+    n = draw(st.integers(1, 12))
+    labels = [f"{'az'[i % 2]}{i}" for i in range(n)]
+    rank = draw(st.permutations(range(n)))  # a label only lies below higher-ranked ones
+    arcs = [
+        (labels[j], labels[i])
+        for i in range(n) for j in range(n)
+        if rank[j] > rank[i] and draw(st.booleans())
+    ]
+    root_label = draw(st.sampled_from(["0", "m", VIRTUAL_ROOT]))
+    return labels, arcs, root_label
 
 
 def random_posets(max_elements=8):
@@ -166,6 +184,10 @@ class TestRootAugmentation:
         with pytest.raises(PolicyError, match="reserved"):
             Poset.from_arcs(["x", "y", "⊤"], [])
 
+    def test_cycle_reported_before_reserved_label_clash(self):
+        with pytest.raises(CycleError):
+            parse_policy({"elements": ["a", "b", "c", "⊤"], "arcs": [["a", "b"], ["b", "a"]]})
+
     def test_custom_root_label(self):
         poset = Poset.from_arcs(["x", "y"], [], root_label="TOP")
         assert poset.root == "TOP"
@@ -228,6 +250,19 @@ class TestWidthAndPartition:
         assert sorted(label for chain in partition.chains for label in chain) == sorted(
             poset8.elements
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_policies(), st.randoms(use_true_random=False))
+def test_labels_sorted_and_independent_of_input_order(policy, rng):
+    labels, arcs, root_label = policy
+    poset = Poset.from_arcs(labels, arcs, root_label=root_label)
+    assert list(poset.labels) == sorted(poset.labels)
+    assert poset.root in poset.labels
+    assert poset.virtual_root == (poset.root == root_label)
+    rng.shuffle(labels)
+    rng.shuffle(arcs)
+    assert Poset.from_arcs(labels, arcs, root_label=root_label) == poset
 
 
 @settings(max_examples=60, deadline=None)

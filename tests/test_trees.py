@@ -107,7 +107,7 @@ class TestWeightFunction:
 
     def test_rejects_negative_user_counts(self, poset8):
         with pytest.raises(PolicyError, match="non-negative"):
-            weight_function(poset8, UserAssignment.uniform(poset8, count=-1))
+            weight_function(poset8, UserAssignment.uniform(poset8, count=-1), poset8.covers)
 
 
 class TestMinWeightTree:
@@ -297,7 +297,7 @@ def test_stacked_arcs_charge_disjoint_sets(instance):
 def test_shortcut_arc_costs_at_least_its_segments(instance):
     poset, users = instance
     wf = weight_function(poset, users, poset.closure)
-    succ = {x: [y for y in poset.sorted_elements if (x, y) in poset.closure] for x in poset.elements}
+    succ = {x: [y for y in poset.labels if (x, y) in poset.closure] for x in poset.elements}
 
     def walk(path, total):
         if len(path) > 2:
@@ -305,7 +305,7 @@ def test_shortcut_arc_costs_at_least_its_segments(instance):
         for nxt in succ[path[-1]]:
             walk(path + [nxt], total + wf[(path[-1], nxt)])
 
-    for x in poset.sorted_elements:
+    for x in poset.labels:
         walk([x], 0)
 
 
