@@ -51,8 +51,13 @@ def forest_start_points(poset: Poset, parent: Mapping[str, str]) -> dict[str, fr
     label with no parent goes to every label at or above it.
     """
     points: dict[str, list[str]] = {x: [] for x in poset.labels}
-    for z in poset.labels:
-        for x in poset.up_difference(z, parent.get(z)):
+    up = poset.strict_up
+    for i, z in enumerate(poset.labels):
+        mask = up[i] | 1 << i
+        if z in parent:
+            j = poset.index(parent[z])
+            mask &= ~(up[j] | 1 << j)
+        for x in poset.members(mask):
             points[x].append(z)
     return {x: frozenset(zs) for x, zs in points.items()}
 

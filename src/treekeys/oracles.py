@@ -72,17 +72,17 @@ def random_poset(spec: RandomPosetSpec) -> Poset:
     return Poset.from_arcs(labels, arcs)
 
 
-def random_users(poset: Poset, seed: int, *, low: int = 0, high: int = 3) -> UserAssignment:
-    """Random per-label user counts, deterministic in ``seed``."""
+def random_users(poset: Poset, seed: int, *, high: int = 3) -> UserAssignment:
+    """Random per-label user counts from 0 to ``high``, deterministic in ``seed``."""
     rng = random.Random(seed)
-    counts = {x: rng.randint(low, high) for x in poset.labels}
+    counts = {x: rng.randint(0, high) for x in poset.labels}
     if poset.virtual_root:
         counts[poset.root] = 0
     return UserAssignment.from_counts(poset, counts)
 
 
-def _in_arc_lists(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> dict[str, list[str]]:
-    arcs = poset.covers if candidate_arcs is None else frozenset(candidate_arcs)
+def _in_arc_lists(poset: Poset, candidate_arcs: Iterable[Arc]) -> dict[str, list[str]]:
+    arcs = frozenset(candidate_arcs)
     stray = arcs - poset.closure
     if stray:
         raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
@@ -98,7 +98,7 @@ def _in_arc_lists(poset: Poset, candidate_arcs: Iterable[Arc] | None) -> dict[st
 
 
 def _parent_tuples(
-    poset: Poset, candidate_arcs: Iterable[Arc] | None
+    poset: Poset, candidate_arcs: Iterable[Arc]
 ) -> tuple[list[str], Iterator[tuple[str, ...]]]:
     """The non-root labels, sorted, and every spanning out-tree as a tuple
     of their parents in that order.
@@ -121,7 +121,7 @@ def _parent_tuples(
 
 
 def enumerate_out_trees(
-    poset: Poset, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, candidate_arcs: Iterable[Arc]
 ) -> Iterator[DerivationOutTree]:
     """Yield every spanning out-tree exactly once (see ``_parent_tuples``)."""
     children, combos = _parent_tuples(poset, candidate_arcs)
@@ -130,9 +130,9 @@ def enumerate_out_trees(
 
 
 def _literal_arc_weights(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
 ) -> dict[Arc, int]:
-    arcs = poset.covers if candidate_arcs is None else frozenset(candidate_arcs)
+    arcs = frozenset(candidate_arcs)
     return {arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs}
 
 
@@ -155,12 +155,11 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
 
 
 def _tuple_weights(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
 ) -> tuple[list[str], Iterator[tuple[int, tuple[str, ...]]]]:
     """Every spanning out-tree as ``_parent_tuples`` gives it, paired with
     its total literal arc cost."""
-    if candidate_arcs is not None:
-        candidate_arcs = frozenset(candidate_arcs)  # read twice below
+    candidate_arcs = frozenset(candidate_arcs)  # read twice below
     children, combos = _parent_tuples(poset, candidate_arcs)
     column: dict[str, dict[str, int]] = {c: {} for c in children}
     for (y, z), w in _literal_arc_weights(poset, users, candidate_arcs).items():
@@ -172,7 +171,7 @@ def _tuple_weights(
 
 
 def brute_min_weight(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
 ) -> tuple[int, DerivationOutTree]:
     """Exhaustive minimum total arc cost over all spanning out-trees; the
     tree is the first cheapest one in enumeration order."""
@@ -182,7 +181,7 @@ def brute_min_weight(
 
 
 def brute_min_leaf_count(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
 ) -> int:
     """Fewest leaves among minimum-cost spanning out-trees, by enumeration.
 
@@ -193,7 +192,7 @@ def brute_min_leaf_count(
 
 
 def rematching_min_leaf_tree(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc] | None = None
+    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
 ) -> DerivationOutTree:
     """The min-leaf tree by a fresh maximum matching for every candidate.
 
@@ -434,7 +433,7 @@ def _examine_instance(
     tree = min_weight_out_tree(poset, users)
     wf = weight_function(poset, users, poset.covers)
     optimized = sum(wf[a] for a in tree.arcs())
-    brute_weight, _ = brute_min_weight(poset, users)
+    brute_weight, _ = brute_min_weight(poset, users, poset.covers)
     results["tree-weight-vs-enumeration"].record(optimized == brute_weight, payload)
 
     closure_tree = min_weight_out_tree(poset, users, closure=True)
@@ -448,7 +447,7 @@ def _examine_instance(
     few_leaves = min_leaf_out_tree(poset, users)
     results["min-leaf-vs-enumeration"].record(
         sum(wf[a] for a in few_leaves.arcs()) == brute_weight
-        and len(few_leaves.leaves()) == brute_min_leaf_count(poset, users),
+        and len(few_leaves.leaves()) == brute_min_leaf_count(poset, users, poset.covers),
         payload,
     )
 
@@ -489,7 +488,7 @@ def _examine_instance(
     # tree, not just the optimal one
     identity_ok = True
     sampled = 0
-    for other in enumerate_out_trees(poset):
+    for other in enumerate_out_trees(poset, poset.covers):
         other_alloc = allocation_by_definition(poset, other)
         lhs = sum(
             users.count(x) * len(other_alloc.phi[x]) for x in poset.elements if x != poset.root

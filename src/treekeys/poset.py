@@ -34,16 +34,17 @@ Arc = tuple[str, str]
 
 
 def _topological_order(adjacency: Mapping[str, set[str]]) -> list[str]:
+    """Some parents-first order of ``adjacency``; its callers build the same result from any."""
     indegree = {v: 0 for v in adjacency}
     for v in adjacency:
         for w in adjacency[v]:
             indegree[w] += 1
-    queue = sorted(v for v, d in indegree.items() if d == 0)
+    queue = [v for v, d in indegree.items() if d == 0]
     order: list[str] = []
     while queue:
         v = queue.pop()
         order.append(v)
-        for w in sorted(adjacency[v]):
+        for w in adjacency[v]:
             indegree[w] -= 1
             if indegree[w] == 0:
                 queue.append(w)
@@ -137,7 +138,7 @@ def ensure_root(
 
 
 class Frozen:
-    """Read-only attributes, and ``==``, hash and repr over ``_fields``. The
+    """Read-only attributes, and ``==`` and repr over ``_fields``. The
     constructors, like ``cached_property`` views, write to ``vars(self)``."""
 
     _fields: tuple[str, ...] = ()
@@ -151,9 +152,6 @@ class Frozen:
         if type(other) is not type(self):
             return NotImplemented
         return all(getattr(self, name) == getattr(other, name) for name in self._fields)
-
-    def __hash__(self) -> int:
-        return hash(tuple(getattr(self, name) for name in self._fields))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -185,7 +183,7 @@ class Poset(Frozen):
 
     def __init__(self, *, labels: tuple[str, ...], strict_down: tuple[int, ...],
                  strict_up: tuple[int, ...], cover_up: tuple[int, ...], root: str,
-                 virtual_root: bool = False) -> None:
+                 virtual_root: bool) -> None:
         vars(self).update(labels=labels, strict_down=strict_down, strict_up=strict_up,
                           cover_up=cover_up, root=root, virtual_root=virtual_root)
 
@@ -292,17 +290,6 @@ class Poset(Frozen):
             mask ^= low
         return out
 
-    def up_difference(self, z: str, y: str | None) -> list[str]:
-        """The labels at or above z that are not at or above y (all of
-        them when y is None)."""
-        up = self.strict_up
-        i = self.index(z)
-        mask = up[i] | 1 << i
-        if y is not None:
-            j = self.index(y)
-            mask &= ~(up[j] | 1 << j)
-        return self.members(mask)
-
     def above(self, x: str, y: str) -> bool:
         """True iff x is strictly above y; False if either is not a label."""
         index = self._index
@@ -342,8 +329,8 @@ class UserAssignment(NamedTuple):
     counts: Mapping[str, int]
 
     @classmethod
-    def uniform(cls, poset: Poset, count: int = 1) -> "UserAssignment":
-        values = {x: count for x in poset.labels}
+    def uniform(cls, poset: Poset) -> "UserAssignment":
+        values = dict.fromkeys(poset.labels, 1)
         if poset.virtual_root:
             values[poset.root] = 0
         return cls(counts=values)

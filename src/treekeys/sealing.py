@@ -20,17 +20,14 @@ NONCE_BYTES = 12
 _LEN_BYTES = 2
 
 
-def seal(key: bytes, label: str, plaintext: bytes, *, nonce: bytes | None = None) -> bytes:
-    """Encrypt ``plaintext`` under the object key for ``label``."""
+def seal(key: bytes, label: str, plaintext: bytes) -> bytes:
+    """Encrypt ``plaintext`` under the object key for ``label`` with a fresh random nonce."""
     from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
     encoded = label.encode("utf-8")
     if not encoded or len(encoded) > 0xFFFF:
         raise PolicyError(f"label must encode to 1..65535 bytes, got {len(encoded)}")
-    if nonce is None:
-        nonce = os.urandom(NONCE_BYTES)
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
+    nonce = os.urandom(NONCE_BYTES)
     ciphertext = ChaCha20Poly1305(key).encrypt(nonce, plaintext, encoded)
     return MAGIC + len(encoded).to_bytes(_LEN_BYTES, "big") + encoded + nonce + ciphertext
 

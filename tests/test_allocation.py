@@ -162,7 +162,7 @@ def test_weighted_key_total_equals_arc_cost_total(instance):
     # holds for every derivation tree, optimal or not
     poset, users = instance
     sampled = 0
-    for tree in enumerate_out_trees(poset):
+    for tree in enumerate_out_trees(poset, poset.covers):
         allocation = canonical_allocation(poset, tree)
         per_user_keys = sum(
             users.count(x) * len(allocation.phi[x])

@@ -9,8 +9,11 @@ compared whole with the re-matching greedy, and the cheapest parents
 over the whole order with the literal arc weights, on those policies, on
 a 256-label MLS lattice and on small random ones. The same three check the
 paper's comparison with chain-based schemes: the tree scheme never needs
-more keys. At 2000 labels the cover arcs are compared with networkx,
-when it is installed.
+more keys. When networkx is installed, it checks three results at
+scales enumeration cannot reach: the cover arcs at 2000 labels, the
+number of chains in the minimum partition (the width, by maximum
+matching) and the cost of the cheapest tree (by Edmonds' minimum
+arborescence over the literal arc weights).
 
 The mask normalisation of ``Poset.from_arcs`` is compared with the
 set-based composition (closure, root, reduction) on those policies, the
@@ -88,6 +91,66 @@ def test_covers_match_networkx_at_2000_labels():
     graph = nx.DiGraph(list(poset.closure))
     graph.add_nodes_from(poset.elements)
     assert set(nx.transitive_reduction(graph).edges) == poset.covers
+
+
+def _boolean_lattice(k):
+    labels = [f"b{s:0{k}b}" for s in range(1 << k)]
+    arcs = [
+        (labels[s], labels[s & ~(1 << i)]) for s in range(1 << k) for i in range(k) if s >> i & 1
+    ]
+    return {"elements": labels, "arcs": arcs}
+
+
+NETWORKX_ORDERS = {
+    "sparse-200": lambda: sparse_policy_doc(200, 11),
+    "sparse-300": lambda: sparse_policy_doc(300, 13),
+    "sparse-600": lambda: sparse_policy_doc(600, 16),
+    "sparse-1000": lambda: sparse_policy_doc(1000, 15),
+    "mls-256": lambda: mls_policy_doc(1),
+    "chain-200": lambda: dict(zip(("elements", "arcs"), _chain(200))),
+    "lattice-2^8": lambda: _boolean_lattice(8),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["sparse-300", "sparse-1000", "mls-256", "chain-200", "lattice-2^8"]
+)
+def test_chain_partition_matches_networkx_width(name):
+    # Dilworth: the width is n minus a maximum matching of the closure's
+    # split graph, each label once as an upper end and once as a lower end
+    nx = pytest.importorskip("networkx")
+    poset, _ = parse_policy(NETWORKX_ORDERS[name]())
+    split = nx.Graph(((x, "upper"), (y, "lower")) for x, y in poset.closure)
+    uppers = [(x, "upper") for x in poset.labels]
+    split.add_nodes_from(uppers)
+    matched = len(nx.bipartite.hopcroft_karp_matching(split, top_nodes=uppers)) // 2
+    partition = min_chain_partition(poset)
+    partition.validate_for(poset)
+    assert len(partition.chains) == len(poset.labels) - matched
+
+
+@pytest.mark.parametrize(
+    "name, arcs",
+    [
+        ("sparse-200", "covers"),
+        ("sparse-600", "covers"),
+        ("mls-256", "covers"),
+        ("sparse-200", "closure"),
+    ],
+)
+def test_tree_cost_matches_networkx_arborescence(name, arcs):
+    # Edmonds' minimum arborescence over the literal extra-key weights is
+    # the cheapest tree; every tree spans from the root, which no arc enters
+    nx = pytest.importorskip("networkx")
+    poset, users = parse_policy(NETWORKX_ORDERS[name]())
+    weights = _literal_arc_weights(poset, users, getattr(poset, arcs))
+    graph = nx.DiGraph()
+    graph.add_weighted_edges_from((y, z, w) for (y, z), w in weights.items())
+    cost = nx.minimum_spanning_arborescence(graph).size(weight="weight")
+    for build in (min_weight_out_tree, min_leaf_out_tree):
+        tree = build(poset, users, closure=arcs == "closure")
+        assert sum(weights[arc] for arc in tree.arcs()) == cost
+        assert scheme_metrics(poset, users, tree).K_hat == cost + users.count(poset.root)
 
 
 def test_canonical_allocation_matches_definition(policy, trees):
@@ -233,7 +296,7 @@ def _two_layers(edges):
     """
     labels = sorted(set(edges) | {p for ps in edges.values() for p in ps})
     poset = Poset.from_arcs(labels, [(p, c) for c, ps in edges.items() for p in ps])
-    users = UserAssignment.uniform(poset, count=0)
+    users = UserAssignment.from_counts(poset, {})
     table = _cheapest_parents(poset, users)
     assert all(table[c] == sorted(ps) for c, ps in edges.items())
     return poset, users
@@ -255,7 +318,7 @@ def _two_layers(edges):
 @example({"c0": ["p0", "p2"], "c1": ["p0", "p1"], "c2": ["p0"]})
 def test_min_leaf_tree_matches_rematching_greedy_on_any_table(edges):
     poset, users = _two_layers(edges)
-    assert min_leaf_out_tree(poset, users) == rematching_min_leaf_tree(poset, users)
+    assert min_leaf_out_tree(poset, users) == rematching_min_leaf_tree(poset, users, poset.covers)
 
 
 def assert_closure_table_matches_literal_weights(poset, users):

@@ -29,18 +29,18 @@ from treekeys.oracles import (
 
 class TestEnumeration:
     def test_sample_has_eight_trees(self, poset8):
-        trees = list(enumerate_out_trees(poset8))
+        trees = list(enumerate_out_trees(poset8, poset8.covers))
         assert len(trees) == 8  # in-degree product 2*1*2*2*1*1*1
         assert len({tuple(sorted(t.parent.items())) for t in trees}) == 8
 
     def test_total_order_has_one_tree(self):
         labels = list("abcd")
         poset = Poset.from_arcs(labels, [(labels[i + 1], labels[i]) for i in range(3)])
-        assert sum(1 for _ in enumerate_out_trees(poset)) == 1
+        assert sum(1 for _ in enumerate_out_trees(poset, poset.covers)) == 1
 
     def test_rooted_antichain_has_one_tree(self):
         poset = Poset.from_arcs(["x", "y"], [])  # gains a virtual root
-        trees = list(enumerate_out_trees(poset))
+        trees = list(enumerate_out_trees(poset, poset.covers))
         assert len(trees) == 1
         assert trees[0].parent == {"x": poset.root, "y": poset.root}
 
@@ -48,7 +48,7 @@ class TestEnumeration:
         labels = [f"v{i}" for i in range(10)]
         poset = Poset.from_arcs(labels + ["r"], [("r", lab) for lab in labels])
         with pytest.raises(EnumerationBudgetError):
-            list(enumerate_out_trees(poset))
+            list(enumerate_out_trees(poset, poset.covers))
 
     def test_every_enumerated_tree_is_valid(self, poset8):
         from treekeys import validate_tree
@@ -59,13 +59,13 @@ class TestEnumeration:
 
 class TestBruteMinWeight:
     def test_sample_minimum_is_ten(self, poset8, users8):
-        weight, tree = brute_min_weight(poset8, users8)
+        weight, tree = brute_min_weight(poset8, users8, poset8.covers)
         assert weight == 10
         assert tree.parent["a"] == "c" and tree.parent["c"] == "d"
 
     def test_no_users_no_cost(self, poset8):
         nobody = UserAssignment.from_counts(poset8, {})
-        weight, _ = brute_min_weight(poset8, nobody)
+        weight, _ = brute_min_weight(poset8, nobody, poset8.covers)
         assert weight == 0
 
     def test_closure_candidates_same_minimum(self, poset8, users8):
@@ -73,7 +73,7 @@ class TestBruteMinWeight:
         assert weight == 10
 
     def test_sample_min_leaf_count(self, poset8, users8):
-        assert brute_min_leaf_count(poset8, users8) == 3
+        assert brute_min_leaf_count(poset8, users8, poset8.covers) == 3
 
     @pytest.mark.parametrize("closure", [False, True], ids=["covers", "closure"])
     def test_parent_tuples_match_a_loop_over_enumerated_trees(self, closure):
@@ -83,7 +83,7 @@ class TestBruteMinWeight:
             )
             poset = random_poset(spec)
             users = random_users(poset, seed + 1)
-            arcs = poset.closure if closure else None
+            arcs = poset.closure if closure else poset.covers
             best = fewest = None
             for tree in enumerate_out_trees(poset, arcs):
                 total = sum(
@@ -104,13 +104,13 @@ class TestBruteMinWeight:
         labels = [f"v{i}" for i in range(10)]
         wide = Poset.from_arcs(labels, [])
         with pytest.raises(EnumerationBudgetError, match="limit is 9"):
-            brute(wide, UserAssignment.uniform(wide))
+            brute(wide, UserAssignment.uniform(wide), wide.covers)
         monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 7)  # the sample has 8 trees
         with pytest.raises(EnumerationBudgetError, match="8 spanning out-trees"):
-            brute(poset8, users8)
+            brute(poset8, users8, poset8.covers)
         assert products == []
         monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 8)
-        brute(poset8, users8)
+        brute(poset8, users8, poset8.covers)
         assert len(products) == 1
 
 

@@ -66,11 +66,6 @@ def test_unicode_label():
     assert unseal(KEY, blob)[1] == b"payload"
 
 
-def test_nonce_must_be_twelve_bytes():
-    with pytest.raises(ValueError):
-        seal(KEY, "e", b"x", nonce=b"short")
-
-
 def test_fresh_nonces_by_default():
     first = seal(KEY, "e", b"x")
     second = seal(KEY, "e", b"x")

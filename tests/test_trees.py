@@ -107,7 +107,8 @@ class TestWeightFunction:
 
     def test_rejects_negative_user_counts(self, poset8):
         with pytest.raises(PolicyError, match="non-negative"):
-            weight_function(poset8, UserAssignment.uniform(poset8, count=-1), poset8.covers)
+            negative = UserAssignment(counts=dict.fromkeys(poset8.labels, -1))
+            weight_function(poset8, negative, poset8.covers)
 
 
 class TestMinWeightTree:
@@ -145,7 +146,7 @@ class TestMinLeafTree:
         # keeping (f, d) makes f internal: three leaves instead of four
         assert tree.parent["d"] == "f"
         assert tree.leaves() == {"a", "b", "e"}
-        assert brute_min_leaf_count(poset8, users8) == 3
+        assert brute_min_leaf_count(poset8, users8, poset8.covers) == 3
 
     def test_total_order_single_leaf(self):
         poset = total_order()
@@ -315,7 +316,7 @@ def test_min_tree_matches_exhaustive_enumeration(instance):
     poset, users = instance
     tree = min_weight_out_tree(poset, users)
     wf = weight_function(poset, users, poset.covers)
-    best, _ = brute_min_weight(poset, users)
+    best, _ = brute_min_weight(poset, users, poset.covers)
     assert sum(wf[a] for a in tree.arcs()) == best
 
 
@@ -323,7 +324,7 @@ def test_min_tree_matches_exhaustive_enumeration(instance):
 @given(instances(max_elements=6))
 def test_cover_arcs_suffice_for_the_minimum(instance):
     poset, users = instance
-    cover_best, _ = brute_min_weight(poset, users)
+    cover_best, _ = brute_min_weight(poset, users, poset.covers)
     closure_best, _ = brute_min_weight(poset, users, poset.closure)
     assert cover_best == closure_best
 
@@ -334,9 +335,9 @@ def test_min_leaf_tree_is_optimal_on_both_counts(instance):
     poset, users = instance
     tree = min_leaf_out_tree(poset, users)
     wf = weight_function(poset, users, poset.covers)
-    best, _ = brute_min_weight(poset, users)
+    best, _ = brute_min_weight(poset, users, poset.covers)
     assert sum(wf[a] for a in tree.arcs()) == best
-    assert len(tree.leaves()) == brute_min_leaf_count(poset, users)
+    assert len(tree.leaves()) == brute_min_leaf_count(poset, users, poset.covers)
 
 
 @settings(max_examples=40, deadline=None)
@@ -358,7 +359,7 @@ def test_positive_user_counts_force_cover_arcs(instance):
     # with users at every real label, minimum trees cannot afford shortcut
     # arcs: some label strictly above the skipped cover always pays extra
     poset, _users = instance
-    everyone = UserAssignment.uniform(poset, count=1)
+    everyone = UserAssignment.uniform(poset)
     tree = min_weight_out_tree(poset, everyone, closure=True)
     assert frozenset(tree.arcs()) <= poset.covers
 
