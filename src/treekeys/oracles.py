@@ -201,6 +201,7 @@ def rematching_min_leaf_tree(
     (from the literal arc weights) fixes the lexicographically smallest
     parent whose residual matching still reaches the maximum.
     """
+    candidate_arcs = frozenset(candidate_arcs)  # read twice below
     weights = _literal_arc_weights(poset, users, candidate_arcs)
     cheapest: dict[str, list[str]] = {}
     for child, parents in _in_arc_lists(poset, candidate_arcs).items():

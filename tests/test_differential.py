@@ -9,8 +9,8 @@ compared whole with the re-matching greedy, and the cheapest parents
 over the whole order with the literal arc weights, on those policies, on
 a 256-label MLS lattice and on small random ones. The same three check the
 paper's comparison with chain-based schemes: the tree scheme never needs
-more keys. When networkx is installed, it checks three results at
-scales enumeration cannot reach: the cover arcs at 2000 labels, the
+more keys. When networkx is installed, it checks four results at
+scales enumeration cannot reach: the closure and covers at 2000 labels, the
 number of chains in the minimum partition (the width, by maximum
 matching) and the cost of the cheapest tree (by Edmonds' minimum
 arborescence over the literal arc weights).
@@ -87,7 +87,12 @@ def test_covers_match_brute_reduction(policy):
 
 def test_covers_match_networkx_at_2000_labels():
     nx = pytest.importorskip("networkx")
-    poset, _ = parse_policy(sparse_policy_doc(2000, 14))
+    document = sparse_policy_doc(2000, 14)
+    poset, _ = parse_policy(document)
+    input_arcs = nx.DiGraph(document["arcs"])
+    if poset.virtual_root:
+        input_arcs.add_edges_from((poset.root, x) for x in document["elements"])
+    assert set(nx.transitive_closure_dag(input_arcs).edges) == poset.closure
     graph = nx.DiGraph(list(poset.closure))
     graph.add_nodes_from(poset.elements)
     assert set(nx.transitive_reduction(graph).edges) == poset.covers

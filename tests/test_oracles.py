@@ -23,6 +23,7 @@ from treekeys.oracles import (
     extra_key_labels,
     random_poset,
     random_users,
+    rematching_min_leaf_tree,
     run_suite,
 )
 
@@ -74,6 +75,12 @@ class TestBruteMinWeight:
 
     def test_sample_min_leaf_count(self, poset8, users8):
         assert brute_min_leaf_count(poset8, users8, poset8.covers) == 3
+
+    def test_rematching_reads_its_arcs_once(self, poset8, users8):
+        # an iterator of arcs is empty by a second read
+        arcs = list(poset8.covers)
+        got = rematching_min_leaf_tree(poset8, users8, iter(arcs))
+        assert got == rematching_min_leaf_tree(poset8, users8, arcs)
 
     @pytest.mark.parametrize("closure", [False, True], ids=["covers", "closure"])
     def test_parent_tuples_match_a_loop_over_enumerated_trees(self, closure):

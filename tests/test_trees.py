@@ -244,6 +244,19 @@ class TestTreeValue:
         assert reach["g"] == {"g", "d", "e", "a", "b", "c"}
         assert reach["a"] == {"a"}
 
+    @pytest.mark.parametrize(
+        "parent", [{"a": "b", "b": "a"}, {"a": "h", "h": "a"}], ids=["cycle", "root-has-a-parent"]
+    )
+    def test_walks_refuse_a_parent_map_that_is_no_tree(self, parent):
+        # the guards for a tree that never went through validate_tree
+        tree = DerivationOutTree(root="h", parent=parent)
+        with pytest.raises(PolicyError, match="not a tree under its root"):
+            tree.depths()
+        with pytest.raises(PolicyError, match="not a tree under its root"):
+            tree.descendant_sets()
+        with pytest.raises(PolicyError, match="contains a cycle"):
+            list(tree.ancestors("a"))
+
     def test_descendant_sets_on_a_deep_chain(self):
         # deeper than Python's default recursion limit
         labels = [f"c{i:04d}" for i in range(1500)]
