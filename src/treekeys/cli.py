@@ -5,8 +5,9 @@ build the cheapest derivation tree, cut keys, hand out bundles, derive
 keys, size up alternative schemes, seal and unseal objects, and run the
 self-verification battery.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 authorization refused,
-3 verification failure (a failed or skipped check).
+Exit codes: 0 success, 1 usage or parse failure or out of memory,
+2 authorization refused, 3 verification failure (a failed or skipped
+check, or a failed HMAC self-check).
 """
 
 from __future__ import annotations
@@ -257,6 +258,13 @@ def _refuse_shared_targets(sources: list[Path], targets: list[Path]) -> None:
             raise PolicyError(f"{sources[j]} and {sources[i]} would both be written to {target}")
 
 
+def _read_object(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def cmd_encrypt(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
@@ -266,11 +274,8 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     object_key = _key_source(args, poset, tree)
     for (path, label), target in zip(entries, targets):
         key = object_key(label)
-        try:
-            plaintext = path.read_bytes()
-        except OSError as exc:
-            raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
-        target.write_bytes(sealing.seal(key, label, plaintext))
+        # no name holds the object, so it is freed before the next is read
+        target.write_bytes(sealing.seal(key, label, _read_object(path)))
         print(f"sealed {path} -> {target} (label {label})")
     return 0
 
@@ -291,16 +296,14 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     _refuse_shared_targets(paths, targets)
     object_key = _key_source(args, poset, tree)
     for path, target in zip(paths, targets):
-        try:
-            blob = path.read_bytes()
-        except OSError as exc:
-            raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        blob = _read_object(path)
         label = sealing.sealed_label(blob)
         poset.index(label)
         key = object_key(label)
         _, plaintext = sealing.unseal(key, blob)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(plaintext)
+        del blob, plaintext  # freed before the next object is read
         print(f"opened {path} -> {target} (label {label})")
     return 0
 
@@ -420,6 +423,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"treekeys: i/o error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        reason = str(exc) or "the input needs more than is available"
+        print(f"treekeys: out of memory: {reason}", file=sys.stderr)
         return 1
 
 

@@ -8,19 +8,20 @@ exposing one never helps derive another. A holder at label x receives the
 secrets of x's start points; everything at or below x (and nothing else)
 is then derivable with no public helper data.
 
-The PRF is HMAC-SHA-256; a published test vector is checked at import so
-a broken primitive fails loudly rather than generating garbage keys.
+The PRF is HMAC-SHA-256. ``hashlib`` and ``hmac`` (OpenSSL's libcrypto)
+are imported on the first ``prf`` or ``seeded_bytes`` call, which first
+checks published test vectors, so a broken primitive stops the first key
+derivation of every process rather than generating garbage keys, and
+commands that derive no key never load it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import os
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .allocation import canonical_allocation, start_points
-from .errors import AuthorizationError, PolicyError, check_fields
+from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import Poset
 from .trees import DerivationOutTree
 
@@ -42,22 +43,28 @@ _SELF_CHECK_VECTORS = (
 )
 
 
+#: ``hmac.digest`` once ``self_check`` has passed in this process.
+_hmac_digest: Callable[[bytes, bytes, str], bytes] | None = None
+
+
 def self_check() -> None:
-    """Verify the underlying HMAC-SHA-256 against published test vectors."""
+    """Import HMAC-SHA-256 and verify it against published test vectors."""
+    global _hmac_digest
+    import hmac
+
     for key, message, expected in _SELF_CHECK_VECTORS:
-        got = hmac.new(key, message, hashlib.sha256).hexdigest()
-        if got != expected:
-            raise RuntimeError("HMAC-SHA-256 self-check failed; refusing to derive keys")
-
-
-self_check()
+        if hmac.digest(key, message, "sha256").hex() != expected:
+            raise VerificationError("HMAC-SHA-256 self-check failed; refusing to derive keys")
+    _hmac_digest = hmac.digest
 
 
 def prf(key: bytes, message: bytes) -> bytes:
     """Keyed pseudorandom function: 32-byte key, arbitrary message, 32-byte output."""
     if len(key) != KEY_BYTES:
         raise ValueError(f"PRF key must be exactly {KEY_BYTES} bytes, got {len(key)}")
-    return hmac.new(key, message, hashlib.sha256).digest()
+    if _hmac_digest is None:
+        self_check()
+    return _hmac_digest(key, message, "sha256")
 
 
 def encode_label(label: str) -> bytes:
@@ -78,6 +85,9 @@ def seeded_bytes(seed: bytes) -> Callable[[int], bytes]:
     """
     if not seed:
         raise ValueError("seed must be non-empty")
+    if _hmac_digest is None:
+        self_check()
+    import hashlib
 
     def rng(n: int) -> bytes:
         out = b""

@@ -6,7 +6,10 @@ ciphertext. The label rides as associated data, so a ciphertext cannot be
 replayed under a different label even though the label itself is public.
 
 ``cryptography`` is imported on the first seal or unseal, so commands
-that never touch a sealed object do not load it.
+that never touch a sealed object do not load it. Each call holds one
+container-sized buffer besides its input: ``seal`` encrypts straight
+into the container after its header, and ``unseal`` decrypts from a view
+of the blob.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from .errors import PolicyError, VerificationError
 MAGIC = b"PKAS1"
 NONCE_BYTES = 12
 _LEN_BYTES = 2
+_TAG_BYTES = 16  # the Poly1305 tag that follows the ciphertext
 
 
-def seal(key: bytes, label: str, plaintext: bytes) -> bytes:
+def seal(key: bytes, label: str, plaintext: bytes) -> bytearray:
     """Encrypt ``plaintext`` under the object key for ``label`` with a fresh random nonce."""
     from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
@@ -28,8 +32,12 @@ def seal(key: bytes, label: str, plaintext: bytes) -> bytes:
     if not encoded or len(encoded) > 0xFFFF:
         raise PolicyError(f"label must encode to 1..65535 bytes, got {len(encoded)}")
     nonce = os.urandom(NONCE_BYTES)
-    ciphertext = ChaCha20Poly1305(key).encrypt(nonce, plaintext, encoded)
-    return MAGIC + len(encoded).to_bytes(_LEN_BYTES, "big") + encoded + nonce + ciphertext
+    header = MAGIC + len(encoded).to_bytes(_LEN_BYTES, "big") + encoded + nonce
+    blob = bytearray(len(header) + len(plaintext) + _TAG_BYTES)
+    blob[: len(header)] = header
+    with memoryview(blob) as view:
+        ChaCha20Poly1305(key).encrypt_into(nonce, plaintext, encoded, view[len(header) :])
+    return blob
 
 
 def sealed_label(blob: bytes) -> str:
@@ -60,9 +68,9 @@ def unseal(key: bytes, blob: bytes) -> tuple[str, bytes]:
     encoded = label.encode("utf-8")
     offset = len(MAGIC) + _LEN_BYTES + len(encoded)
     nonce = blob[offset : offset + NONCE_BYTES]
-    ciphertext = blob[offset + NONCE_BYTES :]
     try:
-        plaintext = ChaCha20Poly1305(key).decrypt(nonce, ciphertext, encoded)
+        with memoryview(blob) as view:
+            plaintext = ChaCha20Poly1305(key).decrypt(nonce, view[offset + NONCE_BYTES :], encoded)
     except InvalidTag as exc:
         raise VerificationError("sealed object failed authentication") from exc
     return label, plaintext

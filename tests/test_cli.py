@@ -247,15 +247,19 @@ class TestDerive:
         assert "not authorized" in err
 
 
-def run_process(*args):
-    """The CLI as a separate process, so stderr shows what a user would see."""
+def run_python(*args):
+    """A separate interpreter that imports this checkout's treekeys."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "treekeys", *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def run_process(*args):
+    """The CLI as a separate process, so stderr shows what a user would see."""
+    return run_python("-m", "treekeys", *args)
 
 
 class TestShortKeyMaterial:
@@ -284,6 +288,72 @@ class TestShortKeyMaterial:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert not payload.with_name("report.txt.sealed").exists()
+
+
+def test_failed_hmac_self_check_exits_three_before_any_key(keyed_sample, tmp_path):
+    # a broken primitive surfaces on the first key derivation, as a verification failure
+    probe = (
+        "import sys\n"
+        "from treekeys import cli, kdf\n"
+        "kdf._SELF_CHECK_VECTORS = ((b'Jefe', b'what do ya want for nothing?', '00' * 32),)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    done = run_python("-c", probe, "derive", keyed_sample["policy"],
+                      "--tree", keyed_sample["tree"],
+                      "--bundle", keyed_sample["keys"] / "sigma_f.json", "a")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "HMAC-SHA-256 self-check failed" in done.stderr
+    # a command that derives no key never runs the check
+    done = run_python("-c", probe, "build-tree", keyed_sample["policy"],
+                      "--out-dir", tmp_path / "again")
+    assert done.returncode == 0, done.stderr
+
+
+def test_out_of_memory_exits_one_without_a_traceback(run, policy_file, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("treekeys.cli.parse_policy", exhausted)
+    code, out, err = run("analyze", policy_file)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("treekeys: out of memory: ")
+    assert "Traceback" not in err
+
+
+HMAC_MODULES = ("hashlib", "_hashlib", "hmac")
+
+
+@pytest.mark.parametrize("command, loads_hmac", [
+    (["build-tree", "{policy}", "--out-dir", "{tmp}/again"], False),
+    (["compare", "{policy}", "--json"], False),
+    (["analyze", "{policy}", "--json"], False),
+    (["encrypt", "{policy}", "--tree", "{tree}", "--keystore", "{keys}/keystore.json",
+      "--manifest", "{tmp}/manifest.json"], False),
+    (["derive", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_f.json", "a"], True),
+], ids=["build-tree", "compare", "analyze", "encrypt-keystore", "derive"])
+def test_only_key_derivation_loads_hmac(command, loads_hmac, keyed_sample, tmp_path):
+    payload = tmp_path / "report.txt"
+    payload.write_bytes(b"numbers\n")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"objects": [{"path": str(payload), "label": "e"}]}))
+    names = {"policy": keyed_sample["policy"], "tree": keyed_sample["tree"],
+             "keys": keyed_sample["keys"], "tmp": tmp_path}
+    probe = (
+        "import json, sys\n"
+        "from treekeys.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        f"loaded = [m for m in {HMAC_MODULES!r} if m in sys.modules]\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, loaded]))\n"
+    )
+    report = tmp_path / "loaded.json"
+    done = run_python("-c", probe, report, *(arg.format(**names) for arg in command))
+    assert done.returncode == 0, done.stderr
+    code, loaded = read_json(report)
+    assert code == 0
+    assert loaded == (list(HMAC_MODULES) if loads_hmac else [])
 
 
 def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd, tmp_path):

@@ -22,7 +22,7 @@ import pytest
 
 from treekeys.cli import main
 
-from conftest import SAMPLE_POLICY_DOC, sparse_policy_doc
+from conftest import SAMPLE_POLICY_DOC, mls_policy_doc, sparse_policy_doc
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 SEED = "5e" * 32
@@ -45,12 +45,45 @@ def _sample_without_top_sorting_after_root():
     }
 
 
+def _one_user_each(labels, arcs):
+    return {"elements": labels, "arcs": arcs, "users": {x: 1 for x in labels}}
+
+
+def _boolean_lattice(k):
+    labels = [f"b{s:0{k}b}" for s in range(1 << k)]
+    arcs = [
+        [labels[s], labels[s & ~(1 << i)]] for s in range(1 << k) for i in range(k) if s >> i & 1
+    ]
+    return _one_user_each(labels, arcs)
+
+
+def _grid(n):
+    """The product of two n-chains: (i, j) covers (i-1, j) and (i, j-1)."""
+    label = "g{:02d}.{:02d}".format
+    labels = [label(i, j) for i in range(n) for j in range(n)]
+    arcs = [[label(i, j), label(i - 1, j)] for i in range(1, n) for j in range(n)]
+    arcs += [[label(i, j), label(i, j - 1)] for i in range(n) for j in range(1, n)]
+    return _one_user_each(labels, arcs)
+
+
+def _chain(n):
+    labels = [f"c{i:04d}" for i in range(n)]
+    return _one_user_each(labels, [list(arc) for arc in zip(labels[1:], labels)])
+
+
 CASES = {
     "sample": lambda: SAMPLE_POLICY_DOC,
     "sample-without-top": _sample_without_top,
     "sample-without-top-root-first": _sample_without_top_sorting_after_root,
     "sparse-500": lambda: sparse_policy_doc(500, seed=7),
     **{f"sparse-40-{seed}": (lambda seed=seed: sparse_policy_doc(40, seed)) for seed in (1, 2, 3)},
+    # The shapes where the min-leaf repairs and the chain partition's
+    # matching make the most choices; the antichain needs a virtual root.
+    "lattice-2^10": lambda: _boolean_lattice(10),
+    "mls-256": lambda: mls_policy_doc(1),
+    "grid-30x30": lambda: _grid(30),
+    "chain-1000": lambda: _chain(1000),
+    "antichain-300": lambda: _one_user_each([f"a{i:03d}" for i in range(300)], []),
 }
 
 

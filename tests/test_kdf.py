@@ -69,6 +69,19 @@ class TestPrf:
         assert vec2.hex() == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         self_check()  # must agree
 
+    def test_failed_self_check_refuses_every_derivation(self, monkeypatch):
+        from treekeys import VerificationError, kdf
+
+        bad = ((b"Jefe", b"what do ya want for nothing?", "00" * 32),)
+        monkeypatch.setattr(kdf, "_SELF_CHECK_VECTORS", bad)
+        monkeypatch.setattr(kdf, "_hmac_digest", None)  # as in a fresh process
+        for _ in range(2):  # a failed check is not remembered as passed
+            with pytest.raises(VerificationError, match="self-check failed"):
+                prf(bytes(KEY_BYTES), b"m")
+            with pytest.raises(VerificationError, match="self-check failed"):
+                seeded_bytes(b"seed")
+        assert kdf._hmac_digest is None
+
 
 class TestSetup:
     def test_child_secrets_follow_the_tree(self, sample_scheme):

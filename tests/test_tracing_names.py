@@ -81,10 +81,11 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expecte
 def test_cli_import_loads_every_traced_module_and_nothing_lazy():
     # the tracer reads every module it names out of sys.modules after
     # importing treekeys.cli alone; cryptography loads on the first seal,
-    # and no command start pays for dataclasses or what it imports
+    # HMAC on the first key derivation, and no command start pays for
+    # dataclasses or what it imports
     modules = sorted(f"treekeys.{name}" for name in load_tracing().SPANNED)
-    lazy = ("cryptography", "pickle", "multiprocessing", "concurrent",
-            "dataclasses", "inspect", "ast", "string")
+    lazy = ("cryptography", "hashlib", "_hashlib", "hmac", "pickle", "multiprocessing",
+            "concurrent", "dataclasses", "inspect", "ast", "string")
     probe = (
         "import json, sys, treekeys.cli; "
         "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
