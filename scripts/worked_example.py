@@ -25,6 +25,7 @@ from treekeys import (
     weight_function,
     width,
 )
+from treekeys.oracles import closure, covers
 
 POLICY = {
     "elements": list("abcdefgh"),
@@ -40,10 +41,11 @@ PARTITION = ChainPartition(chains=(("h", "g", "e", "c", "a"), ("f", "d", "b")))
 def main() -> int:
     poset, users = parse_policy(POLICY)
     print(f"labels: {' '.join(poset.labels)}")
-    print(f"cover arcs: {len(poset.covers)}   order pairs: {len(poset.closure)}   "
+    cover_pairs = covers(poset)
+    print(f"cover arcs: {len(cover_pairs)}   order pairs: {len(closure(poset))}   "
           f"width: {width(poset)}   top: {poset.root}")
 
-    wf = weight_function(poset, users, poset.covers)
+    wf = weight_function(poset, users, cover_pairs)
     print("\narc costs (users stranded if the arc is the only way in):")
     for (y, z), cost in sorted(wf.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         print(f"  {y} -> {z}: {cost}")

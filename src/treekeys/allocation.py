@@ -89,13 +89,14 @@ def validate_enforcement(
     """
     validate_tree(poset, tree)
     reach = tree.descendant_sets()
+    labels = frozenset(poset.labels)
     violations: list[Violation] = []
     for x in poset.labels:
         points = allocation.phi.get(x, frozenset())
-        unknown = sorted(points - poset.elements)
+        unknown = sorted(points - labels)
         for z in unknown:
             violations.append(Violation("unknown", x, f"start point {z!r} is not a label"))
-        points = points & poset.elements
+        points = points & labels
         if x not in points:
             violations.append(Violation("membership", x, "label is not among its own start points"))
         covered: set[str] = set()

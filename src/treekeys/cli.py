@@ -95,7 +95,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     top = 1 << poset.index(poset.root) if poset.virtual_root else 0  # the maximal labels' up-mask
     info = {
-        "elements": len(poset.elements),
+        "elements": len(poset.labels),
         "cover_arcs": sum(mask.bit_count() for mask in poset.cover_up),
         "closure_arcs": poset.closure_size,
         "width": width(poset),
@@ -196,6 +196,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_object_label(poset: Poset, label: str) -> None:
+    """Raise PolicyError unless ``label`` may label an object: any label
+    of the policy but the virtual root."""
+    poset.index(label)
+    if poset.virtual_root and label == poset.root:
+        raise PolicyError("objects cannot be labeled with the virtual root")
+
+
 def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
     document = check_fields(_load_json(path), {"objects"}, "manifest")
     objects = document.get("objects")
@@ -214,9 +222,7 @@ def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
             raise PolicyError(f"manifest path {path!r} has no file system encoding") from None
         if "\0" in path:
             raise PolicyError(f"manifest path {path!r} contains a NUL character")
-        poset.index(label)
-        if poset.virtual_root and label == poset.root:
-            raise PolicyError("objects cannot be labeled with the virtual root")
+        _check_object_label(poset, label)
         entries.append((Path(path), label))
     return entries
 
@@ -298,7 +304,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     for path, target in zip(paths, targets):
         blob = _read_object(path)
         label = sealing.sealed_label(blob)
-        poset.index(label)
+        _check_object_label(poset, label)
         key = object_key(label)
         _, plaintext = sealing.unseal(key, blob)
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -81,9 +81,23 @@ def random_users(poset: Poset, seed: int, *, high: int = 3) -> UserAssignment:
     return UserAssignment.from_counts(poset, counts)
 
 
+def covers(poset: Poset) -> frozenset[Arc]:
+    """Every cover pair (x, y), x covering y, decoded from the masks."""
+    return frozenset(
+        (x, y) for y, mask in zip(poset.labels, poset.cover_up) for x in poset.members(mask)
+    )
+
+
+def closure(poset: Poset) -> frozenset[Arc]:
+    """Every strict-order pair (x, y), x above y, decoded from the masks."""
+    return frozenset(
+        (x, y) for x, mask in zip(poset.labels, poset.strict_down) for y in poset.members(mask)
+    )
+
+
 def _in_arc_lists(poset: Poset, candidate_arcs: Iterable[Arc]) -> dict[str, list[str]]:
     arcs = frozenset(candidate_arcs)
-    stray = arcs - poset.closure
+    stray = [arc for arc in arcs if not poset.above(*arc)]
     if stray:
         raise PolicyError(f"candidate arcs outside the strict order: {sorted(stray)[:3]}")
     by_child: dict[str, list[str]] = {x: [] for x in poset.labels if x != poset.root}
@@ -108,9 +122,9 @@ def _parent_tuples(
     out-trees. Refuses instances beyond the enumeration budget before
     the first tuple.
     """
-    if len(poset.elements) > TREE_ENUMERATION_MAX_LABELS:
+    if len(poset.labels) > TREE_ENUMERATION_MAX_LABELS:
         raise EnumerationBudgetError(
-            f"instance has {len(poset.elements)} labels; limit is {TREE_ENUMERATION_MAX_LABELS}"
+            f"instance has {len(poset.labels)} labels; limit is {TREE_ENUMERATION_MAX_LABELS}"
         )
     by_child = _in_arc_lists(poset, candidate_arcs)
     children = sorted(by_child)
@@ -145,12 +159,11 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     never qualifies.
     """
     y, z = arc
-    if (y, z) not in poset.closure:
+    above = poset.above
+    if not above(y, z):
         raise PolicyError(f"({y!r}, {z!r}) is not an arc of the strict order")
     return frozenset(
-        x
-        for x in poset.elements
-        if (x == z or (x, z) in poset.closure) and not (x == y or (x, y) in poset.closure)
+        x for x in poset.labels if (x == z or above(x, z)) and not (x == y or above(x, y))
     )
 
 
@@ -187,7 +200,7 @@ def brute_min_leaf_count(
 
     A tree's leaves are the labels that are nobody's parent."""
     _, weighted = _tuple_weights(poset, users, candidate_arcs)
-    n = len(poset.elements)
+    n = len(poset.labels)
     return min((total, n - len(set(combo))) for total, combo in weighted)[1]
 
 
@@ -231,7 +244,7 @@ def allocation_by_definition(poset: Poset, tree: DerivationOutTree) -> KeyAlloca
     x, that is, whose extra-key labels hold x."""
     extra = {arc: extra_key_labels(poset, arc) for arc in tree.arcs()}
     phi: dict[str, frozenset[str]] = {}
-    for x in poset.elements:
+    for x in poset.labels:
         if x == tree.root:
             phi[x] = frozenset({x})
         else:
@@ -248,7 +261,7 @@ def brute_width(poset: Poset) -> int:
     for size in range(len(order), best, -1):
         for combo in itertools.combinations(order, size):
             if all(
-                (a, b) not in poset.closure and (b, a) not in poset.closure
+                not poset.above(a, b) and not poset.above(b, a)
                 for a, b in itertools.combinations(combo, 2)
             ):
                 best = size
@@ -284,7 +297,7 @@ def coalition_reachability(
     members = sorted(set(coalition))
     for v in members:
         poset.index(v)
-    kids = tree.children
+    kids = tree.children()
     reached: set[str] = set()
     frontier: list[str] = []
     for v in members:
@@ -370,25 +383,26 @@ _CHECK_NAMES = (
 )
 
 
-def _charge_set_algebra_ok(poset: Poset) -> bool:
+def _charge_set_algebra_ok(poset: Poset, closure_pairs: frozenset[Arc]) -> bool:
     # stacked arcs charge disjoint label sets, and a shortcut arc charges
     # exactly their union
-    for x, y in poset.closure:
-        for z in poset.elements:
-            if (y, z) in poset.closure:
-                upper = extra_key_labels(poset, (x, y))
-                lower = extra_key_labels(poset, (y, z))
-                outer = extra_key_labels(poset, (x, z))
-                if upper & lower or outer != upper | lower:
+    charged = {arc: extra_key_labels(poset, arc) for arc in closure_pairs}
+    for x, y in closure_pairs:
+        for z in poset.labels:
+            if (y, z) in closure_pairs:
+                upper, lower = charged[(x, y)], charged[(y, z)]
+                if upper & lower or charged[(x, z)] != upper | lower:
                     return False
     return True
 
 
-def _path_superadditivity_ok(poset: Poset, users: UserAssignment) -> bool:
+def _path_superadditivity_ok(
+    poset: Poset, users: UserAssignment, closure_pairs: frozenset[Arc]
+) -> bool:
     # a shortcut arc costs exactly the sum of the arcs along any path below it
-    weights = _literal_arc_weights(poset, users, poset.closure)
-    succ: dict[str, list[str]] = {x: [] for x in poset.elements}
-    for x, y in poset.closure:
+    weights = _literal_arc_weights(poset, users, closure_pairs)
+    succ: dict[str, list[str]] = {x: [] for x in poset.labels}
+    for x, y in closure_pairs:
         succ[x].append(y)
 
     def walk(path: list[str], total: int) -> bool:
@@ -400,7 +414,7 @@ def _path_superadditivity_ok(poset: Poset, users: UserAssignment) -> bool:
                 return False
         return True
 
-    return all(walk([x], 0) for x in poset.elements)
+    return all(walk([x], 0) for x in poset.labels)
 
 
 def _sample_coalitions(poset: Poset, seed: int) -> list[tuple[str, ...]]:
@@ -422,25 +436,26 @@ def _examine_instance(
     payload: dict[str, Any],
 ) -> None:
     """Run the full battery on one instance, recording into ``results``."""
+    cover_pairs, closure_pairs = covers(poset), closure(poset)
     ok = (
-        transitive_closure(poset.covers, poset.elements) == poset.closure
-        and transitive_reduction(poset.closure, poset.elements) == poset.covers
-        and brute_reduction(poset.closure, poset.elements) == poset.covers
+        transitive_closure(cover_pairs, poset.labels) == closure_pairs
+        and transitive_reduction(closure_pairs, poset.labels) == cover_pairs
+        and brute_reduction(closure_pairs, poset.labels) == cover_pairs
     )
     results["closure-reduction-roundtrip"].record(ok, payload)
 
     results["width-vs-bruteforce"].record(width(poset) == brute_width(poset), payload)
 
     tree = min_weight_out_tree(poset, users)
-    wf = weight_function(poset, users, poset.covers)
+    wf = weight_function(poset, users, cover_pairs)
     optimized = sum(wf[a] for a in tree.arcs())
-    brute_weight, _ = brute_min_weight(poset, users, poset.covers)
+    brute_weight, _ = brute_min_weight(poset, users, cover_pairs)
     results["tree-weight-vs-enumeration"].record(optimized == brute_weight, payload)
 
     closure_tree = min_weight_out_tree(poset, users, closure=True)
-    closure_wf = weight_function(poset, users, poset.closure)
+    closure_wf = weight_function(poset, users, closure_pairs)
     closure_optimized = sum(closure_wf[a] for a in closure_tree.arcs())
-    closure_brute, _ = brute_min_weight(poset, users, poset.closure)
+    closure_brute, _ = brute_min_weight(poset, users, closure_pairs)
     results["cover-vs-closure-minimum"].record(
         optimized == closure_brute == closure_optimized == brute_weight, payload
     )
@@ -448,7 +463,7 @@ def _examine_instance(
     few_leaves = min_leaf_out_tree(poset, users)
     results["min-leaf-vs-enumeration"].record(
         sum(wf[a] for a in few_leaves.arcs()) == brute_weight
-        and len(few_leaves.leaves()) == brute_min_leaf_count(poset, users, poset.covers),
+        and len(few_leaves.leaves()) == brute_min_leaf_count(poset, users, cover_pairs),
         payload,
     )
 
@@ -472,7 +487,7 @@ def _examine_instance(
             break
     if not stripped:
         for x in sorted(tampered):
-            outside = sorted(poset.elements - poset.down_set(x))
+            outside = sorted(set(poset.labels) - poset.down_set(x))
             if outside:
                 tampered[x].add(outside[0])
                 break
@@ -480,19 +495,19 @@ def _examine_instance(
     detected = bad.phi == allocation.phi or bool(validate_enforcement(poset, tree, bad))
     results["invalid-allocation-detected"].record(detected, payload)
 
-    results["charge-set-algebra"].record(_charge_set_algebra_ok(poset), payload)
+    results["charge-set-algebra"].record(_charge_set_algebra_ok(poset, closure_pairs), payload)
     results["path-weight-superadditivity"].record(
-        _path_superadditivity_ok(poset, users), payload
+        _path_superadditivity_ok(poset, users, closure_pairs), payload
     )
 
     # the per-user key total must equal the tree's total arc cost, for any
     # tree, not just the optimal one
     identity_ok = True
     sampled = 0
-    for other in enumerate_out_trees(poset, poset.covers):
+    for other in enumerate_out_trees(poset, cover_pairs):
         other_alloc = allocation_by_definition(poset, other)
         lhs = sum(
-            users.count(x) * len(other_alloc.phi[x]) for x in poset.elements if x != poset.root
+            users.count(x) * len(other_alloc.phi[x]) for x in poset.labels if x != poset.root
         )
         rhs = sum(closure_wf[a] for a in other.arcs())
         if lhs != rhs:
@@ -510,7 +525,7 @@ def _examine_instance(
     refusal_ok = True
     for x in poset.labels:
         for y in poset.labels:
-            if y == x or (x, y) in poset.closure:
+            if y == x or (x, y) in closure_pairs:
                 if kdf.derive(poset, tree, bundles[x], y) != store.keys[y]:
                     derive_ok = False
             else:
@@ -621,7 +636,7 @@ def run_suite(
     try:
         for block in blocks[1:]:
             workers.append(_fork_worker(block, base_seed))
-        n = len(poset.elements)
+        n = len(poset.labels)
         if n <= TREE_ENUMERATION_MAX_LABELS:
             _examine_instance(poset, users, base_seed, results, {"instance": "policy"})
         else:

@@ -3,8 +3,9 @@
 A label hierarchy is stored as bitmasks over a fixed label index: per
 label, the labels strictly below it, the labels strictly above it, and
 the labels that cover it (its parents in the order's diagram). The cover
-arcs and the full strict order (the transitive closure), as pairs, are
-views decoded from the masks on first use. Every poset is rooted: when
+arcs and the full strict order (the transitive closure) are not kept as
+pairs: ``oracles.covers`` and ``oracles.closure`` decode them from the
+masks for the oracles and the tests. Every poset is rooted: when
 the input order has more than one maximal label, a reserved virtual top
 label is placed above all of them so that every label is reachable from
 a single point. Labels are unique non-empty strings that encode as
@@ -20,7 +21,6 @@ All values here are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import CycleError, PolicyError, UnknownLabelError, check_fields
@@ -137,55 +137,25 @@ def ensure_root(
     return frozenset(new_elements), frozenset(new_closure), root_label, True
 
 
-class Frozen:
-    """Read-only attributes, and ``==`` and repr over ``_fields``. The
-    constructors, like ``cached_property`` views, write to ``vars(self)``."""
-
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name: str, *_: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self._fields)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class Poset(Frozen):
+class Poset(NamedTuple):
     """A rooted finite strict order over unique string labels.
 
     ``labels`` is the label index: every label sorted, the virtual root
-    (if one was added) included, so index order is sorted order. Bit j
-    of ``strict_down[i]`` is set iff ``labels[i]`` is strictly above
+    (if one was added) included, so index order is sorted order, and
+    ``positions`` maps each label to its index. Bit j of
+    ``strict_down[i]`` is set iff ``labels[i]`` is strictly above
     ``labels[j]``; ``strict_up`` is the converse, and bit j of
     ``cover_up[i]`` is set iff ``labels[j]`` covers ``labels[i]``.
     ``root`` is the unique maximum, possibly the virtual one.
-
-    ``covers`` (the cover pairs) and ``closure`` (every strict-order pair)
-    are decoded from the masks on first use; only the oracles and the
-    tests read them.
     """
 
     labels: tuple[str, ...]
+    positions: dict[str, int]
     strict_down: tuple[int, ...]
     strict_up: tuple[int, ...]
     cover_up: tuple[int, ...]
     root: str
     virtual_root: bool
-    _fields = ("labels", "strict_down", "strict_up", "cover_up", "root", "virtual_root")
-
-    def __init__(self, *, labels: tuple[str, ...], strict_down: tuple[int, ...],
-                 strict_up: tuple[int, ...], cover_up: tuple[int, ...], root: str,
-                 virtual_root: bool) -> None:
-        vars(self).update(labels=labels, strict_down=strict_down, strict_up=strict_up,
-                          cover_up=cover_up, root=root, virtual_root=virtual_root)
 
     @classmethod
     def from_arcs(
@@ -259,24 +229,17 @@ class Poset(Frozen):
             for c in cover_kids[v]:
                 up[c] |= mask
                 cover_up[c] |= 1 << v
-        return cls(labels=tuple(labels), strict_down=tuple(down), strict_up=tuple(up),
-                   cover_up=tuple(cover_up), root=root, virtual_root=root not in seen)
+        return cls(labels=tuple(labels), positions=index, strict_down=tuple(down),
+                   strict_up=tuple(up), cover_up=tuple(cover_up), root=root,
+                   virtual_root=root not in seen)
 
     # -- order queries ----------------------------------------------------
-
-    @cached_property
-    def elements(self) -> frozenset[str]:
-        return frozenset(self.labels)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         """The label's bit position in the masks, which is its sorted rank.
         Raises UnknownLabelError for a label outside the poset."""
         try:
-            return self._index[label]
+            return self.positions[label]
         except KeyError:
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
@@ -292,25 +255,11 @@ class Poset(Frozen):
 
     def above(self, x: str, y: str) -> bool:
         """True iff x is strictly above y; False if either is not a label."""
-        index = self._index
+        index = self.positions
         try:
             return bool(self.strict_down[index[x]] >> index[y] & 1)
         except KeyError:
             return False
-
-    @cached_property
-    def covers(self) -> frozenset[Arc]:
-        """Every cover pair (x, y), x covering y, decoded from the masks."""
-        return frozenset(
-            (x, y) for y, mask in zip(self.labels, self.cover_up) for x in self.members(mask)
-        )
-
-    @cached_property
-    def closure(self) -> frozenset[Arc]:
-        """Every strict-order pair (x, y), x above y, decoded from the masks."""
-        return frozenset(
-            (x, y) for x, mask in zip(self.labels, self.strict_down) for y in self.members(mask)
-        )
 
     @property
     def closure_size(self) -> int:
@@ -371,8 +320,8 @@ class ChainPartition(NamedTuple):
                     raise PolicyError(
                         f"chain entries {upper!r}, {lower!r} are not strictly decreasing"
                     )
-        if seen != set(poset.elements):
-            missing = sorted(set(poset.elements) - seen)
+        if seen != set(poset.labels):
+            missing = sorted(set(poset.labels) - seen)
             raise PolicyError(f"partition does not cover labels: {missing}")
 
     @classmethod

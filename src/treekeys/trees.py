@@ -10,16 +10,14 @@ in-arc per label" produce the tree that minimizes total key hand-outs.
 
 from __future__ import annotations
 
-from functools import cached_property
-from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PolicyError, check_fields
 from .matching import augment, max_bipartite_matching
-from .poset import Arc, Frozen, Poset, UserAssignment
+from .poset import Arc, Poset, UserAssignment
 
 
-class DerivationOutTree(Frozen):
+class DerivationOutTree(NamedTuple):
     """A spanning out-tree whose arcs respect the order (parent above child).
 
     ``parent`` maps every non-root label to its unique parent; the root has
@@ -28,23 +26,17 @@ class DerivationOutTree(Frozen):
 
     root: str
     parent: Mapping[str, str]
-    _fields = ("root", "parent")
-
-    def __init__(self, *, root: str, parent: Mapping[str, str]) -> None:
-        vars(self).update(root=root, parent=parent)
 
     def arcs(self) -> tuple[Arc, ...]:
         """Tree arcs as (parent, child) pairs, sorted by child."""
         return tuple((p, c) for c, p in sorted(self.parent.items()))
 
-    @cached_property
-    def children(self) -> Mapping[str, tuple[str, ...]]:
-        """Every label's tree children, sorted. Built once per tree and
-        shared by every caller, so it is read-only."""
+    def children(self) -> dict[str, list[str]]:
+        """Every label's tree children, sorted, in a new dict per call."""
         out: dict[str, list[str]] = {v: [] for v in (self.root, *self.parent)}
         for child, par in sorted(self.parent.items()):
             out.setdefault(par, []).append(child)
-        return MappingProxyType({v: tuple(kids) for v, kids in out.items()})
+        return out
 
     def leaves(self) -> frozenset[str]:
         return (frozenset(self.parent) | {self.root}) - set(self.parent.values())
@@ -52,7 +44,7 @@ class DerivationOutTree(Frozen):
     def depths(self) -> dict[str, int]:
         """Every label's distance from the root, root first in breadth-first
         order. Raises PolicyError unless the parent map is a tree under the root."""
-        kids = self.children
+        kids = self.children()
         out = {self.root: 0}
         walk = [] if self.root in self.parent else [self.root]
         for v in walk:
@@ -75,7 +67,7 @@ class DerivationOutTree(Frozen):
 
     def descendant_sets(self) -> dict[str, frozenset[str]]:
         """For each label, everything reachable from it in the tree (itself included)."""
-        kids = self.children
+        kids = self.children()
         out: dict[str, frozenset[str]] = {}
         for v in reversed(self.depths()):  # children first
             acc = {v}
@@ -104,7 +96,7 @@ def validate_tree(poset: Poset, tree: DerivationOutTree) -> None:
     """Raise PolicyError unless ``tree`` is a derivation out-tree for ``poset``."""
     if tree.root != poset.root:
         raise PolicyError(f"tree root {tree.root!r} differs from poset root {poset.root!r}")
-    expected = set(poset.elements) - {poset.root}
+    expected = set(poset.labels) - {poset.root}
     if set(tree.parent) != expected:
         raise PolicyError("tree does not span exactly the non-root labels")
     for child, par in tree.parent.items():

@@ -25,7 +25,7 @@ from treekeys import (
 )
 from treekeys.cli import main as cli_main
 from treekeys.kdf import self_check
-from treekeys.oracles import extra_key_labels, run_suite
+from treekeys.oracles import closure, covers, extra_key_labels, run_suite
 
 from conftest import SAMPLE_POLICY_DOC, SAMPLE_WEIGHTS
 
@@ -49,15 +49,15 @@ def check(report, name):
 def test_criterion_01_structural_counts():
     started = time.perf_counter()
     poset, _users = parse_policy(SAMPLE_POLICY_DOC)
-    assert len(poset.covers) == 10
-    assert len(poset.closure) == 23
+    assert len(covers(poset)) == 10
+    assert len(closure(poset)) == 23
     assert width(poset) == 2
     assert poset.root == "h" and not poset.virtual_root
     assert time.perf_counter() - started < 1.0
 
 
 def test_criterion_02_arc_costs_exact(poset8, users8):
-    wf = weight_function(poset8, users8, poset8.covers)
+    wf = weight_function(poset8, users8, covers(poset8))
     assert wf == SAMPLE_WEIGHTS
     assert extra_key_labels(poset8, ("e", "c")) == {"c", "d", "f"}
 

@@ -16,6 +16,7 @@ from treekeys import (
 from treekeys.oracles import (
     RandomPosetSpec,
     allocation_by_definition,
+    covers,
     enumerate_out_trees,
     random_poset,
     random_users,
@@ -58,7 +59,7 @@ class TestCanonicalAllocation:
 
     def test_every_label_contains_itself(self, poset8, tree8_fd):
         allocation = canonical_allocation(poset8, tree8_fd)
-        assert all(x in allocation.phi[x] for x in poset8.elements)
+        assert all(x in allocation.phi[x] for x in poset8.labels)
 
     def test_json_round_trip(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
@@ -162,11 +163,11 @@ def test_weighted_key_total_equals_arc_cost_total(instance):
     # holds for every derivation tree, optimal or not
     poset, users = instance
     sampled = 0
-    for tree in enumerate_out_trees(poset, poset.covers):
+    for tree in enumerate_out_trees(poset, covers(poset)):
         allocation = canonical_allocation(poset, tree)
         per_user_keys = sum(
             users.count(x) * len(allocation.phi[x])
-            for x in poset.elements
+            for x in poset.labels
             if x != poset.root
         )
         assert per_user_keys == sum(weight_function(poset, users, tree.arcs()).values())
@@ -204,7 +205,7 @@ def test_start_points_cover_down_sets_disjointly(instance):
     tree = min_weight_out_tree(poset, users)
     allocation = canonical_allocation(poset, tree)
     reach = tree.descendant_sets()
-    for x in poset.elements:
+    for x in poset.labels:
         points = sorted(allocation.phi[x])
         union = set()
         for z in points:
@@ -225,14 +226,14 @@ def test_valid_allocations_contain_the_canonical_one(instance, salt):
     canonical = canonical_allocation(poset, tree)
     rng = random.Random(salt)
     phi = {}
-    for x in poset.elements:
+    for x in poset.labels:
         extra = set()
         candidates = sorted(poset.down_set(x) - canonical.phi[x])
         if candidates and rng.random() < 0.7:
             extra.add(rng.choice(candidates))
         phi[x] = canonical.phi[x] | extra
     assert validate_enforcement(poset, tree, KeyAllocation(phi=phi)) == ()
-    assert all(phi[x] >= canonical.phi[x] for x in poset.elements)
+    assert all(phi[x] >= canonical.phi[x] for x in poset.labels)
 
     victims = [x for x in poset.labels if len(canonical.phi[x]) > 1]
     if victims:

@@ -40,7 +40,7 @@ class TestChainScheme:
         poset = total_order()
         partition = min_chain_partition(poset)
         phi = chain_scheme_build(poset, partition).phi
-        assert all(phi[x] == {x} for x in poset.elements)
+        assert all(phi[x] == {x} for x in poset.labels)
 
     def test_virtual_root_gets_a_chain_of_its_own(self):
         poset = Poset.from_arcs(["a", "b", "c"], [("a", "c"), ("b", "c")])

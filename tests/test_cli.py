@@ -8,6 +8,7 @@ import pytest
 
 from treekeys import KeyAllocation, cli
 from treekeys.cli import main
+from treekeys.sealing import seal
 
 from conftest import SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC, sparse_policy_doc
 
@@ -792,6 +793,23 @@ class TestEncryptDecrypt:
                            "--keystore", keys / "keystore.json", "--manifest", manifest)
         assert code == 1
         assert "virtual root" in err
+
+    @pytest.mark.parametrize("source", ["--keystore", "--bundle"])
+    def test_decrypt_refuses_an_object_labeled_with_the_virtual_root(self, run, tmp_path, source):
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps({"elements": ["a", "b"], "arcs": []}))
+        tree, keys = tmp_path / "tree.json", tmp_path / "k"
+        run("build-tree", policy, "--out-dir", tmp_path)
+        run("keygen", policy, "--tree", tree, "--seed", SEED, "--out-dir", keys)
+        top_key = bytes.fromhex(read_json(keys / "keystore.json")["keys"]["⊤"])
+        sealed = tmp_path / "x.sealed"
+        sealed.write_bytes(seal(top_key, "⊤", b"top secret"))
+        key_file = keys / ("keystore.json" if source == "--keystore" else "sigma_%E2%8A%A4.json")
+        done = run_process("decrypt", policy, "--tree", tree, source, key_file, sealed)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "objects cannot be labeled with the virtual root" in done.stderr
+        assert not (tmp_path / "x").exists()
 
 
 class TestVerify:

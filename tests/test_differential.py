@@ -34,6 +34,7 @@ from treekeys import (
     Poset,
     UserAssignment,
     canonical_allocation,
+    oracles,
     chain_metrics,
     chain_scheme_build,
     derive,
@@ -57,6 +58,8 @@ from treekeys.oracles import (
     allocation_by_definition,
     brute_min_weight,
     brute_reduction,
+    closure,
+    covers,
     random_poset,
     random_users,
     rematching_min_leaf_tree,
@@ -82,7 +85,7 @@ def trees(policy):
 
 def test_covers_match_brute_reduction(policy):
     poset, _ = policy
-    assert poset.covers == brute_reduction(poset.closure, poset.elements)
+    assert covers(poset) == brute_reduction(closure(poset), poset.labels)
 
 
 def test_covers_match_networkx_at_2000_labels():
@@ -92,10 +95,10 @@ def test_covers_match_networkx_at_2000_labels():
     input_arcs = nx.DiGraph(document["arcs"])
     if poset.virtual_root:
         input_arcs.add_edges_from((poset.root, x) for x in document["elements"])
-    assert set(nx.transitive_closure_dag(input_arcs).edges) == poset.closure
-    graph = nx.DiGraph(list(poset.closure))
-    graph.add_nodes_from(poset.elements)
-    assert set(nx.transitive_reduction(graph).edges) == poset.covers
+    assert set(nx.transitive_closure_dag(input_arcs).edges) == closure(poset)
+    graph = nx.DiGraph(list(closure(poset)))
+    graph.add_nodes_from(poset.labels)
+    assert set(nx.transitive_reduction(graph).edges) == covers(poset)
 
 
 def _boolean_lattice(k):
@@ -125,7 +128,7 @@ def test_chain_partition_matches_networkx_width(name):
     # split graph, each label once as an upper end and once as a lower end
     nx = pytest.importorskip("networkx")
     poset, _ = parse_policy(NETWORKX_ORDERS[name]())
-    split = nx.Graph(((x, "upper"), (y, "lower")) for x, y in poset.closure)
+    split = nx.Graph(((x, "upper"), (y, "lower")) for x, y in closure(poset))
     uppers = [(x, "upper") for x in poset.labels]
     split.add_nodes_from(uppers)
     matched = len(nx.bipartite.hopcroft_karp_matching(split, top_nodes=uppers)) // 2
@@ -148,7 +151,7 @@ def test_tree_cost_matches_networkx_arborescence(name, arcs):
     # the cheapest tree; every tree spans from the root, which no arc enters
     nx = pytest.importorskip("networkx")
     poset, users = parse_policy(NETWORKX_ORDERS[name]())
-    weights = _literal_arc_weights(poset, users, getattr(poset, arcs))
+    weights = _literal_arc_weights(poset, users, getattr(oracles, arcs)(poset))
     graph = nx.DiGraph()
     graph.add_weighted_edges_from((y, z, w) for (y, z), w in weights.items())
     cost = nx.minimum_spanning_arborescence(graph).size(weight="weight")
@@ -183,7 +186,7 @@ def test_depths_match_literal_parent_walk(policy, trees):
     poset, _ = policy
     for tree in trees:
         literal = {}
-        for x in poset.elements:
+        for x in poset.labels:
             steps, v = 0, x
             while v != tree.root:
                 v = tree.parent[v]
@@ -227,7 +230,7 @@ def assert_tree_scheme_needs_no_more_keys_than_chains(poset, users):
     chain = chain_scheme_build(poset, partition).phi
     hung = hung_tree(poset, partition)
     phi = canonical_allocation(poset, hung).phi
-    assert all(phi[x] <= chain[x] for x in poset.elements)
+    assert all(phi[x] <= chain[x] for x in poset.labels)
     cheapest = scheme_metrics(poset, users, min_weight_out_tree(poset, users)).K_hat
     hung_k_hat = scheme_metrics(poset, users, hung).K_hat
     assert cheapest <= hung_k_hat <= chain_metrics(poset, users, partition).K_hat
@@ -257,7 +260,7 @@ def test_tree_scheme_needs_no_more_keys_than_chains_on_small_policies(
 @pytest.mark.parametrize("arcs", ["covers", "closure"])
 def test_weights_match_literal_definition(policy, arcs):
     poset, users = policy
-    candidates = getattr(poset, arcs)
+    candidates = getattr(oracles, arcs)(poset)
     expected = _literal_arc_weights(poset, users, candidates)
     assert weight_function(poset, users, candidates) == expected
 
@@ -265,15 +268,15 @@ def test_weights_match_literal_definition(policy, arcs):
 @pytest.mark.parametrize("arcs", ["covers", "closure"])
 def test_min_leaf_tree_matches_rematching_greedy(policy, arcs):
     poset, users = policy
-    expected = rematching_min_leaf_tree(poset, users, getattr(poset, arcs))
+    expected = rematching_min_leaf_tree(poset, users, getattr(oracles, arcs)(poset))
     assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 
 
 @pytest.mark.parametrize("arcs", ["covers", "closure"])
 def test_min_leaf_tree_matches_rematching_greedy_on_mls_lattice(arcs):
     poset, users = parse_policy(mls_policy_doc(1))
-    assert len(poset.elements) == 256
-    expected = rematching_min_leaf_tree(poset, users, getattr(poset, arcs))
+    assert len(poset.labels) == 256
+    expected = rematching_min_leaf_tree(poset, users, getattr(oracles, arcs)(poset))
     assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 
 
@@ -289,7 +292,7 @@ def test_min_leaf_tree_matches_rematching_greedy_on_small_policies(
 ):
     poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
     users = random_users(poset, seed + 1)
-    expected = rematching_min_leaf_tree(poset, users, getattr(poset, arcs))
+    expected = rematching_min_leaf_tree(poset, users, getattr(oracles, arcs)(poset))
     assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 
 
@@ -323,13 +326,14 @@ def _two_layers(edges):
 @example({"c0": ["p0", "p2"], "c1": ["p0", "p1"], "c2": ["p0"]})
 def test_min_leaf_tree_matches_rematching_greedy_on_any_table(edges):
     poset, users = _two_layers(edges)
-    assert min_leaf_out_tree(poset, users) == rematching_min_leaf_tree(poset, users, poset.covers)
+    assert min_leaf_out_tree(poset, users) == rematching_min_leaf_tree(poset, users, covers(poset))
 
 
 def assert_closure_table_matches_literal_weights(poset, users):
-    weights = _literal_arc_weights(poset, users, poset.closure)
+    closure_pairs = closure(poset)
+    weights = _literal_arc_weights(poset, users, closure_pairs)
     expected = {}
-    for child, parents in _in_arc_lists(poset, poset.closure).items():
+    for child, parents in _in_arc_lists(poset, closure_pairs).items():
         least = min(weights[(p, child)] for p in parents)
         expected[child] = [p for p in parents if weights[(p, child)] == least]
     table = _cheapest_parents(poset, users, closure=True)
@@ -371,7 +375,7 @@ def test_virtual_root_sorting_first():
     }
     poset, users = parse_policy(doc, root_label="0")
     assert poset.labels[0] == "0"
-    order = sorted(poset.elements)
+    order = poset.labels
     successor = max_bipartite_matching({x: sorted(poset.down_set(x) - {x}) for x in order})
     chains = []
     for head in (x for x in order if x not in successor.values()):
@@ -382,12 +386,12 @@ def test_virtual_root_sorting_first():
     assert min_chain_partition(poset) == ChainPartition(chains=tuple(chains))
 
     assert _cheapest_parents(poset, users, closure=True)["f"] == ["0", "b", "d"]
-    best, _ = brute_min_weight(poset, users, poset.closure)
-    weights = weight_function(poset, users, poset.closure)
+    best, _ = brute_min_weight(poset, users, closure(poset))
+    weights = weight_function(poset, users, closure(poset))
     for build in (min_weight_out_tree, min_leaf_out_tree):
         tree = build(poset, users, closure=True)
         assert sum(weights[arc] for arc in tree.arcs()) == best
-    expected = rematching_min_leaf_tree(poset, users, poset.closure)
+    expected = rematching_min_leaf_tree(poset, users, closure(poset))
     assert min_leaf_out_tree(poset, users, closure=True) == expected
 
 
@@ -406,8 +410,8 @@ def test_derive_fails_closed_on_every_pair():
                 with pytest.raises(AuthorizationError):
                     derive(poset, tree, bundles[holder], target)
                 refused += 1
-    assert authorized == len(poset.elements) + len(poset.closure)
-    assert refused == len(poset.elements) ** 2 - authorized
+    assert authorized == len(poset.labels) + len(closure(poset))
+    assert refused == len(poset.labels) ** 2 - authorized
 
 
 # -- mask normalisation against the set-based composition ---------------------
@@ -436,12 +440,13 @@ def _set_based_forms(elements, arcs, root_label):
 
 def _mask_forms(elements, arcs, root_label):
     poset = Poset.from_arcs(elements, arcs, root_label=root_label)
-    downs = {x: poset.down_set(x) for x in poset.elements}
+    downs = {x: poset.down_set(x) for x in poset.labels}
     ups = {
         x: set(poset.members(up | 1 << i))
         for i, (x, up) in enumerate(zip(poset.labels, poset.strict_up))
     }
-    return poset.elements, poset.covers, poset.closure, poset.root, poset.virtual_root, downs, ups
+    return (frozenset(poset.labels), covers(poset), closure(poset), poset.root,
+            poset.virtual_root, downs, ups)
 
 
 def assert_same_normalisation(elements, arcs, root_label=VIRTUAL_ROOT):
@@ -474,7 +479,7 @@ def test_mask_closure_size_counts_the_decoded_closure():
     for name in sorted(NAMED_ORDERS):
         doc = NAMED_ORDERS[name]()
         poset = Poset.from_arcs(doc["elements"], [tuple(a) for a in doc["arcs"]])
-        assert poset.closure_size == len(poset.closure)
+        assert poset.closure_size == len(closure(poset))
 
 
 LABEL_POOL = list("abcdefghijkl")

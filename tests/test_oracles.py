@@ -18,7 +18,9 @@ from treekeys.oracles import (
     allocation_by_definition,
     brute_min_leaf_count,
     brute_min_weight,
+    closure,
     coalition_reachability,
+    covers,
     enumerate_out_trees,
     extra_key_labels,
     random_poset,
@@ -30,18 +32,18 @@ from treekeys.oracles import (
 
 class TestEnumeration:
     def test_sample_has_eight_trees(self, poset8):
-        trees = list(enumerate_out_trees(poset8, poset8.covers))
+        trees = list(enumerate_out_trees(poset8, covers(poset8)))
         assert len(trees) == 8  # in-degree product 2*1*2*2*1*1*1
         assert len({tuple(sorted(t.parent.items())) for t in trees}) == 8
 
     def test_total_order_has_one_tree(self):
         labels = list("abcd")
         poset = Poset.from_arcs(labels, [(labels[i + 1], labels[i]) for i in range(3)])
-        assert sum(1 for _ in enumerate_out_trees(poset, poset.covers)) == 1
+        assert sum(1 for _ in enumerate_out_trees(poset, covers(poset))) == 1
 
     def test_rooted_antichain_has_one_tree(self):
         poset = Poset.from_arcs(["x", "y"], [])  # gains a virtual root
-        trees = list(enumerate_out_trees(poset, poset.covers))
+        trees = list(enumerate_out_trees(poset, covers(poset)))
         assert len(trees) == 1
         assert trees[0].parent == {"x": poset.root, "y": poset.root}
 
@@ -49,48 +51,48 @@ class TestEnumeration:
         labels = [f"v{i}" for i in range(10)]
         poset = Poset.from_arcs(labels + ["r"], [("r", lab) for lab in labels])
         with pytest.raises(EnumerationBudgetError):
-            list(enumerate_out_trees(poset, poset.covers))
+            list(enumerate_out_trees(poset, covers(poset)))
 
     def test_every_enumerated_tree_is_valid(self, poset8):
         from treekeys import validate_tree
 
-        for tree in enumerate_out_trees(poset8, poset8.closure):
+        for tree in enumerate_out_trees(poset8, closure(poset8)):
             validate_tree(poset8, tree)
 
 
 class TestBruteMinWeight:
     def test_sample_minimum_is_ten(self, poset8, users8):
-        weight, tree = brute_min_weight(poset8, users8, poset8.covers)
+        weight, tree = brute_min_weight(poset8, users8, covers(poset8))
         assert weight == 10
         assert tree.parent["a"] == "c" and tree.parent["c"] == "d"
 
     def test_no_users_no_cost(self, poset8):
         nobody = UserAssignment.from_counts(poset8, {})
-        weight, _ = brute_min_weight(poset8, nobody, poset8.covers)
+        weight, _ = brute_min_weight(poset8, nobody, covers(poset8))
         assert weight == 0
 
     def test_closure_candidates_same_minimum(self, poset8, users8):
-        weight, _ = brute_min_weight(poset8, users8, poset8.closure)
+        weight, _ = brute_min_weight(poset8, users8, closure(poset8))
         assert weight == 10
 
     def test_sample_min_leaf_count(self, poset8, users8):
-        assert brute_min_leaf_count(poset8, users8, poset8.covers) == 3
+        assert brute_min_leaf_count(poset8, users8, covers(poset8)) == 3
 
     def test_rematching_reads_its_arcs_once(self, poset8, users8):
         # an iterator of arcs is empty by a second read
-        arcs = list(poset8.covers)
+        arcs = list(covers(poset8))
         got = rematching_min_leaf_tree(poset8, users8, iter(arcs))
         assert got == rematching_min_leaf_tree(poset8, users8, arcs)
 
-    @pytest.mark.parametrize("closure", [False, True], ids=["covers", "closure"])
-    def test_parent_tuples_match_a_loop_over_enumerated_trees(self, closure):
+    @pytest.mark.parametrize("use_closure", [False, True], ids=["covers", "closure"])
+    def test_parent_tuples_match_a_loop_over_enumerated_trees(self, use_closure):
         for seed in range(300):
             spec = RandomPosetSpec(
                 element_count=3 + seed % 5, edge_density=0.2 + 0.1 * (seed % 6), seed=seed
             )
             poset = random_poset(spec)
             users = random_users(poset, seed + 1)
-            arcs = poset.closure if closure else poset.covers
+            arcs = closure(poset) if use_closure else covers(poset)
             best = fewest = None
             for tree in enumerate_out_trees(poset, arcs):
                 total = sum(
@@ -111,13 +113,13 @@ class TestBruteMinWeight:
         labels = [f"v{i}" for i in range(10)]
         wide = Poset.from_arcs(labels, [])
         with pytest.raises(EnumerationBudgetError, match="limit is 9"):
-            brute(wide, UserAssignment.uniform(wide), wide.covers)
+            brute(wide, UserAssignment.uniform(wide), covers(wide))
         monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 7)  # the sample has 8 trees
         with pytest.raises(EnumerationBudgetError, match="8 spanning out-trees"):
-            brute(poset8, users8, poset8.covers)
+            brute(poset8, users8, covers(poset8))
         assert products == []
         monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 8)
-        brute(poset8, users8, poset8.covers)
+        brute(poset8, users8, covers(poset8))
         assert len(products) == 1
 
 
@@ -141,7 +143,7 @@ class TestCoalitions:
 
     def test_root_coalition_reaches_everything(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        assert coalition_reachability(poset8, tree8_gd, allocation, ["h"]) == poset8.elements
+        assert coalition_reachability(poset8, tree8_gd, allocation, ["h"]) == set(poset8.labels)
 
     def test_empty_coalition(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
@@ -167,7 +169,7 @@ class TestRandomInstances:
     def test_respects_bounds(self):
         for seed in range(30):
             poset = random_poset(RandomPosetSpec(element_count=5, edge_density=0.5, seed=seed))
-            assert 5 <= len(poset.elements) <= 6  # virtual root may be added
+            assert 5 <= len(poset.labels) <= 6  # virtual root may be added
             users = random_users(poset, seed)
             assert all(0 <= c <= 3 for c in users.counts.values())
 

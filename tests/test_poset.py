@@ -15,7 +15,14 @@ from treekeys import (
     transitive_reduction,
     width,
 )
-from treekeys.oracles import RandomPosetSpec, brute_reduction, brute_width, random_poset
+from treekeys.oracles import (
+    RandomPosetSpec,
+    brute_reduction,
+    brute_width,
+    closure,
+    covers,
+    random_poset,
+)
 
 from conftest import SAMPLE_COVERS, SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC
 
@@ -52,7 +59,7 @@ def random_posets(max_elements=8):
 class TestTransitiveClosure:
     def test_sample_has_23_pairs(self, poset8):
         assert len(transitive_closure(SAMPLE_COVERS, SAMPLE_ELEMENTS)) == 23
-        assert poset8.closure == transitive_closure(SAMPLE_COVERS, SAMPLE_ELEMENTS)
+        assert closure(poset8) == transitive_closure(SAMPLE_COVERS, SAMPLE_ELEMENTS)
 
     def test_three_chain(self):
         got = transitive_closure([("x", "y"), ("y", "z")], ["x", "y", "z"])
@@ -76,7 +83,7 @@ class TestTransitiveClosure:
 
 class TestTransitiveReduction:
     def test_sample_closure_reduces_to_covers(self, poset8):
-        got = transitive_reduction(poset8.closure, poset8.elements)
+        got = transitive_reduction(closure(poset8), poset8.labels)
         assert got == frozenset(SAMPLE_COVERS)
 
     def test_three_chain(self):
@@ -103,20 +110,20 @@ class TestParsePolicy:
     def test_sample_document(self, poset8, users8):
         poset, users = parse_policy(SAMPLE_POLICY_DOC)
         assert poset == poset8
-        assert len(poset.covers) == 10
-        assert len(poset.closure) == 23
+        assert len(covers(poset)) == 10
+        assert len(closure(poset)) == 23
         assert users.counts == users8.counts
 
     def test_generating_subset_normalizes(self, poset8):
         # feeding the full strict order instead of covers changes nothing
-        doc = {"elements": SAMPLE_ELEMENTS, "arcs": [list(a) for a in poset8.closure]}
+        doc = {"elements": SAMPLE_ELEMENTS, "arcs": [list(a) for a in closure(poset8)]}
         poset, _ = parse_policy(doc)
         assert poset == poset8
 
     def test_singleton(self):
         poset, users = parse_policy({"elements": ["a"], "arcs": []})
         assert poset.root == "a"
-        assert poset.covers == frozenset()
+        assert covers(poset) == frozenset()
         assert users.count("a") == 1
 
     def test_cycle_rejected(self):
@@ -169,16 +176,16 @@ class TestRootAugmentation:
 
     def test_two_element_antichain_gets_virtual_root(self):
         poset = Poset.from_arcs(["x", "y"], [])
-        assert len(poset.elements) == 3
+        assert len(poset.labels) == 3
         assert poset.virtual_root
-        assert poset.covers == {(poset.root, "x"), (poset.root, "y")}
+        assert covers(poset) == {(poset.root, "x"), (poset.root, "y")}
 
     def test_sample_without_top_gets_root_over_f_and_g(self):
         elements = [e for e in SAMPLE_ELEMENTS if e != "h"]
         arcs = [a for a in SAMPLE_COVERS if "h" not in a]
         poset = Poset.from_arcs(elements, arcs)
         assert poset.virtual_root
-        assert {y for x, y in poset.covers if x == poset.root} == {"f", "g"}
+        assert {y for x, y in covers(poset) if x == poset.root} == {"f", "g"}
 
     def test_reserved_label_clash(self):
         with pytest.raises(PolicyError, match="reserved"):
@@ -210,7 +217,7 @@ class TestDownSets:
         assert poset8.down_set("e") == {"a", "c", "e"}
 
     def test_down_set_of_maximum_is_everything(self, poset8):
-        assert poset8.down_set("h") == poset8.elements
+        assert poset8.down_set("h") == set(poset8.labels)
 
     def test_singleton(self):
         poset = Poset.from_arcs(["a"], [])
@@ -247,8 +254,8 @@ class TestWidthAndPartition:
     def test_partition_is_valid(self, poset8):
         partition = min_chain_partition(poset8)
         partition.validate_for(poset8)  # raises on any defect
-        assert sorted(label for chain in partition.chains for label in chain) == sorted(
-            poset8.elements
+        assert sorted(label for chain in partition.chains for label in chain) == list(
+            poset8.labels
         )
 
 
@@ -258,6 +265,7 @@ def test_labels_sorted_and_independent_of_input_order(policy, rng):
     labels, arcs, root_label = policy
     poset = Poset.from_arcs(labels, arcs, root_label=root_label)
     assert list(poset.labels) == sorted(poset.labels)
+    assert poset.positions == {x: i for i, x in enumerate(poset.labels)}
     assert poset.root in poset.labels
     assert poset.virtual_root == (poset.root == root_label)
     rng.shuffle(labels)
@@ -268,14 +276,14 @@ def test_labels_sorted_and_independent_of_input_order(policy, rng):
 @settings(max_examples=60, deadline=None)
 @given(random_posets())
 def test_closure_reduction_round_trip(poset):
-    assert transitive_closure(poset.covers, poset.elements) == poset.closure
-    assert transitive_reduction(poset.closure, poset.elements) == poset.covers
+    assert transitive_closure(covers(poset), poset.labels) == closure(poset)
+    assert transitive_reduction(closure(poset), poset.labels) == covers(poset)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_posets(max_elements=9))
 def test_reduction_matches_bruteforce(poset):
-    assert poset.covers == brute_reduction(poset.closure, poset.elements)
+    assert covers(poset) == brute_reduction(closure(poset), poset.labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,8 +295,9 @@ def test_width_matches_bruteforce_antichain(poset):
 @settings(max_examples=60, deadline=None)
 @given(random_posets())
 def test_exactly_one_source_after_rooting(poset):
-    children_of = {x: [y for p, y in poset.covers if p == x] for x in poset.elements}
-    sources = [x for x in poset.elements if not any(x in kids for kids in children_of.values())]
+    cover_pairs = covers(poset)
+    children_of = {x: [y for p, y in cover_pairs if p == x] for x in poset.labels}
+    sources = [x for x in poset.labels if not any(x in kids for kids in children_of.values())]
     assert sources == [poset.root]
     # every label is reachable from the root along cover arcs
     seen, stack = set(), [poset.root]
@@ -297,14 +306,15 @@ def test_exactly_one_source_after_rooting(poset):
         if v not in seen:
             seen.add(v)
             stack.extend(children_of[v])
-    assert seen == set(poset.elements)
+    assert seen == set(poset.labels)
 
 
 @settings(max_examples=40, deadline=None)
 @given(random_posets())
 def test_order_pairs_equal_cover_reachability(poset):
     # x > y exactly when a directed cover path runs from x down to y
-    children_of = {x: {y for p, y in poset.covers if p == x} for x in poset.elements}
+    cover_pairs = covers(poset)
+    children_of = {x: {y for p, y in cover_pairs if p == x} for x in poset.labels}
 
     def reaches(x, y):
         seen, stack = set(), [x]
@@ -318,10 +328,11 @@ def test_order_pairs_equal_cover_reachability(poset):
             stack.extend(children_of[v])
         return False
 
-    for x in poset.elements:
-        for y in poset.elements:
+    closure_pairs = closure(poset)
+    for x in poset.labels:
+        for y in poset.labels:
             if x != y:
-                assert ((x, y) in poset.closure) == reaches(x, y)
+                assert ((x, y) in closure_pairs) == reaches(x, y)
 
 
 @settings(max_examples=40, deadline=None)

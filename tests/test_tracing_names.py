@@ -55,7 +55,11 @@ def test_every_traced_name_resolves():
     # the tracer rewraps a classmethod on the bundle's class
     (["derive", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "a"],
      ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive"]),
-], ids=["analyze", "compare", "derive"])
+    # and a method on the tree class, which only the battery reaches
+    (["verify", "--seeds", "1"],
+     ["cli.main", "oracles.run_suite", "oracles.coalition_reachability",
+      "trees.DerivationOutTree.descendant_sets"]),
+], ids=["analyze", "compare", "derive", "verify"])
 def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected):
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")

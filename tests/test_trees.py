@@ -24,6 +24,8 @@ from treekeys.oracles import (
     brute_min_leaf_count,
     extra_key_labels,
     brute_min_weight,
+    closure,
+    covers,
     random_poset,
     random_users,
 )
@@ -63,7 +65,7 @@ class TestExtraKeyLabels:
         assert extra_key_labels(poset, ("x", "y")) == {"y"}
 
     def test_never_contains_root(self, poset8):
-        for arc in poset8.closure:
+        for arc in closure(poset8):
             assert poset8.root not in extra_key_labels(poset8, arc)
 
     def test_rejects_non_order_arc(self, poset8):
@@ -75,17 +77,17 @@ class TestExtraKeyLabels:
 
 class TestWeightFunction:
     def test_sample_cover_weights(self, poset8, users8):
-        wf = weight_function(poset8, users8, poset8.covers)
+        wf = weight_function(poset8, users8, covers(poset8))
         assert wf == SAMPLE_WEIGHTS
 
     def test_no_users_means_zero_cost(self, poset8):
         nobody = UserAssignment.from_counts(poset8, {})
-        wf = weight_function(poset8, nobody, poset8.covers)
+        wf = weight_function(poset8, nobody, covers(poset8))
         assert all(w == 0 for w in wf.values())
 
     def test_users_at_one_label_charge_its_covering_arcs(self, poset8):
         only_d = UserAssignment.from_counts(poset8, {"d": 5})
-        wf = weight_function(poset8, only_d, poset8.covers)
+        wf = weight_function(poset8, only_d, covers(poset8))
         assert wf[("e", "c")] == 5  # d sits above c but not above e
         assert wf[("h", "g")] == 0
 
@@ -94,21 +96,21 @@ class TestWeightFunction:
             weight_function(poset8, users8, {("a", "h")})
 
     def test_matches_per_arc_definition(self, poset8, users8):
-        wf = weight_function(poset8, users8, poset8.closure)
+        wf = weight_function(poset8, users8, closure(poset8))
         for arc, cost in wf.items():
             assert cost == sum(users8.count(x) for x in extra_key_labels(poset8, arc))
 
     def test_large_user_counts_match_per_arc_definition(self, poset8):
         # counts with many bits set exercise every popcount plane
         users = UserAssignment.from_counts(poset8, {x: 2**i + i for i, x in enumerate("abcdefgh")})
-        wf = weight_function(poset8, users, poset8.closure)
+        wf = weight_function(poset8, users, closure(poset8))
         for arc, cost in wf.items():
             assert cost == sum(users.count(x) for x in extra_key_labels(poset8, arc))
 
     def test_rejects_negative_user_counts(self, poset8):
         with pytest.raises(PolicyError, match="non-negative"):
             negative = UserAssignment(counts=dict.fromkeys(poset8.labels, -1))
-            weight_function(poset8, negative, poset8.covers)
+            weight_function(poset8, negative, covers(poset8))
 
 
 class TestMinWeightTree:
@@ -118,12 +120,12 @@ class TestMinWeightTree:
         assert tree.parent["c"] == "d"
         assert tree.parent["d"] in {"f", "g"}
         assert tree.parent["d"] == "f"  # lexicographic tie-break
-        wf = weight_function(poset8, users8, poset8.covers)
+        wf = weight_function(poset8, users8, covers(poset8))
         assert sum(wf[a] for a in tree.arcs()) == 10
 
     def test_closure_candidates_reach_same_minimum(self, poset8, users8):
         tree = min_weight_out_tree(poset8, users8, closure=True)
-        wf = weight_function(poset8, users8, poset8.closure)
+        wf = weight_function(poset8, users8, closure(poset8))
         assert sum(wf[a] for a in tree.arcs()) == 10
 
     def test_total_order_has_unique_tree(self):
@@ -141,12 +143,12 @@ class TestMinWeightTree:
 class TestMinLeafTree:
     def test_sample_minimizes_leaves(self, poset8, users8):
         tree = min_leaf_out_tree(poset8, users8)
-        wf = weight_function(poset8, users8, poset8.covers)
+        wf = weight_function(poset8, users8, covers(poset8))
         assert sum(wf[a] for a in tree.arcs()) == 10
         # keeping (f, d) makes f internal: three leaves instead of four
         assert tree.parent["d"] == "f"
         assert tree.leaves() == {"a", "b", "e"}
-        assert brute_min_leaf_count(poset8, users8, poset8.covers) == 3
+        assert brute_min_leaf_count(poset8, users8, covers(poset8)) == 3
 
     def test_total_order_single_leaf(self):
         poset = total_order()
@@ -204,14 +206,12 @@ class TestTreeValue:
         assert depths["h"] == 0 and depths["a"] == 4
         assert list(tree8_gd.ancestors("a")) == ["a", "c", "d", "g", "h"]
 
-    def test_children_is_shared_and_read_only(self, tree8_gd):
-        first = tree8_gd.children
-        literal = {v: tuple(sorted(c for c, p in tree8_gd.parent.items() if p == v))
-                   for v in "abcdefgh"}
-        assert first is tree8_gd.children
-        assert first == literal
-        with pytest.raises(TypeError):
-            first["h"] = ()
+    def test_children_are_sorted_in_a_new_dict_per_call(self, tree8_gd):
+        literal = {v: sorted(c for c, p in tree8_gd.parent.items() if p == v) for v in "abcdefgh"}
+        children = tree8_gd.children()
+        assert children == literal
+        children["h"].clear()
+        assert tree8_gd.children() == literal
 
     def test_values_are_read_only(self, poset8, users8, tree8_gd):
         _, bundles = setup(poset8, tree8_gd, rng=seeded_bytes(b"read-only"))
@@ -229,15 +229,6 @@ class TestTreeValue:
             with pytest.raises(AttributeError):
                 delattr(value, name)
             assert getattr(value, name) is before
-
-    def test_cached_views_fill_once_on_read_only_values(self, tree8_gd):
-        poset = Poset.from_arcs(["a", "b", "c"], [("c", "b"), ("b", "a")])
-        tree = DerivationOutTree(root="h", parent=dict(tree8_gd.parent))
-        assert "closure" not in vars(poset) and "children" not in vars(tree)
-        closure, children = poset.closure, tree.children
-        assert poset.closure is closure and tree.children is children
-        assert closure == {("c", "b"), ("b", "a"), ("c", "a")}
-        assert children == tree8_gd.children
 
     def test_descendant_sets(self, tree8_gd):
         reach = tree8_gd.descendant_sets()
@@ -297,9 +288,10 @@ class TestTreeValue:
 @given(instances())
 def test_stacked_arcs_charge_disjoint_sets(instance):
     poset, _users = instance
-    for x, y in poset.closure:
-        for z in poset.elements:
-            if (y, z) in poset.closure:
+    closure_pairs = closure(poset)
+    for x, y in closure_pairs:
+        for z in poset.labels:
+            if (y, z) in closure_pairs:
                 upper = extra_key_labels(poset, (x, y))
                 lower = extra_key_labels(poset, (y, z))
                 assert not (upper & lower)
@@ -310,8 +302,9 @@ def test_stacked_arcs_charge_disjoint_sets(instance):
 @given(instances())
 def test_shortcut_arc_costs_at_least_its_segments(instance):
     poset, users = instance
-    wf = weight_function(poset, users, poset.closure)
-    succ = {x: [y for y in poset.labels if (x, y) in poset.closure] for x in poset.elements}
+    closure_pairs = closure(poset)
+    wf = weight_function(poset, users, closure_pairs)
+    succ = {x: [y for y in poset.labels if (x, y) in closure_pairs] for x in poset.labels}
 
     def walk(path, total):
         if len(path) > 2:
@@ -328,8 +321,8 @@ def test_shortcut_arc_costs_at_least_its_segments(instance):
 def test_min_tree_matches_exhaustive_enumeration(instance):
     poset, users = instance
     tree = min_weight_out_tree(poset, users)
-    wf = weight_function(poset, users, poset.covers)
-    best, _ = brute_min_weight(poset, users, poset.covers)
+    wf = weight_function(poset, users, covers(poset))
+    best, _ = brute_min_weight(poset, users, covers(poset))
     assert sum(wf[a] for a in tree.arcs()) == best
 
 
@@ -337,8 +330,8 @@ def test_min_tree_matches_exhaustive_enumeration(instance):
 @given(instances(max_elements=6))
 def test_cover_arcs_suffice_for_the_minimum(instance):
     poset, users = instance
-    cover_best, _ = brute_min_weight(poset, users, poset.covers)
-    closure_best, _ = brute_min_weight(poset, users, poset.closure)
+    cover_best, _ = brute_min_weight(poset, users, covers(poset))
+    closure_best, _ = brute_min_weight(poset, users, closure(poset))
     assert cover_best == closure_best
 
 
@@ -347,10 +340,10 @@ def test_cover_arcs_suffice_for_the_minimum(instance):
 def test_min_leaf_tree_is_optimal_on_both_counts(instance):
     poset, users = instance
     tree = min_leaf_out_tree(poset, users)
-    wf = weight_function(poset, users, poset.covers)
-    best, _ = brute_min_weight(poset, users, poset.covers)
+    wf = weight_function(poset, users, covers(poset))
+    best, _ = brute_min_weight(poset, users, covers(poset))
     assert sum(wf[a] for a in tree.arcs()) == best
-    assert len(tree.leaves()) == brute_min_leaf_count(poset, users, poset.covers)
+    assert len(tree.leaves()) == brute_min_leaf_count(poset, users, covers(poset))
 
 
 @settings(max_examples=40, deadline=None)
@@ -358,9 +351,9 @@ def test_min_leaf_tree_is_optimal_on_both_counts(instance):
 def test_every_tree_arc_is_a_cheapest_in_arc(instance):
     poset, users = instance
     tree = min_weight_out_tree(poset, users)
-    wf = weight_function(poset, users, poset.covers)
+    wf = weight_function(poset, users, covers(poset))
     in_arcs = {}
-    for y, z in poset.covers:
+    for y, z in covers(poset):
         in_arcs.setdefault(z, []).append(y)
     for child, parent in tree.parent.items():
         assert wf[(parent, child)] == min(wf[(y, child)] for y in in_arcs[child])
@@ -374,7 +367,7 @@ def test_positive_user_counts_force_cover_arcs(instance):
     poset, _users = instance
     everyone = UserAssignment.uniform(poset)
     tree = min_weight_out_tree(poset, everyone, closure=True)
-    assert frozenset(tree.arcs()) <= poset.covers
+    assert frozenset(tree.arcs()) <= covers(poset)
 
 
 def test_ten_thousand_label_chain_from_policy_to_allocation():
@@ -384,7 +377,7 @@ def test_ten_thousand_label_chain_from_policy_to_allocation():
     labels = [f"c{i:05d}" for i in range(n)]
     doc = {"elements": labels, "arcs": [[x, y] for x, y in zip(labels, labels[1:])]}
     poset, users = parse_policy(doc)
-    assert len(poset.covers) == n - 1
+    assert len(covers(poset)) == n - 1
     assert poset.closure_size == n * (n - 1) // 2
     tree = min_leaf_out_tree(poset, users)
     allocation = canonical_allocation(poset, tree)
