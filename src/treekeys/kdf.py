@@ -8,16 +8,23 @@ exposing one never helps derive another. A holder at label x receives the
 secrets of x's start points; everything at or below x (and nothing else)
 is then derivable with no public helper data.
 
-The PRF is HMAC-SHA-256. ``hashlib`` and ``hmac`` (OpenSSL's libcrypto)
-are imported on the first ``prf`` or ``seeded_bytes`` call, which first
-checks published test vectors, so a broken primitive stops the first key
-derivation of every process rather than generating garbage keys, and
-commands that derive no key never load it.
+The PRF is HMAC-SHA-256, loaded on the first ``prf`` or ``seeded_bytes``
+call, which first checks published test vectors, so a broken primitive
+stops the first key derivation of every process rather than generating
+garbage keys, and commands that derive no key never load it. It comes
+from whichever OpenSSL the process already maps: ``cryptography``'s own
+when the process has imported it (``encrypt`` and ``decrypt`` load the
+AEAD first), the standard library's ``hmac`` over the system libcrypto
+otherwise. Both stay: ``cryptography`` is the only AEAD at hand, and
+loading it just for HMAC would raise the peak memory of ``derive`` and
+``keygen``, which seal nothing, by about 3.5 MiB. Both give the same
+bytes, since HMAC-SHA-256 is one function.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .allocation import canonical_allocation, start_points
@@ -43,19 +50,39 @@ _SELF_CHECK_VECTORS = (
 )
 
 
-#: ``hmac.digest`` once ``self_check`` has passed in this process.
-_hmac_digest: Callable[[bytes, bytes, str], bytes] | None = None
+#: HMAC-SHA-256 as ``(key, message) -> tag``, once ``self_check`` has
+#: passed in this process.
+_hmac_digest: Callable[[bytes, bytes], bytes] | None = None
+
+
+def _load_hmac_sha256() -> Callable[[bytes, bytes], bytes]:
+    """HMAC-SHA-256 from the OpenSSL this process already maps, so that
+    no command maps two: ``cryptography``'s if it is loaded, else the
+    standard library's."""
+    if "cryptography" in sys.modules:
+        from cryptography.hazmat.primitives.hashes import SHA256
+        from cryptography.hazmat.primitives.hmac import HMAC
+
+        def digest(key: bytes, message: bytes) -> bytes:
+            mac = HMAC(key, SHA256())
+            mac.update(message)
+            return mac.finalize()
+
+        return digest
+    from functools import partial
+    from hmac import digest
+
+    return partial(digest, digest="sha256")
 
 
 def self_check() -> None:
-    """Import HMAC-SHA-256 and verify it against published test vectors."""
+    """Load HMAC-SHA-256 and verify it against published test vectors."""
     global _hmac_digest
-    import hmac
-
+    digest = _load_hmac_sha256()
     for key, message, expected in _SELF_CHECK_VECTORS:
-        if hmac.digest(key, message, "sha256").hex() != expected:
+        if digest(key, message).hex() != expected:
             raise VerificationError("HMAC-SHA-256 self-check failed; refusing to derive keys")
-    _hmac_digest = hmac.digest
+    _hmac_digest = digest
 
 
 def prf(key: bytes, message: bytes) -> bytes:
@@ -64,7 +91,7 @@ def prf(key: bytes, message: bytes) -> bytes:
         raise ValueError(f"PRF key must be exactly {KEY_BYTES} bytes, got {len(key)}")
     if _hmac_digest is None:
         self_check()
-    return _hmac_digest(key, message, "sha256")
+    return _hmac_digest(key, message)
 
 
 def encode_label(label: str) -> bytes:

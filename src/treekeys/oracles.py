@@ -253,21 +253,25 @@ def allocation_by_definition(poset: Poset, tree: DerivationOutTree) -> KeyAlloca
 
 
 def brute_width(poset: Poset) -> int:
-    """Maximum antichain size by subset enumeration (12 labels or fewer)."""
+    """Maximum antichain size by subset enumeration (12 labels or fewer).
+
+    Every subset of an antichain is one, so sizes are tried upward and the
+    first size with no antichain ends the search.
+    """
     order = poset.labels
     if len(order) > 12:
         raise EnumerationBudgetError("brute-force width limited to 12 labels")
     best = 0
-    for size in range(len(order), best, -1):
-        for combo in itertools.combinations(order, size):
-            if all(
+    for size in range(1, len(order) + 1):
+        if not any(
+            all(
                 not poset.above(a, b) and not poset.above(b, a)
                 for a, b in itertools.combinations(combo, 2)
-            ):
-                best = size
-                break
-        if best:
+            )
+            for combo in itertools.combinations(order, size)
+        ):
             break
+        best = size
     return best
 
 

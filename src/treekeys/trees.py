@@ -203,7 +203,10 @@ def min_leaf_out_tree(
     label matched to it. At most one matched pair is then missing, and an
     alternating path that restores it must start at the dropped label or
     end at the dropped parent: any other would have augmented the
-    matching before.
+    matching before. For a parent already used, only the dropped parent
+    needs a new label, so every used candidate of one label asks the same
+    question of the same state (a failed search and a rejected unused
+    candidate change nothing); after one failure the rest are skipped.
     """
     cheapest = _cheapest_parents(poset, users, closure=closure)
     match = max_bipartite_matching(cheapest)  # label -> parent
@@ -219,10 +222,12 @@ def min_leaf_out_tree(
         freed = match.pop(child, None)
         if freed is not None:
             del owner[freed]
+        stuck = False  # the used-parent search failed for this label
         for cand in cheapest[child]:
             if cand in used:
-                if freed is None or augment(takers, owner, match, freed, chosen):
+                if freed is None or not stuck and augment(takers, owner, match, freed, chosen):
                     break
+                stuck = True
                 continue
             rival = owner.pop(cand, None)
             if rival is None:

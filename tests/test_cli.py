@@ -292,7 +292,8 @@ class TestShortKeyMaterial:
 
 
 def test_failed_hmac_self_check_exits_three_before_any_key(keyed_sample, tmp_path):
-    # a broken primitive surfaces on the first key derivation, as a verification failure
+    # a broken primitive surfaces on the first key derivation, as a verification failure,
+    # whichever OpenSSL the HMAC comes from
     probe = (
         "import sys\n"
         "from treekeys import cli, kdf\n"
@@ -306,6 +307,17 @@ def test_failed_hmac_self_check_exits_three_before_any_key(keyed_sample, tmp_pat
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
     assert "HMAC-SHA-256 self-check failed" in done.stderr
+    store = read_json(keyed_sample["keys"] / "keystore.json")
+    sealed = tmp_path / "report.txt.sealed"
+    sealed.write_bytes(seal(bytes.fromhex(store["keys"]["e"]), "e", b"numbers\n"))
+    done = run_python("-c", probe, "decrypt", keyed_sample["policy"],
+                      "--tree", keyed_sample["tree"],
+                      "--bundle", keyed_sample["keys"] / "sigma_h.json", sealed)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert "HMAC-SHA-256 self-check failed" in done.stderr
+    assert not (tmp_path / "report.txt").exists()
     # a command that derives no key never runs the check
     done = run_python("-c", probe, "build-tree", keyed_sample["policy"],
                       "--out-dir", tmp_path / "again")
@@ -325,28 +337,43 @@ def test_out_of_memory_exits_one_without_a_traceback(run, policy_file, monkeypat
 
 
 HMAC_MODULES = ("hashlib", "_hashlib", "hmac")
+CRYPTOGRAPHY = ("cryptography",)
 
 
-@pytest.mark.parametrize("command, loads_hmac", [
-    (["build-tree", "{policy}", "--out-dir", "{tmp}/again"], False),
-    (["compare", "{policy}", "--json"], False),
-    (["analyze", "{policy}", "--json"], False),
+@pytest.mark.parametrize("command, expected", [
+    (["build-tree", "{policy}", "--out-dir", "{tmp}/again"], ()),
+    (["compare", "{policy}", "--json"], ()),
+    (["analyze", "{policy}", "--json"], ()),
     (["encrypt", "{policy}", "--tree", "{tree}", "--keystore", "{keys}/keystore.json",
-      "--manifest", "{tmp}/manifest.json"], False),
-    (["derive", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_f.json", "a"], True),
-], ids=["build-tree", "compare", "analyze", "encrypt-keystore", "derive"])
-def test_only_key_derivation_loads_hmac(command, loads_hmac, keyed_sample, tmp_path):
+      "--manifest", "{tmp}/manifest.json"], CRYPTOGRAPHY),
+    (["derive", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_f.json", "a"],
+     HMAC_MODULES),
+    (["keygen", "{policy}", "--tree", "{tree}", "--seed", SEED, "--out-dir", "{tmp}/keys"],
+     HMAC_MODULES),
+    (["encrypt", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_h.json",
+      "--manifest", "{tmp}/manifest.json"], CRYPTOGRAPHY),
+    (["decrypt", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_h.json",
+      "{tmp}/old.txt.sealed"], CRYPTOGRAPHY),
+], ids=["build-tree", "compare", "analyze", "encrypt-keystore", "derive", "keygen-seed",
+        "encrypt-bundle", "decrypt-bundle"])
+def test_only_key_derivation_loads_hmac(command, expected, keyed_sample, tmp_path):
+    # HMAC comes from the system libcrypto only where no cipher is loaded,
+    # so no command maps two copies of OpenSSL
     payload = tmp_path / "report.txt"
     payload.write_bytes(b"numbers\n")
     (tmp_path / "manifest.json").write_text(
         json.dumps({"objects": [{"path": str(payload), "label": "e"}]}))
+    store = read_json(keyed_sample["keys"] / "keystore.json")
+    (tmp_path / "old.txt.sealed").write_bytes(
+        seal(bytes.fromhex(store["keys"]["e"]), "e", b"older numbers\n"))
     names = {"policy": keyed_sample["policy"], "tree": keyed_sample["tree"],
              "keys": keyed_sample["keys"], "tmp": tmp_path}
+    modules = CRYPTOGRAPHY + HMAC_MODULES
     probe = (
         "import json, sys\n"
         "from treekeys.cli import main\n"
         "code = main(sys.argv[2:])\n"
-        f"loaded = [m for m in {HMAC_MODULES!r} if m in sys.modules]\n"
+        f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
         "open(sys.argv[1], 'w').write(json.dumps([code, loaded]))\n"
     )
     report = tmp_path / "loaded.json"
@@ -354,7 +381,7 @@ def test_only_key_derivation_loads_hmac(command, loads_hmac, keyed_sample, tmp_p
     assert done.returncode == 0, done.stderr
     code, loaded = read_json(report)
     assert code == 0
-    assert loaded == (list(HMAC_MODULES) if loads_hmac else [])
+    assert loaded == list(expected)
 
 
 def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd, tmp_path):

@@ -7,7 +7,8 @@ weights, derivation depths, chain scheme and derivation with them
 directly, or with literal walks written out here. The min-leaf tree is
 compared whole with the re-matching greedy, and the cheapest parents
 over the whole order with the literal arc weights, on those policies, on
-a 256-label MLS lattice and on small random ones. The same three check the
+a 256-label MLS lattice and on small random ones, and the min-leaf
+tree also on the Boolean lattice 2^8. The first three check the
 paper's comparison with chain-based schemes: the tree scheme never needs
 more keys. When networkx is installed, it checks four results at
 scales enumeration cannot reach: the closure and covers at 2000 labels, the
@@ -276,6 +277,16 @@ def test_min_leaf_tree_matches_rematching_greedy(policy, arcs):
 def test_min_leaf_tree_matches_rematching_greedy_on_mls_lattice(arcs):
     poset, users = parse_policy(mls_policy_doc(1))
     assert len(poset.labels) == 256
+    expected = rematching_min_leaf_tree(poset, users, getattr(oracles, arcs)(poset))
+    assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
+
+
+@pytest.mark.parametrize("arcs", ["covers", "closure"])
+def test_min_leaf_tree_matches_rematching_greedy_on_boolean_lattice(arcs):
+    # one user per label ties every cover, so the greedy repairs the most;
+    # 2^10 takes the oracle 35 s over the closure and is left to its golden digest
+    document = _boolean_lattice(8)
+    poset, users = parse_policy({**document, "users": dict.fromkeys(document["elements"], 1)})
     expected = rematching_min_leaf_tree(poset, users, getattr(oracles, arcs)(poset))
     assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
 

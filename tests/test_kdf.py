@@ -1,5 +1,10 @@
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +86,50 @@ class TestPrf:
             with pytest.raises(VerificationError, match="self-check failed"):
                 seeded_bytes(b"seed")
         assert kdf._hmac_digest is None
+
+
+PUBLISHED_VECTORS = (
+    ("0b" * 20, b"Hi There".hex(),
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe".hex(), b"what do ya want for nothing?".hex(),
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+)
+
+# Run in a fresh interpreter, so that the backend follows from what the
+# probe imports, not from what earlier tests in this process loaded.
+BACKEND_PROBE = """
+import json, sys
+if sys.argv[1] == "cryptography":
+    import cryptography.hazmat.primitives.ciphers.aead
+from treekeys import kdf
+vectors, messages = json.loads(sys.argv[2]), json.loads(sys.argv[3])
+key = bytes(range(32))
+print(json.dumps({
+    "prf": [kdf.prf(key, bytes.fromhex(m)).hex() for m in messages],
+    "vectors": [kdf._hmac_digest(bytes.fromhex(k), bytes.fromhex(m)).hex()
+                for k, m, _ in vectors],
+    "loaded": [m for m in ("cryptography", "hmac") if m in sys.modules],
+}))
+"""
+
+
+@pytest.mark.parametrize("backend", ["cryptography", "hmac"])
+def test_each_hmac_backend_matches_vectors_and_independent_hmac(backend):
+    messages = [b"", b"a", b"some longer message " * 7, bytes(range(256))]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", BACKEND_PROBE, backend, json.dumps(PUBLISHED_VECTORS),
+         json.dumps([m.hex() for m in messages])],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["loaded"] == [backend]  # the other OpenSSL binding was never loaded
+    assert result["vectors"] == [expected for _, _, expected in PUBLISHED_VECTORS]
+    key = bytes(range(32))
+    assert result["prf"] == [manual_hmac_sha256(key, m).hex() for m in messages]
 
 
 class TestSetup:
