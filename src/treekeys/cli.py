@@ -246,7 +246,6 @@ def _key_source(
             return keys[label]
 
         return stored
-    sealing.load_cipher()  # so derivation takes HMAC from the cipher's OpenSSL
     bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle))
     return lambda label: kdf.derive(poset, tree, bundle, label)
 

@@ -8,23 +8,19 @@ exposing one never helps derive another. A holder at label x receives the
 secrets of x's start points; everything at or below x (and nothing else)
 is then derivable with no public helper data.
 
-The PRF is HMAC-SHA-256, loaded on the first ``prf`` or ``seeded_bytes``
-call, which first checks published test vectors, so a broken primitive
-stops the first key derivation of every process rather than generating
-garbage keys, and commands that derive no key never load it. It comes
-from whichever OpenSSL the process already maps: ``cryptography``'s own
-when the process has imported it (``encrypt`` and ``decrypt`` load the
-AEAD first), the standard library's ``hmac`` over the system libcrypto
-otherwise. Both stay: ``cryptography`` is the only AEAD at hand, and
-loading it just for HMAC would raise the peak memory of ``derive`` and
-``keygen``, which seal nothing, by about 3.5 MiB. Both give the same
-bytes, since HMAC-SHA-256 is one function.
+The PRF is HMAC-SHA-256 (RFC 2104), written out here over the
+interpreter's built-in SHA-256 module, so no command maps OpenSSL to
+derive a key. The SHA-256 constructor is resolved once per process, on
+the first ``prf`` or ``seeded_bytes`` call, which first checks published
+test vectors: a broken primitive stops the first key derivation of every
+process rather than generating garbage keys, and commands that derive no
+key never resolve it. Only an interpreter built without that module
+falls back to ``hashlib``; the construction and its bytes stay the same.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .allocation import canonical_allocation, start_points
@@ -49,40 +45,50 @@ _SELF_CHECK_VECTORS = (
     ),
 )
 
+_BLOCK = 64  # SHA-256's block size in bytes
+# HMAC's inner and outer pads as ``bytes.translate`` tables: byte b maps to b XOR pad
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
 
-#: HMAC-SHA-256 as ``(key, message) -> tag``, once ``self_check`` has
-#: passed in this process.
+#: SHA-256 and HMAC-SHA-256 over it, once ``self_check`` has passed in this process.
+_sha256: Callable[[bytes], Any] | None = None
 _hmac_digest: Callable[[bytes, bytes], bytes] | None = None
 
 
-def _load_hmac_sha256() -> Callable[[bytes, bytes], bytes]:
-    """HMAC-SHA-256 from the OpenSSL this process already maps, so that
-    no command maps two: ``cryptography``'s if it is loaded, else the
-    standard library's."""
-    if "cryptography" in sys.modules:
-        from cryptography.hazmat.primitives.hashes import SHA256
-        from cryptography.hazmat.primitives.hmac import HMAC
+def _load_sha256() -> Callable[[bytes], Any]:
+    """The built-in SHA-256 constructor, which maps no OpenSSL."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
-        def digest(key: bytes, message: bytes) -> bytes:
-            mac = HMAC(key, SHA256())
-            mac.update(message)
-            return mac.finalize()
 
-        return digest
-    from functools import partial
-    from hmac import digest
+def _hmac_over(sha256: Callable[[bytes], Any]) -> Callable[[bytes, bytes], bytes]:
+    """HMAC (RFC 2104) as ``(key, message) -> tag`` over ``sha256``."""
 
-    return partial(digest, digest="sha256")
+    def digest(key: bytes, message: bytes) -> bytes:
+        if len(key) > _BLOCK:
+            key = sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\0")
+        inner = sha256(key.translate(_IPAD) + message).digest()
+        return sha256(key.translate(_OPAD) + inner).digest()
+
+    return digest
 
 
 def self_check() -> None:
-    """Load HMAC-SHA-256 and verify it against published test vectors."""
-    global _hmac_digest
-    digest = _load_hmac_sha256()
+    """Resolve SHA-256 and verify HMAC-SHA-256 over it against published test vectors."""
+    global _sha256, _hmac_digest
+    sha256 = _load_sha256()
+    digest = _hmac_over(sha256)
     for key, message, expected in _SELF_CHECK_VECTORS:
         if digest(key, message).hex() != expected:
             raise VerificationError("HMAC-SHA-256 self-check failed; refusing to derive keys")
-    _hmac_digest = digest
+    _sha256, _hmac_digest = sha256, digest
 
 
 def prf(key: bytes, message: bytes) -> bytes:
@@ -114,13 +120,13 @@ def seeded_bytes(seed: bytes) -> Callable[[int], bytes]:
         raise ValueError("seed must be non-empty")
     if _hmac_digest is None:
         self_check()
-    import hashlib
+    sha256 = _sha256
 
     def rng(n: int) -> bytes:
         out = b""
         counter = 0
         while len(out) < n:
-            out += hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
+            out += sha256(seed + counter.to_bytes(8, "big")).digest()
             counter += 1
         return out[:n]
 

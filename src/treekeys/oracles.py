@@ -14,7 +14,7 @@ import math
 import os
 import random
 import time
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from . import kdf
 from .allocation import KeyAllocation, canonical_allocation, validate_enforcement
@@ -143,13 +143,6 @@ def enumerate_out_trees(
         yield DerivationOutTree(root=poset.root, parent=dict(zip(children, combo)))
 
 
-def _literal_arc_weights(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
-) -> dict[Arc, int]:
-    arcs = frozenset(candidate_arcs)
-    return {arc: sum(users.count(x) for x in extra_key_labels(poset, arc)) for arc in arcs}
-
-
 def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     """Labels whose holders need the arc's child as an extra start point.
 
@@ -167,15 +160,26 @@ def extra_key_labels(poset: Poset, arc: Arc) -> frozenset[str]:
     )
 
 
+def charged_sets(poset: Poset, arcs: Iterable[Arc]) -> dict[Arc, frozenset[str]]:
+    """Each arc's ``extra_key_labels``: the one literal table that the
+    enumeration oracles and the battery's charge checks read."""
+    return {arc: extra_key_labels(poset, arc) for arc in arcs}
+
+
+def _literal_arc_weights(
+    users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
+) -> dict[Arc, int]:
+    return {arc: sum(users.count(x) for x in labels) for arc, labels in charged.items()}
+
+
 def _tuple_weights(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
+    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
 ) -> tuple[list[str], Iterator[tuple[int, tuple[str, ...]]]]:
-    """Every spanning out-tree as ``_parent_tuples`` gives it, paired with
-    its total literal arc cost."""
-    candidate_arcs = frozenset(candidate_arcs)  # read twice below
-    children, combos = _parent_tuples(poset, candidate_arcs)
+    """Every spanning out-tree over the arcs of ``charged`` as
+    ``_parent_tuples`` gives it, paired with its total literal arc cost."""
+    children, combos = _parent_tuples(poset, charged)
     column: dict[str, dict[str, int]] = {c: {} for c in children}
-    for (y, z), w in _literal_arc_weights(poset, users, candidate_arcs).items():
+    for (y, z), w in _literal_arc_weights(users, charged).items():
         column[z][y] = w
     tables = [column[c] for c in children]
     return children, (
@@ -184,22 +188,24 @@ def _tuple_weights(
 
 
 def brute_min_weight(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
+    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
 ) -> tuple[int, DerivationOutTree]:
-    """Exhaustive minimum total arc cost over all spanning out-trees; the
-    tree is the first cheapest one in enumeration order."""
-    children, weighted = _tuple_weights(poset, users, candidate_arcs)
+    """Exhaustive minimum total arc cost over all spanning out-trees on the
+    candidate arcs of ``charged`` (see ``charged_sets``); the tree is the
+    first cheapest one in enumeration order."""
+    children, weighted = _tuple_weights(poset, users, charged)
     best_weight, best = min(weighted, key=lambda pair: pair[0])
     return best_weight, DerivationOutTree(root=poset.root, parent=dict(zip(children, best)))
 
 
 def brute_min_leaf_count(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
+    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
 ) -> int:
-    """Fewest leaves among minimum-cost spanning out-trees, by enumeration.
+    """Fewest leaves among minimum-cost spanning out-trees on the candidate
+    arcs of ``charged``, by enumeration.
 
     A tree's leaves are the labels that are nobody's parent."""
-    _, weighted = _tuple_weights(poset, users, candidate_arcs)
+    _, weighted = _tuple_weights(poset, users, charged)
     n = len(poset.labels)
     return min((total, n - len(set(combo))) for total, combo in weighted)[1]
 
@@ -214,10 +220,10 @@ def rematching_min_leaf_tree(
     (from the literal arc weights) fixes the lexicographically smallest
     parent whose residual matching still reaches the maximum.
     """
-    candidate_arcs = frozenset(candidate_arcs)  # read twice below
-    weights = _literal_arc_weights(poset, users, candidate_arcs)
+    charged = charged_sets(poset, candidate_arcs)  # read twice below
+    weights = _literal_arc_weights(users, charged)
     cheapest: dict[str, list[str]] = {}
-    for child, parents in _in_arc_lists(poset, candidate_arcs).items():
+    for child, parents in _in_arc_lists(poset, charged).items():
         least = min(weights[(p, child)] for p in parents)
         cheapest[child] = [p for p in parents if weights[(p, child)] == least]
     children = sorted(cheapest)
@@ -387,13 +393,12 @@ _CHECK_NAMES = (
 )
 
 
-def _charge_set_algebra_ok(poset: Poset, closure_pairs: frozenset[Arc]) -> bool:
-    # stacked arcs charge disjoint label sets, and a shortcut arc charges
-    # exactly their union
-    charged = {arc: extra_key_labels(poset, arc) for arc in closure_pairs}
-    for x, y in closure_pairs:
+def _charge_set_algebra_ok(poset: Poset, charged: Mapping[Arc, frozenset[str]]) -> bool:
+    # over the closure's charged sets: stacked arcs charge disjoint label
+    # sets, and a shortcut arc charges exactly their union
+    for x, y in charged:
         for z in poset.labels:
-            if (y, z) in closure_pairs:
+            if (y, z) in charged:
                 upper, lower = charged[(x, y)], charged[(y, z)]
                 if upper & lower or charged[(x, z)] != upper | lower:
                     return False
@@ -401,12 +406,13 @@ def _charge_set_algebra_ok(poset: Poset, closure_pairs: frozenset[Arc]) -> bool:
 
 
 def _path_superadditivity_ok(
-    poset: Poset, users: UserAssignment, closure_pairs: frozenset[Arc]
+    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
 ) -> bool:
-    # a shortcut arc costs exactly the sum of the arcs along any path below it
-    weights = _literal_arc_weights(poset, users, closure_pairs)
+    # over the closure's charged sets: a shortcut arc costs exactly the sum
+    # of the arcs along any path below it
+    weights = _literal_arc_weights(users, charged)
     succ: dict[str, list[str]] = {x: [] for x in poset.labels}
-    for x, y in closure_pairs:
+    for x, y in weights:
         succ[x].append(y)
 
     def walk(path: list[str], total: int) -> bool:
@@ -441,6 +447,8 @@ def _examine_instance(
 ) -> None:
     """Run the full battery on one instance, recording into ``results``."""
     cover_pairs, closure_pairs = covers(poset), closure(poset)
+    charged = charged_sets(poset, closure_pairs)
+    cover_charged = {arc: charged[arc] for arc in cover_pairs}
     ok = (
         transitive_closure(cover_pairs, poset.labels) == closure_pairs
         and transitive_reduction(closure_pairs, poset.labels) == cover_pairs
@@ -453,13 +461,13 @@ def _examine_instance(
     tree = min_weight_out_tree(poset, users)
     wf = weight_function(poset, users, cover_pairs)
     optimized = sum(wf[a] for a in tree.arcs())
-    brute_weight, _ = brute_min_weight(poset, users, cover_pairs)
+    brute_weight, _ = brute_min_weight(poset, users, cover_charged)
     results["tree-weight-vs-enumeration"].record(optimized == brute_weight, payload)
 
     closure_tree = min_weight_out_tree(poset, users, closure=True)
     closure_wf = weight_function(poset, users, closure_pairs)
     closure_optimized = sum(closure_wf[a] for a in closure_tree.arcs())
-    closure_brute, _ = brute_min_weight(poset, users, closure_pairs)
+    closure_brute, _ = brute_min_weight(poset, users, charged)
     results["cover-vs-closure-minimum"].record(
         optimized == closure_brute == closure_optimized == brute_weight, payload
     )
@@ -467,7 +475,7 @@ def _examine_instance(
     few_leaves = min_leaf_out_tree(poset, users)
     results["min-leaf-vs-enumeration"].record(
         sum(wf[a] for a in few_leaves.arcs()) == brute_weight
-        and len(few_leaves.leaves()) == brute_min_leaf_count(poset, users, cover_pairs),
+        and len(few_leaves.leaves()) == brute_min_leaf_count(poset, users, cover_charged),
         payload,
     )
 
@@ -499,9 +507,9 @@ def _examine_instance(
     detected = bad.phi == allocation.phi or bool(validate_enforcement(poset, tree, bad))
     results["invalid-allocation-detected"].record(detected, payload)
 
-    results["charge-set-algebra"].record(_charge_set_algebra_ok(poset, closure_pairs), payload)
+    results["charge-set-algebra"].record(_charge_set_algebra_ok(poset, charged), payload)
     results["path-weight-superadditivity"].record(
-        _path_superadditivity_ok(poset, users, closure_pairs), payload
+        _path_superadditivity_ok(poset, users, charged), payload
     )
 
     # the per-user key total must equal the tree's total arc cost, for any

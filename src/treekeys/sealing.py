@@ -6,10 +6,8 @@ ciphertext. The label rides as associated data, so a ciphertext cannot be
 replayed under a different label even though the label itself is public.
 
 ``cryptography`` is imported on the first seal or unseal, so commands
-that never touch a sealed object do not load it. ``encrypt`` and
-``decrypt`` import it before they derive any key (``load_cipher``), so
-that ``kdf`` takes HMAC from the OpenSSL built into ``cryptography``
-rather than mapping the system libcrypto as well. Each call holds one
+that never touch a sealed object do not load it, and it is the only
+OpenSSL any command maps: key derivation needs none. Each call holds one
 container-sized buffer besides its input: ``seal`` encrypts straight
 into the container after its header, and ``unseal`` decrypts from a view
 of the blob.
@@ -25,11 +23,6 @@ MAGIC = b"PKAS1"
 NONCE_BYTES = 12
 _LEN_BYTES = 2
 _TAG_BYTES = 16  # the Poly1305 tag that follows the ciphertext
-
-
-def load_cipher() -> None:
-    """Import the AEAD now, before any key derivation in this process."""
-    import cryptography.hazmat.primitives.ciphers.aead  # noqa: F401
 
 
 def seal(key: bytes, label: str, plaintext: bytes) -> bytearray:

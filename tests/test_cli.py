@@ -293,7 +293,7 @@ class TestShortKeyMaterial:
 
 def test_failed_hmac_self_check_exits_three_before_any_key(keyed_sample, tmp_path):
     # a broken primitive surfaces on the first key derivation, as a verification failure,
-    # whichever OpenSSL the HMAC comes from
+    # in a command that seals as in one that does not
     probe = (
         "import sys\n"
         "from treekeys import cli, kdf\n"
@@ -336,29 +336,31 @@ def test_out_of_memory_exits_one_without_a_traceback(run, policy_file, monkeypat
     assert "Traceback" not in err
 
 
-HMAC_MODULES = ("hashlib", "_hashlib", "hmac")
-CRYPTOGRAPHY = ("cryptography",)
-
-
-@pytest.mark.parametrize("command, expected", [
-    (["build-tree", "{policy}", "--out-dir", "{tmp}/again"], ()),
-    (["compare", "{policy}", "--json"], ()),
-    (["analyze", "{policy}", "--json"], ()),
+@pytest.mark.parametrize("command, derives, seals", [
+    (["build-tree", "{policy}", "--out-dir", "{tmp}/again"], False, False),
+    (["compare", "{policy}", "--json"], False, False),
+    (["analyze", "{policy}", "--json"], False, False),
     (["encrypt", "{policy}", "--tree", "{tree}", "--keystore", "{keys}/keystore.json",
-      "--manifest", "{tmp}/manifest.json"], CRYPTOGRAPHY),
+      "--manifest", "{tmp}/manifest.json"], False, True),
+    (["decrypt", "{policy}", "--tree", "{tree}", "--keystore", "{keys}/keystore.json",
+      "{tmp}/old.txt.sealed"], False, True),
     (["derive", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_f.json", "a"],
-     HMAC_MODULES),
+     True, False),
     (["keygen", "{policy}", "--tree", "{tree}", "--seed", SEED, "--out-dir", "{tmp}/keys"],
-     HMAC_MODULES),
+     True, False),
+    (["keygen", "{policy}", "--tree", "{tree}", "--system-entropy", "--out-dir", "{tmp}/keys"],
+     True, False),
+    (["verify", "{policy}", "--seeds", "2"], True, False),
     (["encrypt", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_h.json",
-      "--manifest", "{tmp}/manifest.json"], CRYPTOGRAPHY),
+      "--manifest", "{tmp}/manifest.json"], True, True),
     (["decrypt", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_h.json",
-      "{tmp}/old.txt.sealed"], CRYPTOGRAPHY),
-], ids=["build-tree", "compare", "analyze", "encrypt-keystore", "derive", "keygen-seed",
-        "encrypt-bundle", "decrypt-bundle"])
-def test_only_key_derivation_loads_hmac(command, expected, keyed_sample, tmp_path):
-    # HMAC comes from the system libcrypto only where no cipher is loaded,
-    # so no command maps two copies of OpenSSL
+      "{tmp}/old.txt.sealed"], True, True),
+], ids=["build-tree", "compare", "analyze", "encrypt-keystore", "decrypt-keystore", "derive",
+        "keygen-seed", "keygen-system-entropy", "verify", "encrypt-bundle", "decrypt-bundle"])
+def test_only_key_derivation_loads_hmac(command, derives, seals, keyed_sample, tmp_path):
+    # the HMAC is set up only by commands that derive a key, and it maps no
+    # OpenSSL: no command imports hashlib or hmac, and only sealing loads
+    # cryptography
     payload = tmp_path / "report.txt"
     payload.write_bytes(b"numbers\n")
     (tmp_path / "manifest.json").write_text(
@@ -368,20 +370,19 @@ def test_only_key_derivation_loads_hmac(command, expected, keyed_sample, tmp_pat
         seal(bytes.fromhex(store["keys"]["e"]), "e", b"older numbers\n"))
     names = {"policy": keyed_sample["policy"], "tree": keyed_sample["tree"],
              "keys": keyed_sample["keys"], "tmp": tmp_path}
-    modules = CRYPTOGRAPHY + HMAC_MODULES
+    modules = ("cryptography", "hashlib", "_hashlib", "hmac")
     probe = (
         "import json, sys\n"
+        "from treekeys import kdf\n"
         "from treekeys.cli import main\n"
         "code = main(sys.argv[2:])\n"
         f"loaded = [m for m in {modules!r} if m in sys.modules]\n"
-        "open(sys.argv[1], 'w').write(json.dumps([code, loaded]))\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, kdf._hmac_digest is not None, loaded]))\n"
     )
     report = tmp_path / "loaded.json"
     done = run_python("-c", probe, report, *(arg.format(**names) for arg in command))
     assert done.returncode == 0, done.stderr
-    code, loaded = read_json(report)
-    assert code == 0
-    assert loaded == list(expected)
+    assert read_json(report) == [0, derives, ["cryptography"] if seals else []]
 
 
 def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd, tmp_path):

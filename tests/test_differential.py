@@ -59,6 +59,7 @@ from treekeys.oracles import (
     allocation_by_definition,
     brute_min_weight,
     brute_reduction,
+    charged_sets,
     closure,
     covers,
     random_poset,
@@ -152,7 +153,7 @@ def test_tree_cost_matches_networkx_arborescence(name, arcs):
     # the cheapest tree; every tree spans from the root, which no arc enters
     nx = pytest.importorskip("networkx")
     poset, users = parse_policy(NETWORKX_ORDERS[name]())
-    weights = _literal_arc_weights(poset, users, getattr(oracles, arcs)(poset))
+    weights = _literal_arc_weights(users, charged_sets(poset, getattr(oracles, arcs)(poset)))
     graph = nx.DiGraph()
     graph.add_weighted_edges_from((y, z, w) for (y, z), w in weights.items())
     cost = nx.minimum_spanning_arborescence(graph).size(weight="weight")
@@ -262,7 +263,7 @@ def test_tree_scheme_needs_no_more_keys_than_chains_on_small_policies(
 def test_weights_match_literal_definition(policy, arcs):
     poset, users = policy
     candidates = getattr(oracles, arcs)(poset)
-    expected = _literal_arc_weights(poset, users, candidates)
+    expected = _literal_arc_weights(users, charged_sets(poset, candidates))
     assert weight_function(poset, users, candidates) == expected
 
 
@@ -342,7 +343,7 @@ def test_min_leaf_tree_matches_rematching_greedy_on_any_table(edges):
 
 def assert_closure_table_matches_literal_weights(poset, users):
     closure_pairs = closure(poset)
-    weights = _literal_arc_weights(poset, users, closure_pairs)
+    weights = _literal_arc_weights(users, charged_sets(poset, closure_pairs))
     expected = {}
     for child, parents in _in_arc_lists(poset, closure_pairs).items():
         least = min(weights[(p, child)] for p in parents)
@@ -397,7 +398,7 @@ def test_virtual_root_sorting_first():
     assert min_chain_partition(poset) == ChainPartition(chains=tuple(chains))
 
     assert _cheapest_parents(poset, users, closure=True)["f"] == ["0", "b", "d"]
-    best, _ = brute_min_weight(poset, users, closure(poset))
+    best, _ = brute_min_weight(poset, users, charged_sets(poset, closure(poset)))
     weights = weight_function(poset, users, closure(poset))
     for build in (min_weight_out_tree, min_leaf_out_tree):
         tree = build(poset, users, closure=True)

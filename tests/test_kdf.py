@@ -26,7 +26,7 @@ from treekeys import (
     setup,
 )
 from treekeys.kdf import KEY_BYTES, self_check
-from treekeys.oracles import RandomPosetSpec, random_poset, random_users
+from treekeys.oracles import RandomPosetSpec, covers, random_poset, random_users
 
 TEST_SEED = bytes(range(32))
 
@@ -39,6 +39,26 @@ def manual_hmac_sha256(key: bytes, message: bytes) -> bytes:
     key = key.ljust(block, b"\x00")
     inner = hashlib.sha256(bytes(b ^ 0x36 for b in key) + message).digest()
     return hashlib.sha256(bytes(b ^ 0x5C for b in key) + inner).digest()
+
+
+# RFC 4231 test cases 1-7 for HMAC-SHA-256 as (key, message, tag), all hex;
+# case 5 publishes only the first 128 bits, and cases 6 and 7 key with
+# 131 bytes, which HMAC hashes before use.
+RFC4231 = (
+    ("0b" * 20, b"Hi There".hex(),
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe".hex(), b"what do ya want for nothing?".hex(),
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    ("aa" * 20, "dd" * 50, "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)).hex(), "cd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    ("0c" * 20, b"Test With Truncation".hex(), "a3b6167473100ee06e0c796c2955552b"),
+    ("aa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First".hex(),
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    ("aa" * 131, b"This is a test using a larger than block-size key and a larger than "
+     b"block-size data. The key needs to be hashed before being used by the HMAC "
+     b"algorithm.".hex(), "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +87,10 @@ class TestPrf:
             assert prf(key, message) == manual_hmac_sha256(key, message)
 
     def test_standard_vectors_via_independent_implementation(self):
-        # the same published vectors the import-time self-check pins
-        vec1 = manual_hmac_sha256(bytes.fromhex("0b" * 20), b"Hi There")
-        assert vec1.hex() == "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        vec2 = manual_hmac_sha256(b"Jefe", b"what do ya want for nothing?")
-        assert vec2.hex() == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        # the first two are the vectors the self-check pins
+        for key, message, tag in RFC4231:
+            tag_of = manual_hmac_sha256(bytes.fromhex(key), bytes.fromhex(message)).hex()
+            assert tag_of.startswith(tag)
         self_check()  # must agree
 
     def test_failed_self_check_refuses_every_derivation(self, monkeypatch):
@@ -88,48 +107,63 @@ class TestPrf:
         assert kdf._hmac_digest is None
 
 
-PUBLISHED_VECTORS = (
-    ("0b" * 20, b"Hi There".hex(),
-     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
-    (b"Jefe".hex(), b"what do ya want for nothing?".hex(),
-     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
-)
-
-# Run in a fresh interpreter, so that the backend follows from what the
-# probe imports, not from what earlier tests in this process loaded.
-BACKEND_PROBE = """
+# Run in a fresh interpreter, so that what the probe imports or blocks
+# first, not what earlier tests in this process loaded, is what the PRF sees.
+HMAC_PROBE = """
 import json, sys
 if sys.argv[1] == "cryptography":
     import cryptography.hazmat.primitives.ciphers.aead
-from treekeys import kdf
-vectors, messages = json.loads(sys.argv[2]), json.loads(sys.argv[3])
+elif sys.argv[1] == "fallback":
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from treekeys import DerivationOutTree, Poset, kdf
+cases, messages, sample = map(json.loads, sys.argv[2:])
+poset = Poset.from_arcs(sample["elements"], [tuple(arc) for arc in sample["arcs"]])
+store, bundles = kdf.setup(poset, DerivationOutTree.from_json_dict(sample["tree"]),
+                           rng=kdf.seeded_bytes(bytes.fromhex(sample["seed"])))
 key = bytes(range(32))
 print(json.dumps({
+    "sha256": kdf._sha256.__module__,
+    "rfc4231": [kdf._hmac_digest(bytes.fromhex(k), bytes.fromhex(m)).hex() for k, m, _ in cases],
     "prf": [kdf.prf(key, bytes.fromhex(m)).hex() for m in messages],
-    "vectors": [kdf._hmac_digest(bytes.fromhex(k), bytes.fromhex(m)).hex()
-                for k, m, _ in vectors],
-    "loaded": [m for m in ("cryptography", "hmac") if m in sys.modules],
+    "seeded": kdf.seeded_bytes(b"seed")(100).hex(),
+    "store": store.to_json_dict(),
+    "bundles": {x: bundle.to_json_dict() for x, bundle in bundles.items()},
+    "loaded": [m for m in ("cryptography", "hashlib", "_hashlib", "hmac") if m in sys.modules],
 }))
 """
 
 
-@pytest.mark.parametrize("backend", ["cryptography", "hmac"])
-def test_each_hmac_backend_matches_vectors_and_independent_hmac(backend):
+@pytest.mark.parametrize("backend", ["cryptography", "builtin", "fallback"])
+def test_each_hmac_backend_matches_vectors_and_independent_hmac(backend, sample_scheme):
+    # one construction whatever else is loaded; only an interpreter without
+    # a built-in SHA-256 module takes the constructor from hashlib
+    poset, tree, store, bundles = sample_scheme
+    sample = {"elements": list(poset.labels), "arcs": sorted(covers(poset)),
+              "tree": tree.to_json_dict(), "seed": TEST_SEED.hex()}
     messages = [b"", b"a", b"some longer message " * 7, bytes(range(256))]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     done = subprocess.run(
-        [sys.executable, "-c", BACKEND_PROBE, backend, json.dumps(PUBLISHED_VECTORS),
-         json.dumps([m.hex() for m in messages])],
+        [sys.executable, "-c", HMAC_PROBE, backend, json.dumps(RFC4231),
+         json.dumps([m.hex() for m in messages]), json.dumps(sample)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["loaded"] == [backend]  # the other OpenSSL binding was never loaded
-    assert result["vectors"] == [expected for _, _, expected in PUBLISHED_VECTORS]
+    if backend == "fallback":
+        assert result["sha256"] == "_hashlib"
+    else:
+        assert result["sha256"] in ("_sha2", "_sha256")
+        assert result["loaded"] == (["cryptography"] if backend == "cryptography" else [])
+    assert [got[: len(tag)] for got, (_, _, tag) in zip(result["rfc4231"], RFC4231)] == [
+        tag for _, _, tag in RFC4231
+    ]
     key = bytes(range(32))
     assert result["prf"] == [manual_hmac_sha256(key, m).hex() for m in messages]
+    assert result["seeded"] == seeded_bytes(b"seed")(100).hex()
+    assert result["store"] == store.to_json_dict()
+    assert result["bundles"] == {x: bundle.to_json_dict() for x, bundle in bundles.items()}
 
 
 class TestSetup:

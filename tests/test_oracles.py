@@ -18,6 +18,7 @@ from treekeys.oracles import (
     allocation_by_definition,
     brute_min_leaf_count,
     brute_min_weight,
+    charged_sets,
     closure,
     coalition_reachability,
     covers,
@@ -62,21 +63,21 @@ class TestEnumeration:
 
 class TestBruteMinWeight:
     def test_sample_minimum_is_ten(self, poset8, users8):
-        weight, tree = brute_min_weight(poset8, users8, covers(poset8))
+        weight, tree = brute_min_weight(poset8, users8, charged_sets(poset8, covers(poset8)))
         assert weight == 10
         assert tree.parent["a"] == "c" and tree.parent["c"] == "d"
 
     def test_no_users_no_cost(self, poset8):
         nobody = UserAssignment.from_counts(poset8, {})
-        weight, _ = brute_min_weight(poset8, nobody, covers(poset8))
+        weight, _ = brute_min_weight(poset8, nobody, charged_sets(poset8, covers(poset8)))
         assert weight == 0
 
     def test_closure_candidates_same_minimum(self, poset8, users8):
-        weight, _ = brute_min_weight(poset8, users8, closure(poset8))
+        weight, _ = brute_min_weight(poset8, users8, charged_sets(poset8, closure(poset8)))
         assert weight == 10
 
     def test_sample_min_leaf_count(self, poset8, users8):
-        assert brute_min_leaf_count(poset8, users8, covers(poset8)) == 3
+        assert brute_min_leaf_count(poset8, users8, charged_sets(poset8, covers(poset8))) == 3
 
     def test_rematching_reads_its_arcs_once(self, poset8, users8):
         # an iterator of arcs is empty by a second read
@@ -102,8 +103,8 @@ class TestBruteMinWeight:
                     best = (total, tree)
                 if fewest is None or (total, len(tree.leaves())) < fewest:
                     fewest = (total, len(tree.leaves()))
-            assert brute_min_weight(poset, users, arcs) == best, seed
-            assert brute_min_leaf_count(poset, users, arcs) == fewest[1], seed
+            assert brute_min_weight(poset, users, charged_sets(poset, arcs)) == best, seed
+            assert brute_min_leaf_count(poset, users, charged_sets(poset, arcs)) == fewest[1], seed
 
     @pytest.mark.parametrize("brute", [brute_min_weight, brute_min_leaf_count])
     def test_budgets_are_enforced_before_any_tree(self, poset8, users8, monkeypatch, brute):
@@ -113,13 +114,13 @@ class TestBruteMinWeight:
         labels = [f"v{i}" for i in range(10)]
         wide = Poset.from_arcs(labels, [])
         with pytest.raises(EnumerationBudgetError, match="limit is 9"):
-            brute(wide, UserAssignment.uniform(wide), covers(wide))
+            brute(wide, UserAssignment.uniform(wide), charged_sets(wide, covers(wide)))
         monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 7)  # the sample has 8 trees
         with pytest.raises(EnumerationBudgetError, match="8 spanning out-trees"):
-            brute(poset8, users8, covers(poset8))
+            brute(poset8, users8, charged_sets(poset8, covers(poset8)))
         assert products == []
         monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 8)
-        brute(poset8, users8, covers(poset8))
+        brute(poset8, users8, charged_sets(poset8, covers(poset8)))
         assert len(products) == 1
 
 

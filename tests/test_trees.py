@@ -24,6 +24,7 @@ from treekeys.oracles import (
     brute_min_leaf_count,
     extra_key_labels,
     brute_min_weight,
+    charged_sets,
     closure,
     covers,
     random_poset,
@@ -148,7 +149,7 @@ class TestMinLeafTree:
         # keeping (f, d) makes f internal: three leaves instead of four
         assert tree.parent["d"] == "f"
         assert tree.leaves() == {"a", "b", "e"}
-        assert brute_min_leaf_count(poset8, users8, covers(poset8)) == 3
+        assert brute_min_leaf_count(poset8, users8, charged_sets(poset8, covers(poset8))) == 3
 
     def test_total_order_single_leaf(self):
         poset = total_order()
@@ -322,7 +323,7 @@ def test_min_tree_matches_exhaustive_enumeration(instance):
     poset, users = instance
     tree = min_weight_out_tree(poset, users)
     wf = weight_function(poset, users, covers(poset))
-    best, _ = brute_min_weight(poset, users, covers(poset))
+    best, _ = brute_min_weight(poset, users, charged_sets(poset, covers(poset)))
     assert sum(wf[a] for a in tree.arcs()) == best
 
 
@@ -330,8 +331,8 @@ def test_min_tree_matches_exhaustive_enumeration(instance):
 @given(instances(max_elements=6))
 def test_cover_arcs_suffice_for_the_minimum(instance):
     poset, users = instance
-    cover_best, _ = brute_min_weight(poset, users, covers(poset))
-    closure_best, _ = brute_min_weight(poset, users, closure(poset))
+    cover_best, _ = brute_min_weight(poset, users, charged_sets(poset, covers(poset)))
+    closure_best, _ = brute_min_weight(poset, users, charged_sets(poset, closure(poset)))
     assert cover_best == closure_best
 
 
@@ -341,9 +342,10 @@ def test_min_leaf_tree_is_optimal_on_both_counts(instance):
     poset, users = instance
     tree = min_leaf_out_tree(poset, users)
     wf = weight_function(poset, users, covers(poset))
-    best, _ = brute_min_weight(poset, users, covers(poset))
+    best, _ = brute_min_weight(poset, users, charged_sets(poset, covers(poset)))
     assert sum(wf[a] for a in tree.arcs()) == best
-    assert len(tree.leaves()) == brute_min_leaf_count(poset, users, covers(poset))
+    cover_charged = charged_sets(poset, covers(poset))
+    assert len(tree.leaves()) == brute_min_leaf_count(poset, users, cover_charged)
 
 
 @settings(max_examples=40, deadline=None)
