@@ -131,9 +131,10 @@ def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
         (1 << b, sum(1 << i for i, c in enumerate(counts) if c >> b & 1))
         for b in range(max(counts).bit_length())
     ]
+    ups = (up | 1 << i for i, up in enumerate(poset.strict_up))
     return {
-        x: sum(w * ((up | 1 << i) & plane).bit_count() for w, plane in planes)
-        for i, (x, up) in enumerate(zip(poset.labels, poset.strict_up))
+        x: sum(w * (up & plane).bit_count() for w, plane in planes)
+        for x, up in zip(poset.labels, ups)
     }
 
 

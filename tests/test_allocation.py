@@ -16,6 +16,7 @@ from treekeys import (
 from treekeys.oracles import (
     RandomPosetSpec,
     allocation_by_definition,
+    charged_sets,
     covers,
     enumerate_out_trees,
     random_poset,
@@ -72,7 +73,9 @@ class TestValidateEnforcement:
     def test_canonical_is_valid_and_minimal(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
         assert validate_enforcement(poset8, tree8_gd, allocation) == ()
-        assert allocation.phi == allocation_by_definition(poset8, tree8_gd).phi
+        assert allocation.phi == allocation_by_definition(
+            poset8, tree8_gd, charged_sets(poset8, tree8_gd.arcs())
+        ).phi
 
     def test_missing_start_point_is_flagged(self, poset8, tree8_gd):
         # b's users need a start at a: the tree enters a from c, and b is not above c
@@ -183,7 +186,8 @@ def test_canonical_matches_literal_definition(instance):
     from treekeys import min_weight_out_tree
 
     tree = min_weight_out_tree(poset, users)
-    assert canonical_allocation(poset, tree).phi == allocation_by_definition(poset, tree).phi
+    literal = allocation_by_definition(poset, tree, charged_sets(poset, tree.arcs()))
+    assert canonical_allocation(poset, tree).phi == literal.phi
 
 
 @settings(max_examples=40, deadline=None)

@@ -920,6 +920,25 @@ class TestVerify:
         assert "Traceback" not in done.stderr
         assert "every seed in [0, 2**64)" in done.stderr
 
+    def test_malformed_bundle_from_setup_is_a_failure_not_an_error(
+        self, run, policy_file, monkeypatch
+    ):
+        # setup hands every label one start point too few; derive refuses
+        # each such bundle as malformed, and the battery must report it
+        from treekeys import canonical_allocation
+
+        def one_short(poset, tree):
+            phi = canonical_allocation(poset, tree).phi
+            return KeyAllocation(phi={x: points - {min(points)} for x, points in phi.items()})
+
+        monkeypatch.setattr("treekeys.kdf.canonical_allocation", one_short)
+        code, out, err = run("verify", policy_file, "--seeds", "3", "--json")
+        assert code == 3, err
+        report = json.loads(out)
+        assert report["passed"] is False
+        failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"derive-correctness": {"instance": "policy"}}
+
     def test_failure_exits_three(self, run, policy_file, monkeypatch):
         from treekeys import oracles
         from treekeys.oracles import CheckResult, VerificationReport

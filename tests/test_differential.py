@@ -166,7 +166,8 @@ def test_tree_cost_matches_networkx_arborescence(name, arcs):
 def test_canonical_allocation_matches_definition(policy, trees):
     poset, _ = policy
     for tree in trees:
-        assert canonical_allocation(poset, tree).phi == allocation_by_definition(poset, tree).phi
+        literal = allocation_by_definition(poset, tree, charged_sets(poset, tree.arcs()))
+        assert canonical_allocation(poset, tree).phi == literal.phi
 
 
 def test_derivation_depth_matches_literal_walk(policy, trees):

@@ -54,6 +54,18 @@ class TestEnumeration:
         with pytest.raises(EnumerationBudgetError):
             list(enumerate_out_trees(poset, covers(poset)))
 
+    def test_nine_label_chain_closure_reaches_the_bound(self):
+        # the k-th label below the root has k candidate parents: 8! trees in
+        # all, the most any poset within the 9-label limit can give
+        labels = [f"v{i}" for i in range(9)]
+        chain = Poset.from_arcs(labels, [(labels[i + 1], labels[i]) for i in range(8)])
+        assert len(chain.labels) == oracles.TREE_ENUMERATION_MAX_LABELS
+        assert sum(1 for _ in enumerate_out_trees(chain, closure(chain))) == 40_320
+        users = UserAssignment.uniform(chain)
+        weight, tree = brute_min_weight(chain, users, charged_sets(chain, closure(chain)))
+        assert weight == 8  # each label's cover charges only the label itself
+        assert tree.parent == {labels[i]: labels[i + 1] for i in range(8)}
+
     def test_every_enumerated_tree_is_valid(self, poset8):
         from treekeys import validate_tree
 
@@ -77,7 +89,8 @@ class TestBruteMinWeight:
         assert weight == 10
 
     def test_sample_min_leaf_count(self, poset8, users8):
-        assert brute_min_leaf_count(poset8, users8, charged_sets(poset8, covers(poset8))) == 3
+        cover_charged = charged_sets(poset8, covers(poset8))
+        assert brute_min_leaf_count(poset8, users8, cover_charged) == (10, 3)
 
     def test_rematching_reads_its_arcs_once(self, poset8, users8):
         # an iterator of arcs is empty by a second read
@@ -104,7 +117,8 @@ class TestBruteMinWeight:
                 if fewest is None or (total, len(tree.leaves())) < fewest:
                     fewest = (total, len(tree.leaves()))
             assert brute_min_weight(poset, users, charged_sets(poset, arcs)) == best, seed
-            assert brute_min_leaf_count(poset, users, charged_sets(poset, arcs)) == fewest[1], seed
+            leaf_count = brute_min_leaf_count(poset, users, charged_sets(poset, arcs))
+            assert leaf_count == (best[0], fewest[1]), seed
 
     @pytest.mark.parametrize("brute", [brute_min_weight, brute_min_leaf_count])
     def test_budgets_are_enforced_before_any_tree(self, poset8, users8, monkeypatch, brute):
@@ -115,25 +129,21 @@ class TestBruteMinWeight:
         wide = Poset.from_arcs(labels, [])
         with pytest.raises(EnumerationBudgetError, match="limit is 9"):
             brute(wide, UserAssignment.uniform(wide), charged_sets(wide, covers(wide)))
-        monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 7)  # the sample has 8 trees
-        with pytest.raises(EnumerationBudgetError, match="8 spanning out-trees"):
-            brute(poset8, users8, charged_sets(poset8, covers(poset8)))
         assert products == []
-        monkeypatch.setattr(oracles, "TREE_ENUMERATION_LIMIT", 8)
-        brute(poset8, users8, charged_sets(poset8, covers(poset8)))
+        brute(poset8, users8, charged_sets(poset8, covers(poset8)))  # the spy sees a product
         assert len(products) == 1
 
 
 class TestAllocationByDefinition:
     def test_matches_optimized_on_sample(self, poset8, users8, tree8_gd):
-        literal = allocation_by_definition(poset8, tree8_gd)
+        literal = allocation_by_definition(poset8, tree8_gd, charged_sets(poset8, tree8_gd.arcs()))
         assert literal.phi == canonical_allocation(poset8, tree8_gd).phi
         assert sum(len(v) for v in literal.phi.values()) == 11
 
     def test_root_only(self):
         poset = Poset.from_arcs(["r"], [])
         tree = DerivationOutTree(root="r", parent={})
-        assert allocation_by_definition(poset, tree).phi == {"r": frozenset({"r"})}
+        assert allocation_by_definition(poset, tree, {}).phi == {"r": frozenset({"r"})}
 
 
 class TestCoalitions:

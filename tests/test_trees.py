@@ -149,7 +149,8 @@ class TestMinLeafTree:
         # keeping (f, d) makes f internal: three leaves instead of four
         assert tree.parent["d"] == "f"
         assert tree.leaves() == {"a", "b", "e"}
-        assert brute_min_leaf_count(poset8, users8, charged_sets(poset8, covers(poset8))) == 3
+        cover_charged = charged_sets(poset8, covers(poset8))
+        assert brute_min_leaf_count(poset8, users8, cover_charged) == (10, 3)
 
     def test_total_order_single_leaf(self):
         poset = total_order()
@@ -342,10 +343,10 @@ def test_min_leaf_tree_is_optimal_on_both_counts(instance):
     poset, users = instance
     tree = min_leaf_out_tree(poset, users)
     wf = weight_function(poset, users, covers(poset))
-    best, _ = brute_min_weight(poset, users, charged_sets(poset, covers(poset)))
-    assert sum(wf[a] for a in tree.arcs()) == best
     cover_charged = charged_sets(poset, covers(poset))
-    assert len(tree.leaves()) == brute_min_leaf_count(poset, users, cover_charged)
+    best, _ = brute_min_weight(poset, users, cover_charged)
+    assert sum(wf[a] for a in tree.arcs()) == best
+    assert brute_min_leaf_count(poset, users, cover_charged) == (best, len(tree.leaves()))
 
 
 @settings(max_examples=40, deadline=None)
