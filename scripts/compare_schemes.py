@@ -18,14 +18,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from treekeys import (
-    UserAssignment,
     chain_metrics,
     classic_scheme_metrics,
     min_chain_partition,
     min_weight_out_tree,
     scheme_metrics,
 )
-from treekeys.oracles import RandomPosetSpec, random_poset
+from treekeys.oracles import random_poset
 
 
 def main() -> int:
@@ -45,10 +44,10 @@ def main() -> int:
     for i in range(args.instances):
         size = args.min_elements + i % (args.max_elements - args.min_elements + 1)
         density = args.densities[i % len(args.densities)]
-        spec = RandomPosetSpec(element_count=size, edge_density=density,
-                               seed=args.base_seed + i)
-        poset = random_poset(spec)
-        users = UserAssignment.uniform(poset)
+        seed = args.base_seed + i
+        poset = random_poset(size, density, seed)
+        users = dict.fromkeys(poset.labels, 1)  # one user per label, none at a virtual root
+        users[poset.root] = int(not poset.virtual_root)
 
         tree = min_weight_out_tree(poset, users)
         tree_m = scheme_metrics(poset, users, tree)
@@ -69,7 +68,7 @@ def main() -> int:
             outcomes["chain wins"] += 1
         gap = chain_m.K_total - tree_m.K_total
         if gap > worst_gap[0]:
-            worst_gap = (gap, spec)
+            worst_gap = (gap, f"element_count={size}, edge_density={density}, seed={seed}")
 
     n = args.instances
     print(f"instances: {n} (sizes {args.min_elements}-{args.max_elements}, "

@@ -42,7 +42,6 @@ from .poset import (
     VIRTUAL_ROOT,
     ChainPartition,
     Poset,
-    UserAssignment,
     ensure_root,
     min_chain_partition,
     parse_policy,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, NamedTuple
 
-from .poset import Poset, UserAssignment
+from .poset import Poset
 from .trees import DerivationOutTree, validate_tree
 
 
@@ -131,13 +131,13 @@ class SchemeMetrics(NamedTuple):
 
     @classmethod
     def from_sizes(
-        cls, users: UserAssignment, sizes: Mapping[str, int], d_max: int, p: int = 0
+        cls, users: Mapping[str, int], sizes: Mapping[str, int], d_max: int, p: int = 0
     ) -> "SchemeMetrics":
         """The metrics of a scheme that hands ``sizes[x]`` keys to each
         user at label x."""
         return cls(
             K_total=sum(sizes.values()),
-            K_hat=sum(users.count(x) * k for x, k in sizes.items()),
+            K_hat=sum(users.get(x, 0) * k for x, k in sizes.items()),
             k_max=max(sizes.values()),
             d_max=d_max,
             p=p,
@@ -147,7 +147,9 @@ class SchemeMetrics(NamedTuple):
         return self._asdict()
 
 
-def scheme_metrics(poset: Poset, users: UserAssignment, tree: DerivationOutTree) -> SchemeMetrics:
+def scheme_metrics(
+    poset: Poset, users: Mapping[str, int], tree: DerivationOutTree
+) -> SchemeMetrics:
     """Metrics of the tree scheme: ``tree`` with its canonical allocation.
 
     The root's only start point is the root, so its walks are the tree

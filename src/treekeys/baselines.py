@@ -10,9 +10,11 @@ to quantify trade-offs, not to ship keys.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from .allocation import KeyAllocation, SchemeMetrics, forest_start_points
 from .errors import PolicyError
-from .poset import ChainPartition, Poset, UserAssignment
+from .poset import ChainPartition, Poset
 
 
 def chain_scheme_build(poset: Poset, partition: ChainPartition) -> KeyAllocation:
@@ -29,7 +31,9 @@ def chain_scheme_build(poset: Poset, partition: ChainPartition) -> KeyAllocation
     return KeyAllocation(phi=forest_start_points(poset, above))
 
 
-def chain_metrics(poset: Poset, users: UserAssignment, partition: ChainPartition) -> SchemeMetrics:
+def chain_metrics(
+    poset: Poset, users: Mapping[str, int], partition: ChainPartition
+) -> SchemeMetrics:
     """Size parameters of the chain scheme on ``partition`` (no public
     items, like the tree scheme). The root's down-set holds every chain
     whole, so the longest walk runs down the longest chain."""
@@ -53,7 +57,7 @@ def _longest_cover_path(poset: Poset) -> int:
 CLASSIC_SCHEMES = ("basic", "iterative", "direct")
 
 
-def classic_scheme_metrics(poset: Poset, users: UserAssignment, scheme: str) -> SchemeMetrics:
+def classic_scheme_metrics(poset: Poset, users: Mapping[str, int], scheme: str) -> SchemeMetrics:
     """Size parameters of the classic public-information constructions.
 
     basic hands every authorized key out directly: its start points on the

@@ -27,7 +27,6 @@ from .poset import (
     VIRTUAL_ROOT,
     ChainPartition,
     Poset,
-    UserAssignment,
     min_chain_partition,
     parse_policy,
     width,
@@ -70,7 +69,7 @@ def _write_json(path: Path, data: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _load_policy(args: argparse.Namespace) -> tuple[Poset, UserAssignment]:
+def _load_policy(args: argparse.Namespace) -> tuple[Poset, dict[str, int]]:
     return parse_policy(_load_json(args.policy), root_label=args.root_label)
 
 
@@ -123,7 +122,7 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     allocation = canonical_allocation(poset, tree)
     metrics = SchemeMetrics.from_sizes(users, allocation.sizes(), max(tree.depths().values()))
     # the arc costs plus the root's own key, held by M(root) = the root's users
-    expected = users.count(tree.root) + sum(weight_function(poset, users, tree.arcs()).values())
+    expected = users[tree.root] + sum(weight_function(poset, users, tree.arcs()).values())
     if metrics.K_hat != expected:
         raise VerificationError(
             f"K_hat={metrics.K_hat} differs from the tree's arc cost total {expected}"

@@ -13,7 +13,7 @@ import itertools
 import os
 import random
 import time
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping
 
 from . import kdf
 from .allocation import KeyAllocation, canonical_allocation, validate_enforcement
@@ -22,7 +22,6 @@ from .matching import max_bipartite_matching
 from .poset import (
     Arc,
     Poset,
-    UserAssignment,
     transitive_closure,
     transitive_reduction,
     width,
@@ -42,39 +41,33 @@ class EnumerationBudgetError(RuntimeError):
     """The instance has too many spanning out-trees to enumerate."""
 
 
-class RandomPosetSpec(NamedTuple):
-    """Deterministic recipe for a random rooted poset."""
-
-    element_count: int
-    edge_density: float
-    seed: int
-
-
-def random_poset(spec: RandomPosetSpec) -> Poset:
-    """A random rooted poset, deterministic in the spec's seed.
+def random_poset(element_count: int, edge_density: float, seed: int) -> Poset:
+    """A random rooted poset, deterministic in ``seed``.
 
     Labels are the first ``element_count`` lowercase letters ordered so
-    later letters sit higher; a virtual root may be added on top.
+    later letters sit higher; each pair is related with probability
+    ``edge_density``, and a virtual root may be added on top.
     """
-    if not 1 <= spec.element_count <= 12:
+    if not 1 <= element_count <= 12:
         raise PolicyError("element_count must be between 1 and 12")
-    rng = random.Random(spec.seed)
-    labels = list("abcdefghijkl"[: spec.element_count])
+    rng = random.Random(seed)
+    labels = list("abcdefghijkl"[:element_count])
     arcs = []
-    for i in range(spec.element_count):
-        for j in range(i + 1, spec.element_count):
-            if rng.random() < spec.edge_density:
+    for i in range(element_count):
+        for j in range(i + 1, element_count):
+            if rng.random() < edge_density:
                 arcs.append((labels[j], labels[i]))
     return Poset.from_arcs(labels, arcs)
 
 
-def random_users(poset: Poset, seed: int, *, high: int = 3) -> UserAssignment:
-    """Random per-label user counts from 0 to ``high``, deterministic in ``seed``."""
+def random_users(poset: Poset, seed: int, *, high: int = 3) -> dict[str, int]:
+    """Random per-label user counts from 0 to ``high``, none at a virtual
+    root, deterministic in ``seed``."""
     rng = random.Random(seed)
     counts = {x: rng.randint(0, high) for x in poset.labels}
     if poset.virtual_root:
         counts[poset.root] = 0
-    return UserAssignment.from_counts(poset, counts)
+    return counts
 
 
 def covers(poset: Poset) -> frozenset[Arc]:
@@ -161,13 +154,13 @@ def charged_sets(poset: Poset, arcs: Iterable[Arc]) -> dict[Arc, frozenset[str]]
 
 
 def _literal_arc_weights(
-    users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
+    users: Mapping[str, int], charged: Mapping[Arc, frozenset[str]]
 ) -> dict[Arc, int]:
-    return {arc: sum(users.count(x) for x in labels) for arc, labels in charged.items()}
+    return {arc: sum(users.get(x, 0) for x in labels) for arc, labels in charged.items()}
 
 
 def _tuple_weights(
-    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
+    poset: Poset, users: Mapping[str, int], charged: Mapping[Arc, frozenset[str]]
 ) -> tuple[list[str], Iterator[tuple[int, tuple[str, ...]]]]:
     """Every spanning out-tree over the arcs of ``charged`` as
     ``_parent_tuples`` gives it, paired with its total literal arc cost."""
@@ -182,7 +175,7 @@ def _tuple_weights(
 
 
 def brute_min_weight(
-    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
+    poset: Poset, users: Mapping[str, int], charged: Mapping[Arc, frozenset[str]]
 ) -> tuple[int, DerivationOutTree]:
     """Exhaustive minimum total arc cost over all spanning out-trees on the
     candidate arcs of ``charged`` (see ``charged_sets``); the tree is the
@@ -193,7 +186,7 @@ def brute_min_weight(
 
 
 def brute_min_leaf_count(
-    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
+    poset: Poset, users: Mapping[str, int], charged: Mapping[Arc, frozenset[str]]
 ) -> tuple[int, int]:
     """The least ``(total arc cost, leaf count)`` over all spanning
     out-trees on the candidate arcs of ``charged``, by enumeration: the
@@ -206,7 +199,7 @@ def brute_min_leaf_count(
 
 
 def rematching_min_leaf_tree(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
+    poset: Poset, users: Mapping[str, int], candidate_arcs: Iterable[Arc]
 ) -> DerivationOutTree:
     """The min-leaf tree by a fresh maximum matching for every candidate.
 
@@ -403,7 +396,7 @@ def _charge_set_algebra_ok(poset: Poset, charged: Mapping[Arc, frozenset[str]]) 
 
 
 def _path_superadditivity_ok(
-    poset: Poset, users: UserAssignment, charged: Mapping[Arc, frozenset[str]]
+    poset: Poset, users: Mapping[str, int], charged: Mapping[Arc, frozenset[str]]
 ) -> bool:
     # over the closure's charged sets: a shortcut arc costs exactly the sum
     # of the arcs along any path below it
@@ -411,17 +404,15 @@ def _path_superadditivity_ok(
     succ: dict[str, list[str]] = {x: [] for x in poset.labels}
     for x, y in weights:
         succ[x].append(y)
-
-    def walk(path: list[str], total: int) -> bool:
-        head, tail = path[0], path[-1]
-        if len(path) > 2 and weights[(head, tail)] != total:
-            return False
+    paths = list(weights.items())  # ((head, tail), cost along the path), one arc long
+    while paths:
+        (head, tail), total = paths.pop()
         for nxt in succ[tail]:
-            if not walk(path + [nxt], total + weights[(tail, nxt)]):
+            longer = total + weights[(tail, nxt)]
+            if weights[(head, nxt)] != longer:
                 return False
-        return True
-
-    return all(walk([x], 0) for x in poset.labels)
+            paths.append(((head, nxt), longer))
+    return True
 
 
 def _sample_coalitions(poset: Poset, seed: int) -> list[tuple[str, ...]]:
@@ -437,7 +428,7 @@ def _sample_coalitions(poset: Poset, seed: int) -> list[tuple[str, ...]]:
 
 def _examine_instance(
     poset: Poset,
-    users: UserAssignment,
+    users: Mapping[str, int],
     seed: int,
     results: dict[str, CheckResult],
     payload: dict[str, Any],
@@ -514,7 +505,7 @@ def _examine_instance(
     for other in itertools.islice(enumerate_out_trees(poset, cover_pairs), 20):
         other_alloc = allocation_by_definition(poset, other, charged)
         lhs = sum(
-            users.count(x) * len(other_alloc.phi[x]) for x in poset.labels if x != poset.root
+            users.get(x, 0) * len(other_alloc.phi[x]) for x in poset.labels if x != poset.root
         )
         if lhs != sum(wf[a] for a in other.arcs()):
             identity_ok = False
@@ -571,18 +562,14 @@ def _examine_block(
         results = {name: CheckResult(name=name) for name in _CHECK_NAMES}
     for i in block:
         seed = base_seed + i
-        spec = RandomPosetSpec(
-            element_count=4 + i % 4,
-            edge_density=0.15 + 0.08 * (i % 5),
-            seed=seed,
-        )
-        instance = random_poset(spec)
+        element_count, edge_density = 4 + i % 4, 0.15 + 0.08 * (i % 5)
+        instance = random_poset(element_count, edge_density, seed)
         instance_users = random_users(instance, seed + 10_000)
         payload = {
             "instance": "random",
             "seed": seed,
-            "element_count": spec.element_count,
-            "edge_density": round(spec.edge_density, 3),
+            "element_count": element_count,
+            "edge_density": round(edge_density, 3),
         }
         _examine_instance(instance, instance_users, seed, results, payload)
     return results
@@ -609,7 +596,7 @@ def _fork_worker(block: range, base_seed: int) -> int:
 
 def run_suite(
     poset: Poset,
-    users: UserAssignment,
+    users: Mapping[str, int],
     *,
     seeds: int = 0,
     base_seed: int = 0,

@@ -272,34 +272,6 @@ class Poset(NamedTuple):
         return frozenset(self.members(self.strict_down[i] | 1 << i))
 
 
-class UserAssignment(NamedTuple):
-    """How many users sit at each label. The virtual root never has users."""
-
-    counts: Mapping[str, int]
-
-    @classmethod
-    def uniform(cls, poset: Poset) -> "UserAssignment":
-        values = dict.fromkeys(poset.labels, 1)
-        if poset.virtual_root:
-            values[poset.root] = 0
-        return cls(counts=values)
-
-    @classmethod
-    def from_counts(cls, poset: Poset, counts: Mapping[str, Any]) -> "UserAssignment":
-        values = {x: 0 for x in poset.labels}
-        for label, count in counts.items():
-            poset.index(label)
-            if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-                raise PolicyError(f"user count for {label!r} must be a non-negative integer")
-            if poset.virtual_root and label == poset.root and count != 0:
-                raise PolicyError("the virtual root cannot have users assigned")
-            values[label] = count
-        return cls(counts=values)
-
-    def count(self, label: str) -> int:
-        return self.counts.get(label, 0)
-
-
 class ChainPartition(NamedTuple):
     """Disjoint chains covering the whole poset, each listed top to bottom."""
 
@@ -366,14 +338,15 @@ _POLICY_FIELDS = {"elements", "arcs", "users"}
 
 def parse_policy(
     document: Mapping[str, Any], *, root_label: str = VIRTUAL_ROOT
-) -> tuple[Poset, UserAssignment]:
-    """Parse a policy document into a rooted poset and a user assignment.
+) -> tuple[Poset, dict[str, int]]:
+    """Parse a policy document into a rooted poset and its user counts,
+    a ``label -> count`` dict over every label of the poset.
 
     Document shape: {"elements": [label, ...], "arcs": [[x, y], ...],
     "users": {label: count}}. Arcs read "x is above y" and may be any
     generating subset of the intended order. "users" is optional: omitted
     entirely, every element gets one user; present, unlisted labels get
-    zero. Unknown fields are rejected.
+    zero. The virtual root never has users. Unknown fields are rejected.
     """
     check_fields(document, _POLICY_FIELDS, "policy")
     elements = document.get("elements")
@@ -392,10 +365,16 @@ def parse_policy(
         arcs.append((x, y))
     poset = Poset.from_arcs(elements, arcs, root_label=root_label)
     users_raw = document.get("users")
-    if users_raw is None:
-        users = UserAssignment.uniform(poset)
-    else:
-        if not isinstance(users_raw, Mapping):
-            raise PolicyError("'users' must map labels to counts")
-        users = UserAssignment.from_counts(poset, users_raw)
+    if users_raw is not None and not isinstance(users_raw, Mapping):
+        raise PolicyError("'users' must map labels to counts")
+    users = dict.fromkeys(poset.labels, 1 if users_raw is None else 0)
+    if poset.virtual_root:
+        users[poset.root] = 0
+    for label, count in (users_raw or {}).items():
+        poset.index(label)
+        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+            raise PolicyError(f"user count for {label!r} must be a non-negative integer")
+        if poset.virtual_root and label == poset.root and count != 0:
+            raise PolicyError("the virtual root cannot have users assigned")
+        users[label] = count
     return poset, users

@@ -14,7 +14,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PolicyError, check_fields
 from .matching import augment, max_bipartite_matching
-from .poset import Arc, Poset, UserAssignment
+from .poset import Arc, Poset
 
 
 class DerivationOutTree(NamedTuple):
@@ -105,7 +105,7 @@ def validate_tree(poset: Poset, tree: DerivationOutTree) -> None:
 
 
 def weight_function(
-    poset: Poset, users: UserAssignment, candidate_arcs: Iterable[Arc]
+    poset: Poset, users: Mapping[str, int], candidate_arcs: Iterable[Arc]
 ) -> dict[Arc, int]:
     """Arc costs for every candidate arc: the users at its extra-key labels.
 
@@ -121,10 +121,10 @@ def weight_function(
     return {(y, z): users_above[z] - users_above[y] for y, z in arcs}
 
 
-def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
+def _users_above(poset: Poset, users: Mapping[str, int]) -> dict[str, int]:
     """M(x) for every label x, by popcounts of its up-mask: one per bit of
     the largest user count, over the labels whose count has that bit set."""
-    counts = [users.count(x) for x in poset.labels]
+    counts = [users.get(x, 0) for x in poset.labels]
     if min(counts) < 0:
         raise PolicyError("user counts must be non-negative")
     planes = [
@@ -139,7 +139,7 @@ def _users_above(poset: Poset, users: UserAssignment) -> dict[str, int]:
 
 
 def _cheapest_parents(
-    poset: Poset, users: UserAssignment, *, closure: bool = False
+    poset: Poset, users: Mapping[str, int], *, closure: bool = False
 ) -> dict[str, list[str]]:
     """Each non-root label's minimum-weight parents, sorted.
 
@@ -171,7 +171,7 @@ def _cheapest_parents(
 
 
 def min_weight_out_tree(
-    poset: Poset, users: UserAssignment, *, closure: bool = False
+    poset: Poset, users: Mapping[str, int], *, closure: bool = False
 ) -> DerivationOutTree:
     """The cheapest spanning out-tree over the covers, or the whole order with ``closure``.
 
@@ -186,7 +186,7 @@ def min_weight_out_tree(
 
 
 def min_leaf_out_tree(
-    poset: Poset, users: UserAssignment, *, closure: bool = False
+    poset: Poset, users: Mapping[str, int], *, closure: bool = False
 ) -> DerivationOutTree:
     """Among minimum-cost spanning out-trees, one with the fewest leaves.
 

@@ -25,7 +25,6 @@ from treekeys import (
     ChainPartition,
     DerivationOutTree,
     Poset,
-    UserAssignment,
 )
 
 SAMPLE_ELEMENTS = list("abcdefgh")
@@ -104,6 +103,14 @@ def mls_policy_doc(seed):
     return {"elements": labels, "arcs": arcs, "users": users}
 
 
+def one_user_each(poset):
+    """One user per label and none at a virtual root: the counts
+    ``parse_policy`` gives a policy that lists no "users"."""
+    users = dict.fromkeys(poset.labels, 1)
+    users[poset.root] = int(not poset.virtual_root)
+    return users
+
+
 @pytest.fixture(scope="session")
 def poset8():
     return Poset.from_arcs(SAMPLE_ELEMENTS, SAMPLE_COVERS)
@@ -111,7 +118,7 @@ def poset8():
 
 @pytest.fixture(scope="session")
 def users8(poset8):
-    return UserAssignment.uniform(poset8)
+    return one_user_each(poset8)
 
 
 @pytest.fixture(scope="session")

@@ -7,14 +7,12 @@ from treekeys import (
     DerivationOutTree,
     KeyAllocation,
     Poset,
-    UserAssignment,
     canonical_allocation,
     scheme_metrics,
     validate_enforcement,
     weight_function,
 )
 from treekeys.oracles import (
-    RandomPosetSpec,
     allocation_by_definition,
     charged_sets,
     covers,
@@ -23,17 +21,17 @@ from treekeys.oracles import (
     random_users,
 )
 
+from conftest import one_user_each
+
 
 def instances(max_elements=7):
     @st.composite
     def build(draw):
-        spec = RandomPosetSpec(
-            element_count=draw(st.integers(2, max_elements)),
-            edge_density=draw(st.sampled_from([0.1, 0.25, 0.4, 0.6])),
-            seed=draw(st.integers(0, 2**32 - 1)),
-        )
-        poset = random_poset(spec)
-        users = random_users(poset, spec.seed + 1)
+        element_count = draw(st.integers(2, max_elements))
+        edge_density = draw(st.sampled_from([0.1, 0.25, 0.4, 0.6]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        poset = random_poset(element_count, edge_density, seed)
+        users = random_users(poset, seed + 1)
         return poset, users
 
     return build()
@@ -130,7 +128,7 @@ class TestSchemeMetrics:
 
     def test_singleton(self):
         poset = Poset.from_arcs(["a"], [])
-        users = UserAssignment.uniform(poset)
+        users = one_user_each(poset)
         tree = DerivationOutTree(root="a", parent={})
         metrics = scheme_metrics(poset, users, tree)
         assert metrics.K_total == 1
@@ -138,7 +136,7 @@ class TestSchemeMetrics:
 
     def test_weighted_total_scales_with_users(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        heavy = UserAssignment.from_counts(poset8, {"f": 10})
+        heavy = {"f": 10}
         metrics = scheme_metrics(poset8, heavy, tree8_gd)
         assert metrics.K_total == 11
         assert metrics.K_hat == 10 * len(allocation.phi["f"])
@@ -152,7 +150,7 @@ def test_start_points_may_exceed_the_width():
 
     arcs = [("b", "a"), ("c", "b"), ("e", "c"), ("e", "d"), ("f", "b"), ("f", "d")]
     poset = Poset.from_arcs(list("abcdef"), arcs)
-    users = UserAssignment.uniform(poset)
+    users = one_user_each(poset)
     tree = min_weight_out_tree(poset, users)
     allocation = canonical_allocation(poset, tree)
     assert width(poset) == 2
@@ -169,7 +167,7 @@ def test_weighted_key_total_equals_arc_cost_total(instance):
     for tree in enumerate_out_trees(poset, covers(poset)):
         allocation = canonical_allocation(poset, tree)
         per_user_keys = sum(
-            users.count(x) * len(allocation.phi[x])
+            users[x] * len(allocation.phi[x])
             for x in poset.labels
             if x != poset.root
         )

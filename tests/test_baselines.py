@@ -6,14 +6,15 @@ from treekeys import (
     ChainPartition,
     Poset,
     PolicyError,
-    UserAssignment,
     chain_metrics,
     chain_scheme_build,
     classic_scheme_metrics,
     min_chain_partition,
     width,
 )
-from treekeys.oracles import RandomPosetSpec, random_poset
+from treekeys.oracles import random_poset
+
+from conftest import one_user_each
 
 
 def total_order(n=4):
@@ -94,7 +95,7 @@ class TestClassicSchemes:
         assert metrics.K_total == 8
 
     def test_weighted_variant(self, poset8):
-        heavy = UserAssignment.from_counts(poset8, {"h": 10, "a": 2})
+        heavy = {"h": 10, "a": 2}
         basic = classic_scheme_metrics(poset8, heavy, "basic")
         assert basic.K_total == 31  # per-label count is user-independent
         assert basic.K_hat == 10 * 8 + 2 * 1
@@ -103,7 +104,7 @@ class TestClassicSchemes:
 
     def test_singleton(self):
         poset = Poset.from_arcs(["a"], [])
-        users = UserAssignment.uniform(poset)
+        users = one_user_each(poset)
         basic = classic_scheme_metrics(poset, users, "basic")
         assert basic.K_total == 1 and basic.p == 0
         iterative = classic_scheme_metrics(poset, users, "iterative")
@@ -114,7 +115,7 @@ class TestClassicSchemes:
         # million-pair closure stays in the masks and is never decoded
         labels = [f"c{i:04d}" for i in range(1500)]
         poset = Poset.from_arcs(labels, zip(labels, labels[1:]))
-        iterative = classic_scheme_metrics(poset, UserAssignment.uniform(poset), "iterative")
+        iterative = classic_scheme_metrics(poset, one_user_each(poset), "iterative")
         assert iterative.d_max == 1499 and iterative.p == 1499
 
     def test_unknown_scheme(self, poset8, users8):
@@ -125,7 +126,7 @@ class TestClassicSchemes:
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 9))
 def test_minimal_partitions_bound_keys_by_width(seed, count):
-    poset = random_poset(RandomPosetSpec(element_count=count, edge_density=0.3, seed=seed))
+    poset = random_poset(count, 0.3, seed)
     allocation = chain_scheme_build(poset, min_chain_partition(poset))
     w = width(poset)
     assert all(len(points) <= w for points in allocation.phi.values())
@@ -134,7 +135,7 @@ def test_minimal_partitions_bound_keys_by_width(seed, count):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 7))
 def test_chain_scheme_is_sound_on_random_posets(seed, count):
-    poset = random_poset(RandomPosetSpec(element_count=count, edge_density=0.35, seed=seed))
+    poset = random_poset(count, 0.35, seed)
     partition = min_chain_partition(poset)
     phi = chain_scheme_build(poset, partition).phi
     for holder in poset.labels:

@@ -33,7 +33,6 @@ from treekeys import (
     DerivationOutTree,
     PolicyError,
     Poset,
-    UserAssignment,
     canonical_allocation,
     oracles,
     chain_metrics,
@@ -53,7 +52,6 @@ from treekeys import (
 )
 from treekeys.matching import max_bipartite_matching
 from treekeys.oracles import (
-    RandomPosetSpec,
     _in_arc_lists,
     _literal_arc_weights,
     allocation_by_definition,
@@ -160,7 +158,7 @@ def test_tree_cost_matches_networkx_arborescence(name, arcs):
     for build in (min_weight_out_tree, min_leaf_out_tree):
         tree = build(poset, users, closure=arcs == "closure")
         assert sum(weights[arc] for arc in tree.arcs()) == cost
-        assert scheme_metrics(poset, users, tree).K_hat == cost + users.count(poset.root)
+        assert scheme_metrics(poset, users, tree).K_hat == cost + users[poset.root]
 
 
 def test_canonical_allocation_matches_definition(policy, trees):
@@ -256,7 +254,7 @@ def test_tree_scheme_needs_no_more_keys_than_chains_on_mls_lattice():
 def test_tree_scheme_needs_no_more_keys_than_chains_on_small_policies(
     element_count, edge_density, seed
 ):
-    poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
+    poset = random_poset(element_count, edge_density, seed)
     assert_tree_scheme_needs_no_more_keys_than_chains(poset, random_users(poset, seed + 1))
 
 
@@ -303,7 +301,7 @@ def test_min_leaf_tree_matches_rematching_greedy_on_boolean_lattice(arcs):
 def test_min_leaf_tree_matches_rematching_greedy_on_small_policies(
     element_count, edge_density, seed, arcs
 ):
-    poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
+    poset = random_poset(element_count, edge_density, seed)
     users = random_users(poset, seed + 1)
     expected = rematching_min_leaf_tree(poset, users, getattr(oracles, arcs)(poset))
     assert min_leaf_out_tree(poset, users, closure=arcs == "closure") == expected
@@ -317,7 +315,7 @@ def _two_layers(edges):
     """
     labels = sorted(set(edges) | {p for ps in edges.values() for p in ps})
     poset = Poset.from_arcs(labels, [(p, c) for c, ps in edges.items() for p in ps])
-    users = UserAssignment.from_counts(poset, {})
+    users = {}
     table = _cheapest_parents(poset, users)
     assert all(table[c] == sorted(ps) for c, ps in edges.items())
     return poset, users
@@ -373,7 +371,7 @@ def test_closure_table_matches_literal_weights_on_small_policies(
     element_count, edge_density, seed, most_users
 ):
     # few users per label, so many labels hold none and parents tie
-    poset = random_poset(RandomPosetSpec(element_count, edge_density, seed))
+    poset = random_poset(element_count, edge_density, seed)
     users = random_users(poset, seed + 1, high=most_users)
     assert_closure_table_matches_literal_weights(poset, users)
 

@@ -1,6 +1,8 @@
 """Smoke tests for the examples: both scripts and README's library block
-must run to the end on the current API."""
+must run to the end on the current API, and README's transcript must
+print what the commands print."""
 
+import json
 import os
 import re
 import subprocess
@@ -9,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SAMPLE_POLICY_DOC
+from treekeys.cli import main as cli_main
+
+from conftest import SAMPLE_PARTITION_DOC, SAMPLE_POLICY_DOC
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +38,20 @@ def test_readme_library_block_runs():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
     exec(compile(block, "README.md", "exec"), {"document": SAMPLE_POLICY_DOC})
+
+
+@pytest.mark.parametrize("command", [
+    "analyze policy.json",
+    "compare policy.json --partition partition.json",
+])
+def test_readme_transcript_prints_what_the_command_prints(tmp_path, monkeypatch, capsys, command):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+    policy, partition = map(json.loads, blocks)
+    assert (policy, partition) == (SAMPLE_POLICY_DOC, SAMPLE_PARTITION_DOC)
+    (tmp_path / "policy.json").write_text(json.dumps(policy), encoding="utf-8")
+    (tmp_path / "partition.json").write_text(json.dumps(partition), encoding="utf-8")
+    (shown,) = re.findall(rf"^\$ treekeys {re.escape(command)}\n(.*?)\n\n", readme, re.M | re.S)
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(command.split()) == 0
+    assert capsys.readouterr().out.splitlines() == shown.splitlines()

@@ -26,7 +26,7 @@ from treekeys import (
     setup,
 )
 from treekeys.kdf import KEY_BYTES, self_check
-from treekeys.oracles import RandomPosetSpec, covers, random_poset, random_users
+from treekeys.oracles import covers, random_poset, random_users
 
 TEST_SEED = bytes(range(32))
 
@@ -336,8 +336,7 @@ class TestSeededBytes:
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(3, 7))
 def test_random_schemes_derive_exactly_their_down_sets(seed, count):
-    spec = RandomPosetSpec(element_count=count, edge_density=0.35, seed=seed)
-    poset = random_poset(spec)
+    poset = random_poset(count, 0.35, seed)
     users = random_users(poset, seed + 1)
     tree = min_weight_out_tree(poset, users)
     store, bundles = setup(poset, tree, rng=seeded_bytes(seed.to_bytes(8, "big")))

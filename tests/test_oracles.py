@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import traceback
@@ -7,14 +8,12 @@ import pytest
 from treekeys import (
     DerivationOutTree,
     Poset,
-    UserAssignment,
     canonical_allocation,
     oracles,
 )
 from treekeys.errors import PolicyError
 from treekeys.oracles import (
     EnumerationBudgetError,
-    RandomPosetSpec,
     allocation_by_definition,
     brute_min_leaf_count,
     brute_min_weight,
@@ -29,6 +28,8 @@ from treekeys.oracles import (
     rematching_min_leaf_tree,
     run_suite,
 )
+
+from conftest import one_user_each
 
 
 class TestEnumeration:
@@ -61,7 +62,7 @@ class TestEnumeration:
         chain = Poset.from_arcs(labels, [(labels[i + 1], labels[i]) for i in range(8)])
         assert len(chain.labels) == oracles.TREE_ENUMERATION_MAX_LABELS
         assert sum(1 for _ in enumerate_out_trees(chain, closure(chain))) == 40_320
-        users = UserAssignment.uniform(chain)
+        users = one_user_each(chain)
         weight, tree = brute_min_weight(chain, users, charged_sets(chain, closure(chain)))
         assert weight == 8  # each label's cover charges only the label itself
         assert tree.parent == {labels[i]: labels[i + 1] for i in range(8)}
@@ -80,7 +81,7 @@ class TestBruteMinWeight:
         assert tree.parent["a"] == "c" and tree.parent["c"] == "d"
 
     def test_no_users_no_cost(self, poset8):
-        nobody = UserAssignment.from_counts(poset8, {})
+        nobody = {}
         weight, _ = brute_min_weight(poset8, nobody, charged_sets(poset8, covers(poset8)))
         assert weight == 0
 
@@ -101,16 +102,13 @@ class TestBruteMinWeight:
     @pytest.mark.parametrize("use_closure", [False, True], ids=["covers", "closure"])
     def test_parent_tuples_match_a_loop_over_enumerated_trees(self, use_closure):
         for seed in range(300):
-            spec = RandomPosetSpec(
-                element_count=3 + seed % 5, edge_density=0.2 + 0.1 * (seed % 6), seed=seed
-            )
-            poset = random_poset(spec)
+            poset = random_poset(3 + seed % 5, 0.2 + 0.1 * (seed % 6), seed)
             users = random_users(poset, seed + 1)
             arcs = closure(poset) if use_closure else covers(poset)
             best = fewest = None
             for tree in enumerate_out_trees(poset, arcs):
                 total = sum(
-                    users.count(x) for arc in tree.arcs() for x in extra_key_labels(poset, arc)
+                    users[x] for arc in tree.arcs() for x in extra_key_labels(poset, arc)
                 )
                 if best is None or total < best[0]:
                     best = (total, tree)
@@ -128,7 +126,7 @@ class TestBruteMinWeight:
         labels = [f"v{i}" for i in range(10)]
         wide = Poset.from_arcs(labels, [])
         with pytest.raises(EnumerationBudgetError, match="limit is 9"):
-            brute(wide, UserAssignment.uniform(wide), charged_sets(wide, covers(wide)))
+            brute(wide, one_user_each(wide), charged_sets(wide, covers(wide)))
         assert products == []
         brute(poset8, users8, charged_sets(poset8, covers(poset8)))  # the spy sees a product
         assert len(products) == 1
@@ -172,21 +170,20 @@ class TestCoalitions:
 
 class TestRandomInstances:
     def test_deterministic_in_seed(self):
-        spec = RandomPosetSpec(element_count=6, edge_density=0.4, seed=77)
-        assert random_poset(spec) == random_poset(spec)
-        poset = random_poset(spec)
-        assert random_users(poset, 5).counts == random_users(poset, 5).counts
+        assert random_poset(6, 0.4, 77) == random_poset(6, 0.4, 77)
+        poset = random_poset(6, 0.4, 77)
+        assert random_users(poset, 5) == random_users(poset, 5)
 
     def test_respects_bounds(self):
         for seed in range(30):
-            poset = random_poset(RandomPosetSpec(element_count=5, edge_density=0.5, seed=seed))
+            poset = random_poset(5, 0.5, seed)
             assert 5 <= len(poset.labels) <= 6  # virtual root may be added
             users = random_users(poset, seed)
-            assert all(0 <= c <= 3 for c in users.counts.values())
+            assert all(0 <= c <= 3 for c in users.values())
 
     def test_rejects_oversized_request(self):
         with pytest.raises(Exception):
-            random_poset(RandomPosetSpec(element_count=13, edge_density=0.5, seed=0))
+            random_poset(13, 0.5, 0)
 
 
 class TestSuite:
@@ -220,6 +217,17 @@ class TestSuite:
         assert not check.passed
         assert check.instances == 3
         assert check.counterexample == {"seed": 2}  # first failure wins
+
+    def test_examined_instances_leave_no_cyclic_garbage(self):
+        # each instance's tables must be freed by reference counting alone:
+        # a self-referencing closure, say, would hold them for the collector
+        gc.collect()
+        gc.disable()
+        try:
+            oracles._examine_block(range(5, 45), 1_000_000)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSplitSuite:
@@ -256,10 +264,10 @@ class TestSplitSuite:
     def test_worker_error_reaches_the_caller_as_its_type(self, poset8, users8, monkeypatch):
         real = oracles.random_poset
 
-        def broken(spec):
-            if spec.seed == 40:  # in the second of two blocks
+        def broken(element_count, edge_density, seed):
+            if seed == 40:  # in the second of two blocks
                 raise PolicyError(f"raised in process {os.getpid()}")
-            return real(spec)
+            return real(element_count, edge_density, seed)
 
         monkeypatch.setattr(oracles, "random_poset", broken)
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: 2)
@@ -327,10 +335,10 @@ class TestSplitSuite:
     def test_error_in_the_callers_block_leaves_no_child(self, poset8, users8, monkeypatch):
         real = oracles.random_poset
 
-        def broken(spec):
-            if spec.seed == 5:  # in the caller's own block
+        def broken(element_count, edge_density, seed):
+            if seed == 5:  # in the caller's own block
                 raise PolicyError("raised in the caller")
-            return real(spec)
+            return real(element_count, edge_density, seed)
 
         monkeypatch.setattr(oracles, "random_poset", broken)
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: 3)

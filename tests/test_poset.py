@@ -7,7 +7,6 @@ from treekeys import (
     Poset,
     PolicyError,
     UnknownLabelError,
-    UserAssignment,
     VIRTUAL_ROOT,
     min_chain_partition,
     parse_policy,
@@ -16,7 +15,6 @@ from treekeys import (
     width,
 )
 from treekeys.oracles import (
-    RandomPosetSpec,
     brute_reduction,
     brute_width,
     closure,
@@ -47,12 +45,9 @@ def shuffled_policies(draw):
 def random_posets(max_elements=8):
     return st.builds(
         random_poset,
-        st.builds(
-            RandomPosetSpec,
-            element_count=st.integers(2, max_elements),
-            edge_density=st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8]),
-            seed=st.integers(0, 2**32 - 1),
-        ),
+        element_count=st.integers(2, max_elements),
+        edge_density=st.sampled_from([0.0, 0.15, 0.3, 0.5, 0.8]),
+        seed=st.integers(0, 2**32 - 1),
     )
 
 
@@ -112,7 +107,7 @@ class TestParsePolicy:
         assert poset == poset8
         assert len(covers(poset)) == 10
         assert len(closure(poset)) == 23
-        assert users.counts == users8.counts
+        assert users == users8
 
     def test_generating_subset_normalizes(self, poset8):
         # feeding the full strict order instead of covers changes nothing
@@ -124,7 +119,7 @@ class TestParsePolicy:
         poset, users = parse_policy({"elements": ["a"], "arcs": []})
         assert poset.root == "a"
         assert covers(poset) == frozenset()
-        assert users.count("a") == 1
+        assert users == {"a": 1}
 
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
@@ -148,13 +143,13 @@ class TestParsePolicy:
 
     def test_users_default_to_one_each(self):
         _, users = parse_policy({"elements": ["a", "b"], "arcs": [["b", "a"]]})
-        assert users.counts == {"a": 1, "b": 1}
+        assert users == {"a": 1, "b": 1}
 
     def test_listed_users_with_gaps_default_to_zero(self):
         _, users = parse_policy(
             {"elements": ["a", "b"], "arcs": [["b", "a"]], "users": {"b": 5}}
         )
-        assert users.counts == {"a": 0, "b": 5}
+        assert users == {"a": 0, "b": 5}
 
     def test_negative_user_count_rejected(self):
         with pytest.raises(PolicyError):
@@ -206,10 +201,11 @@ class TestRootAugmentation:
         assert Poset.from_arcs(["x", "y"], [("x", "y")], root_label=root_label).root == "x"
 
     def test_virtual_root_cannot_hold_users(self):
-        poset = Poset.from_arcs(["x", "y"], [])
+        antichain = {"elements": ["x", "y"], "arcs": []}
         with pytest.raises(PolicyError, match="virtual root"):
-            UserAssignment.from_counts(poset, {poset.root: 2})
-        assert UserAssignment.uniform(poset).count(poset.root) == 0
+            parse_policy({**antichain, "users": {VIRTUAL_ROOT: 2}})
+        assert parse_policy(antichain)[1] == {"x": 1, "y": 1, VIRTUAL_ROOT: 0}
+        assert parse_policy({**antichain, "users": {VIRTUAL_ROOT: 0}})[1][VIRTUAL_ROOT] == 0
 
 
 class TestDownSets:

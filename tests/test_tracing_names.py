@@ -59,14 +59,31 @@ def test_every_traced_name_resolves():
     (["verify", "--seeds", "1"],
      ["cli.main", "oracles.run_suite", "oracles.coalition_reachability",
       "trees.DerivationOutTree.descendant_sets"]),
-], ids=["analyze", "compare", "derive", "verify"])
+    # the holder commands, whose byte counts read seal's and unseal's arguments
+    (["encrypt", "--tree", "tree.json", "--keystore", "keys/keystore.json",
+      "--manifest", "manifest.json"],
+     ["cli.main", "sealing.seal"]),
+    (["decrypt", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "--out-dir", "out",
+      "doc.txt.sealed"],
+     ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive", "sealing.unseal"]),
+], ids=["analyze", "compare", "derive", "verify", "encrypt-keystore", "decrypt-bundle"])
 def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected):
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")
-    if command[0] == "derive":  # the tree and bundles it reads, made untraced
+    plaintext = tmp_path / "doc.txt"
+    sealed = tmp_path / "doc.txt.sealed"
+    if command[0] in ("derive", "encrypt", "decrypt"):  # what they read, made untraced
         assert cli_main(["build-tree", str(policy), "--out-dir", str(tmp_path)]) == 0
         assert cli_main(["keygen", str(policy), "--tree", str(tmp_path / "tree.json"),
                          "--seed", "07" * 32, "--out-dir", str(tmp_path / "keys")]) == 0
+        plaintext.write_bytes(b"an object labelled d\n" * 50)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"objects": [{"path": str(plaintext), "label": "d"}]}),
+                            encoding="utf-8")
+    if command[0] == "decrypt":
+        assert cli_main(["encrypt", str(policy), "--tree", str(tmp_path / "tree.json"),
+                         "--keystore", str(tmp_path / "keys" / "keystore.json"),
+                         "--manifest", str(manifest)]) == 0
     spans = tmp_path / "s.json"
     done = subprocess.run(
         [sys.executable, str(TRACING), "--out", str(spans), "--id", "1", "--",
@@ -80,6 +97,11 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expecte
     assert record["exit"] == 0
     called = {record["names"][span[0]] for span in record["spans"]}
     assert [name for name in expected if name not in called] == []
+    if command[0] == "encrypt":
+        assert record["counts"]["sealing.seal.bytes"] == plaintext.stat().st_size
+    if command[0] == "decrypt":
+        assert record["counts"]["sealing.unseal.bytes"] == sealed.stat().st_size
+        assert (tmp_path / "out" / "doc.txt").read_bytes() == plaintext.read_bytes()
 
 
 def test_cli_import_loads_every_traced_module_and_nothing_lazy():

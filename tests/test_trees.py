@@ -11,7 +11,6 @@ from treekeys import (
     setup,
     Poset,
     PolicyError,
-    UserAssignment,
     min_leaf_out_tree,
     min_weight_out_tree,
     parse_policy,
@@ -20,7 +19,6 @@ from treekeys import (
 )
 from treekeys.matching import max_bipartite_matching
 from treekeys.oracles import (
-    RandomPosetSpec,
     brute_min_leaf_count,
     extra_key_labels,
     brute_min_weight,
@@ -31,7 +29,7 @@ from treekeys.oracles import (
     random_users,
 )
 
-from conftest import SAMPLE_WEIGHTS, sparse_policy_doc
+from conftest import SAMPLE_WEIGHTS, one_user_each, sparse_policy_doc
 
 
 def total_order(n=5):
@@ -42,13 +40,11 @@ def total_order(n=5):
 def instances(max_elements=7):
     @st.composite
     def build(draw):
-        spec = RandomPosetSpec(
-            element_count=draw(st.integers(2, max_elements)),
-            edge_density=draw(st.sampled_from([0.1, 0.25, 0.4, 0.6])),
-            seed=draw(st.integers(0, 2**32 - 1)),
-        )
-        poset = random_poset(spec)
-        users = random_users(poset, spec.seed + 1)
+        element_count = draw(st.integers(2, max_elements))
+        edge_density = draw(st.sampled_from([0.1, 0.25, 0.4, 0.6]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        poset = random_poset(element_count, edge_density, seed)
+        users = random_users(poset, seed + 1)
         return poset, users
 
     return build()
@@ -82,12 +78,12 @@ class TestWeightFunction:
         assert wf == SAMPLE_WEIGHTS
 
     def test_no_users_means_zero_cost(self, poset8):
-        nobody = UserAssignment.from_counts(poset8, {})
+        nobody = {}
         wf = weight_function(poset8, nobody, covers(poset8))
         assert all(w == 0 for w in wf.values())
 
     def test_users_at_one_label_charge_its_covering_arcs(self, poset8):
-        only_d = UserAssignment.from_counts(poset8, {"d": 5})
+        only_d = {"d": 5}
         wf = weight_function(poset8, only_d, covers(poset8))
         assert wf[("e", "c")] == 5  # d sits above c but not above e
         assert wf[("h", "g")] == 0
@@ -99,18 +95,18 @@ class TestWeightFunction:
     def test_matches_per_arc_definition(self, poset8, users8):
         wf = weight_function(poset8, users8, closure(poset8))
         for arc, cost in wf.items():
-            assert cost == sum(users8.count(x) for x in extra_key_labels(poset8, arc))
+            assert cost == sum(users8[x] for x in extra_key_labels(poset8, arc))
 
     def test_large_user_counts_match_per_arc_definition(self, poset8):
         # counts with many bits set exercise every popcount plane
-        users = UserAssignment.from_counts(poset8, {x: 2**i + i for i, x in enumerate("abcdefgh")})
+        users = {x: 2**i + i for i, x in enumerate("abcdefgh")}
         wf = weight_function(poset8, users, closure(poset8))
         for arc, cost in wf.items():
-            assert cost == sum(users.count(x) for x in extra_key_labels(poset8, arc))
+            assert cost == sum(users[x] for x in extra_key_labels(poset8, arc))
 
     def test_rejects_negative_user_counts(self, poset8):
         with pytest.raises(PolicyError, match="non-negative"):
-            negative = UserAssignment(counts=dict.fromkeys(poset8.labels, -1))
+            negative = dict.fromkeys(poset8.labels, -1)
             weight_function(poset8, negative, covers(poset8))
 
 
@@ -131,7 +127,7 @@ class TestMinWeightTree:
 
     def test_total_order_has_unique_tree(self):
         poset = total_order()
-        tree = min_weight_out_tree(poset, UserAssignment.uniform(poset))
+        tree = min_weight_out_tree(poset, one_user_each(poset))
         assert tree.parent == {"a": "b", "b": "c", "c": "d", "d": "e"}
 
     def test_deterministic(self, poset8, users8):
@@ -154,12 +150,12 @@ class TestMinLeafTree:
 
     def test_total_order_single_leaf(self):
         poset = total_order()
-        tree = min_leaf_out_tree(poset, UserAssignment.uniform(poset))
+        tree = min_leaf_out_tree(poset, one_user_each(poset))
         assert len(tree.leaves()) == 1
 
     def test_star_cannot_avoid_leaves(self):
         poset = Poset.from_arcs(["r", "a", "b", "c"], [("r", x) for x in "abc"])
-        tree = min_leaf_out_tree(poset, UserAssignment.uniform(poset))
+        tree = min_leaf_out_tree(poset, one_user_each(poset))
         assert tree.leaves() == {"a", "b", "c"}
 
     def test_matches_once(self, monkeypatch):
@@ -186,7 +182,7 @@ class TestMinLeafTree:
         arcs = [("u", "a1"), ("u", "a2"), ("v", "a2"), ("v", b[0]), (p[-1], "e")]
         arcs += [(p[i], b[i]) for i in range(n)] + [(p[i - 1], b[i]) for i in range(1, n)]
         poset = Poset.from_arcs(["a1", "a2", "e", "u", "v", *p, *b], arcs)
-        tree = min_leaf_out_tree(poset, UserAssignment.uniform(poset))
+        tree = min_leaf_out_tree(poset, one_user_each(poset))
         validate_tree(poset, tree)
         assert tree.parent["a2"] == "u"
 
@@ -368,7 +364,7 @@ def test_positive_user_counts_force_cover_arcs(instance):
     # with users at every real label, minimum trees cannot afford shortcut
     # arcs: some label strictly above the skipped cover always pays extra
     poset, _users = instance
-    everyone = UserAssignment.uniform(poset)
+    everyone = one_user_each(poset)
     tree = min_weight_out_tree(poset, everyone, closure=True)
     assert frozenset(tree.arcs()) <= covers(poset)
 
