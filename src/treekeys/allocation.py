@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from typing import Any, Mapping, NamedTuple
 
-from .poset import Poset
+from .poset import Poset, masked_sums
 from .trees import DerivationOutTree, validate_tree
 
 
 class KeyAllocation(NamedTuple):
-    """Per-label start-point sets. Serialized under the "phi" key."""
+    """Per-label start points in label order. Serialized under the "phi" key."""
 
-    phi: Mapping[str, frozenset[str]]
+    phi: Mapping[str, tuple[str, ...]]
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {"phi": {label: sorted(points) for label, points in sorted(self.phi.items())}}
+        return {"phi": {label: list(points) for label, points in sorted(self.phi.items())}}
 
     def sizes(self) -> dict[str, int]:
         """The number of start points per label."""
@@ -41,9 +41,9 @@ def start_points(poset: Poset, parent: Mapping[str, str], x: str) -> frozenset[s
     return frozenset(z for z in down if parent.get(z) not in down)
 
 
-def forest_start_points(poset: Poset, parent: Mapping[str, str]) -> dict[str, frozenset[str]]:
-    """Every label's ``start_points`` on a derivation forest, in time
-    linear in the labels plus the start points handed out.
+def forest_start_points(poset: Poset, parent: Mapping[str, str]) -> dict[str, tuple[str, ...]]:
+    """Every label's ``start_points`` on a derivation forest in label order,
+    in time linear in the labels plus the start points handed out.
 
     By ``start_points``, z is a start point of x exactly when x is at or
     above z but not at or above z's forest parent y, so each forest arc
@@ -59,7 +59,19 @@ def forest_start_points(poset: Poset, parent: Mapping[str, str]) -> dict[str, fr
             mask &= ~(up[j] | 1 << j)
         for x in poset.members(mask):
             points[x].append(z)
-    return {x: frozenset(zs) for x, zs in points.items()}
+    return {x: tuple(zs) for x, zs in points.items()}
+
+
+def forest_sizes(poset: Poset, parent: Mapping[str, str]) -> dict[str, int]:
+    """Every label's number of ``start_points`` on a derivation forest, by
+    popcount: x has |down(x)| of them less the out-degrees summed over down(x),
+    as its members' forest children are the labels of down(x) with a parent in it."""
+    out_degree = [0] * len(poset.labels)
+    for y in parent.values():
+        out_degree[poset.index(y)] += 1
+    downs = [down | 1 << i for i, down in enumerate(poset.strict_down)]
+    inner = masked_sums(out_degree, downs)
+    return {x: down.bit_count() - k for x, down, k in zip(poset.labels, downs, inner)}
 
 
 def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
@@ -92,7 +104,7 @@ def validate_enforcement(
     labels = frozenset(poset.labels)
     violations: list[Violation] = []
     for x in poset.labels:
-        points = allocation.phi.get(x, frozenset())
+        points = frozenset(allocation.phi.get(x, ()))
         unknown = sorted(points - labels)
         for z in unknown:
             violations.append(Violation("unknown", x, f"start point {z!r} is not a label"))
@@ -155,6 +167,7 @@ def scheme_metrics(
     The root's only start point is the root, so its walks are the tree
     depths, and no label's walk to u is longer than the depth of u.
     """
+    validate_tree(poset, tree)
     return SchemeMetrics.from_sizes(
-        users, canonical_allocation(poset, tree).sizes(), max(tree.depths().values())
+        users, forest_sizes(poset, tree.parent), max(tree.depths().values())
     )

@@ -12,23 +12,24 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .allocation import KeyAllocation, SchemeMetrics, forest_start_points
+from .allocation import KeyAllocation, SchemeMetrics, forest_sizes, forest_start_points
 from .errors import PolicyError
 from .poset import ChainPartition, Poset
 
 
-def chain_scheme_build(poset: Poset, partition: ChainPartition) -> KeyAllocation:
-    """Start points for every label on the chain forest: each chain entry's
-    parent is its predecessor in the chain, and chain heads have none. A
-    down-set meets each chain in a suffix, so a label starts at the
-    topmost entry of every chain its down-set touches. A partition of the
-    policy's own labels gets the virtual root, if one was added, as a
-    chain of its own."""
+def _chain_parents(poset: Poset, partition: ChainPartition) -> dict[str, str]:
+    """Each entry's chain predecessor in a valid ``partition``, to which the
+    virtual root, if one was added and is missing, joins as a chain of its own."""
     if poset.virtual_root and not any(poset.root in chain for chain in partition.chains):
         partition = ChainPartition(chains=((poset.root,), *partition.chains))
     partition.validate_for(poset)
-    above = {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
-    return KeyAllocation(phi=forest_start_points(poset, above))
+    return {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
+
+
+def chain_scheme_build(poset: Poset, partition: ChainPartition) -> KeyAllocation:
+    """Start points on the chain forest: a down-set meets each chain in a
+    suffix, so a label starts at the top of each chain its down-set touches."""
+    return KeyAllocation(phi=forest_start_points(poset, _chain_parents(poset, partition)))
 
 
 def chain_metrics(
@@ -39,7 +40,7 @@ def chain_metrics(
     whole, so the longest walk runs down the longest chain."""
     return SchemeMetrics.from_sizes(
         users,
-        chain_scheme_build(poset, partition).sizes(),
+        forest_sizes(poset, _chain_parents(poset, partition)),
         max(len(chain) for chain in partition.chains) - 1,
     )
 

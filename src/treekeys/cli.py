@@ -17,11 +17,12 @@ import json
 import os
 import sys
 import urllib.parse
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps's string escaping
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
-from .allocation import SchemeMetrics, canonical_allocation, scheme_metrics
+from .allocation import KeyAllocation, SchemeMetrics, canonical_allocation, scheme_metrics
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import (
     VIRTUAL_ROOT,
@@ -66,7 +67,22 @@ def _load_json(path: str) -> Any:
 
 
 def _write_json(path: Path, data: Mapping[str, Any]) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def _write_allocation(path: Path, allocation: KeyAllocation) -> None:
+    """Write ``allocation.to_json_dict()`` as ``_write_json`` would, a label
+    at a time, each label quoted once."""
+    quoted = {x: _quote(x) for x in allocation.phi}
+    with path.open("w", encoding="utf-8") as handle:
+        separator = '{\n  "phi": {'
+        for x, points in sorted(allocation.phi.items()):
+            listed = ",\n      ".join(map(quoted.get, points))
+            handle.write(f"{separator}\n    {quoted[x]}: [\n      {listed}\n    ]")
+            separator = ","
+        handle.write("\n  }\n}\n")
 
 
 def _load_policy(args: argparse.Namespace) -> tuple[Poset, dict[str, int]]:
@@ -81,10 +97,6 @@ def _load_tree(poset: Poset, path: str) -> DerivationOutTree:
 
 #: What ``encrypt`` appends to each object's file name and ``decrypt`` removes.
 SEALED_SUFFIX = ".sealed"
-
-
-def _bundle_filename(label: str) -> str:
-    return f"sigma_{urllib.parse.quote(label, safe='')}.json"
 
 
 # -- subcommands ---------------------------------------------------------
@@ -130,7 +142,7 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tree.json", tree.to_json_dict())
-    _write_json(out / "allocation.json", allocation.to_json_dict())
+    _write_allocation(out / "allocation.json", allocation)
     _write_json(out / "metrics.json", metrics.to_json_dict())
     print(
         f"wrote tree.json allocation.json metrics.json to {out} "
@@ -153,12 +165,20 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         rng = kdf.seeded_bytes(seed)
     else:
         rng = os.urandom
-    store, bundles = kdf.setup(poset, tree, rng=rng)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    names = {label: f"sigma_{urllib.parse.quote(label, safe='')}.json" for label in poset.labels}
+    limit = os.pathconf(out, "PC_NAME_MAX")  # the names are ASCII: a byte a character
+    if too_long := [label for label, name in names.items() if len(name) > limit]:
+        raise PolicyError(f"label {too_long[0]!r} needs a bundle file name over {limit} bytes")
+    store, bundles = kdf.setup(poset, tree, rng=rng)
     _write_json(out / "keystore.json", store.to_json_dict())
-    for label in poset.labels:
-        _write_json(out / _bundle_filename(label), bundles[label].to_json_dict())
+    # a bundle's text as _write_json gives it, from start point lines made once
+    lines = {z: f'{_quote(z)}: "{secret.hex()}"' for z, secret in store.secrets.items()}
+    for label, name in names.items():
+        secrets = ",\n    ".join(map(lines.get, bundles[label].secrets))
+        text = f'{{\n  "holder": {_quote(label)},\n  "secrets": {{\n    {secrets}\n  }}\n}}\n'
+        (out / name).write_text(text, encoding="utf-8")
     print(f"wrote keystore.json and {len(bundles)} bundle files to {out}")
     return 0
 

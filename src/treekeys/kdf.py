@@ -205,7 +205,7 @@ def setup(
     The root secret is drawn from ``rng``; every other secret is the PRF of
     its parent's secret and its own label, walked root to leaf. No public
     helper data is produced. Each bundle carries the secrets of its
-    label's canonical start points.
+    label's canonical start points, in label order.
     """
     allocation = canonical_allocation(poset, tree)
     root_secret = rng(KEY_BYTES)
@@ -219,7 +219,7 @@ def setup(
         keys[x] = prf(secrets[x], encode_label(x))
     store = SecretStore(tree=tree, secrets=secrets, keys=keys)
     bundles = {
-        x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in sorted(allocation.phi[x])})
+        x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in allocation.phi[x]})
         for x in poset.labels
     }
     return store, bundles

@@ -237,14 +237,15 @@ def allocation_by_definition(
 ) -> KeyAllocation:
     """Start points transcribed literally from their set-builder definition:
     a non-root label x starts at z for every tree arc (y, z) that strands
-    x, that is, whose extra-key labels in ``charged`` hold x."""
+    x, that is, whose extra-key labels in ``charged`` hold x. The arcs
+    come sorted by child, so each label's start points are in label order."""
     arcs = tree.arcs()
-    phi: dict[str, frozenset[str]] = {}
+    phi: dict[str, tuple[str, ...]] = {}
     for x in poset.labels:
         if x == tree.root:
-            phi[x] = frozenset({x})
+            phi[x] = (x,)
         else:
-            phi[x] = frozenset(z for y, z in arcs if x in charged[(y, z)])
+            phi[x] = tuple(z for y, z in arcs if x in charged[(y, z)])
     return KeyAllocation(phi=phi)
 
 
@@ -490,7 +491,7 @@ def _examine_instance(
             if outside:
                 tampered[x].add(outside[0])
                 break
-    bad = KeyAllocation(phi={x: frozenset(v) for x, v in tampered.items()})
+    bad = KeyAllocation(phi={x: tuple(sorted(v)) for x, v in tampered.items()})
     detected = bad.phi == allocation.phi or bool(validate_enforcement(poset, tree, bad))
     results["invalid-allocation-detected"].record(detected, payload)
 

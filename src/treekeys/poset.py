@@ -244,13 +244,16 @@ class Poset(NamedTuple):
             raise UnknownLabelError(f"unknown label {label!r}") from None
 
     def members(self, mask: int) -> list[str]:
-        """The labels whose bits are set in ``mask``, in index order."""
+        """The labels whose bits are set in ``mask``, in index order. The
+        highest bit goes first, so the mask shrinks at every step: a wide
+        mask costs a fraction of what clearing its lowest bit each time does."""
         labels = self.labels
         out = []
         while mask:
-            low = mask & -mask
-            out.append(labels[low.bit_length() - 1])
-            mask ^= low
+            top = mask.bit_length() - 1
+            out.append(labels[top])
+            mask ^= 1 << top
+        out.reverse()
         return out
 
     def above(self, x: str, y: str) -> bool:
@@ -270,6 +273,14 @@ class Poset(NamedTuple):
         """Every label at or below x (x included), decoded from its down-mask."""
         i = self.index(x)
         return frozenset(self.members(self.strict_down[i] | 1 << i))
+
+
+def masked_sums(weights: list[int], masks: Iterable[int]) -> list[int]:
+    """Each mask's sum of the non-negative ``weights`` at its set bits, by
+    one popcount per bit plane of the weights."""
+    planes = [(1 << b, sum(1 << i for i, w in enumerate(weights) if w >> b & 1))
+              for b in range(max(weights).bit_length())]
+    return [sum(w * (mask & plane).bit_count() for w, plane in planes) for mask in masks]
 
 
 class ChainPartition(NamedTuple):

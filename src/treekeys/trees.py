@@ -14,7 +14,7 @@ from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PolicyError, check_fields
 from .matching import augment, max_bipartite_matching
-from .poset import Arc, Poset
+from .poset import Arc, Poset, masked_sums
 
 
 class DerivationOutTree(NamedTuple):
@@ -122,20 +122,12 @@ def weight_function(
 
 
 def _users_above(poset: Poset, users: Mapping[str, int]) -> dict[str, int]:
-    """M(x) for every label x, by popcounts of its up-mask: one per bit of
-    the largest user count, over the labels whose count has that bit set."""
+    """M(x) for every label x: the user counts summed over its up-mask."""
     counts = [users.get(x, 0) for x in poset.labels]
     if min(counts) < 0:
         raise PolicyError("user counts must be non-negative")
-    planes = [
-        (1 << b, sum(1 << i for i, c in enumerate(counts) if c >> b & 1))
-        for b in range(max(counts).bit_length())
-    ]
     ups = (up | 1 << i for i, up in enumerate(poset.strict_up))
-    return {
-        x: sum(w * (up & plane).bit_count() for w, plane in planes)
-        for x, up in zip(poset.labels, ups)
-    }
+    return dict(zip(poset.labels, masked_sums(counts, ups)))
 
 
 def _cheapest_parents(

@@ -73,7 +73,7 @@ def test_criterion_03_minimum_tree_and_key_count(poset8, users8):
 
 
 def test_criterion_04_chain_partition_key_count(poset8, users8, partition8):
-    assert chain_scheme_build(poset8, partition8).phi["d"] == {"c", "d"}
+    assert chain_scheme_build(poset8, partition8).phi["d"] == ("c", "d")
     assert chain_metrics(poset8, users8, partition8).K_total == 13
 
 

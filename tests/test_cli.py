@@ -1,12 +1,16 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from treekeys import KeyAllocation, cli
+from treekeys import VIRTUAL_ROOT, KeyAllocation, cli, parse_policy
 from treekeys.cli import main
 from treekeys.sealing import seal
 
@@ -138,6 +142,25 @@ class TestBuildTree:
         assert "K_hat=10 differs from the tree's arc cost total 11" in err
         assert not out_dir.exists()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux reports")
+    def test_peak_memory_on_the_boolean_lattice_2_12(self, tmp_path):
+        # 4096 labels and 265,721 start points, run as the benchmark runs a
+        # command: allocation.json written a label at a time keeps the peak
+        # near 32 MiB, where encoding the whole document at once takes 68 MiB
+        k = 12
+        labels = [f"b{s:0{k}b}" for s in range(1 << k)]
+        arcs = [[labels[s], labels[s & ~(1 << i)]]
+                for s in range(1 << k) for i in range(k) if s >> i & 1]
+        policy = tmp_path / "lattice.json"
+        policy.write_text(json.dumps({"elements": labels, "arcs": arcs}))
+        report = tmp_path / "spawn.report"
+        spawn = Path(__file__).resolve().parents[1] / "perfbench" / "spawn.py"
+        done = run_python("-S", spawn, report, "--", sys.executable, "-m", "treekeys",
+                          "build-tree", policy, "--out-dir", tmp_path / "build")
+        assert done.returncode == 0, done.stderr
+        peak_mib = int(report.read_text(encoding="ascii").split()[1]) / 1024
+        assert peak_mib < 55, f"build-tree peaked at {peak_mib:.1f} MiB"
+
 
 class TestKeygen:
     def test_deterministic_with_seed(self, run, policy_file, tmp_path):
@@ -207,12 +230,60 @@ class TestKeygen:
         store = read_json(keys / "keystore.json")
         assert len(store["secrets"]) == 1 and len(store["keys"]) == 1
 
+    def test_overlong_bundle_file_name_writes_nothing(self, run, tmp_path):
+        # 90 x "é" percent-encodes to a 1,091-byte bundle file name, over the
+        # file system's limit: keygen must refuse before its first write
+        labels = ["a", "b", "c", "d", "e", "é" * 90]
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps({"elements": labels, "arcs": [["a", x] for x in labels[1:]]}))
+        build, keys = tmp_path / "build", tmp_path / "keys"
+        assert run("build-tree", policy, "--out-dir", build)[0] == 0
+        code, _, err = run("keygen", policy, "--tree", build / "tree.json", "--seed", SEED,
+                           "--out-dir", keys)
+        assert code == 1
+        assert repr(labels[-1]) in err
+        assert not (keys / "keystore.json").exists()
+        assert not list(keys.glob("sigma_*"))
+
     def test_foreign_tree_rejected(self, run, policy_file, tmp_path):
         bad = tmp_path / "tree.json"
         bad.write_text(json.dumps({"root": "h", "parents": {"a": "h"}}))
         code, _, err = run("keygen", policy_file, "--tree", bad, "--seed", SEED,
                            "--out-dir", tmp_path / "k")
         assert code == 1
+
+
+# labels that JSON must escape: a quote, a backslash, a control character,
+# non-ASCII text, and the virtual root's symbol as a prefix
+ESCAPED_LABELS = st.lists(
+    st.text('"\\\x01é日⊤ab', min_size=1, max_size=4).filter(lambda x: x != VIRTUAL_ROOT),
+    min_size=1, max_size=7, unique=True,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ESCAPED_LABELS, st.randoms(use_true_random=False), st.booleans())
+@example(["only"], random.Random(0), False)  # one label: an empty "parents"
+@example(['a"b', "c\\d", "e\x01f", "ünï", "⊤x"], random.Random(1), True)
+def test_written_artifacts_are_canonical_json(labels, rng, min_leaves):
+    # every file build-tree and keygen write reads back as the text
+    # json.dumps(..., indent=2, sort_keys=True) gives it, under any hash seed
+    arcs = [[labels[j], labels[i]] for i in range(len(labels))
+            for j in range(i + 1, len(labels)) if rng.random() < 0.4]
+    document = {"elements": labels, "arcs": arcs, "users": {x: rng.randint(0, 3) for x in labels}}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        policy = out / "policy.json"
+        policy.write_text(json.dumps(document))
+        flags = ["--min-leaves"] if min_leaves else []
+        assert main(["build-tree", str(policy), *flags, "--out-dir", str(out / "build")]) == 0
+        assert main(["keygen", str(policy), "--tree", str(out / "build" / "tree.json"),
+                     "--seed", SEED, "--out-dir", str(out / "keys")]) == 0
+        written = [*(out / "build").iterdir(), *(out / "keys").iterdir()]
+        assert len(written) == 3 + 1 + len(parse_policy(document)[0].labels)
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
 
 @pytest.fixture
@@ -929,7 +1000,7 @@ class TestVerify:
 
         def one_short(poset, tree):
             phi = canonical_allocation(poset, tree).phi
-            return KeyAllocation(phi={x: points - {min(points)} for x, points in phi.items()})
+            return KeyAllocation(phi={x: points[1:] for x, points in phi.items()})
 
         monkeypatch.setattr("treekeys.kdf.canonical_allocation", one_short)
         code, out, err = run("verify", policy_file, "--seeds", "3", "--json")

@@ -266,8 +266,8 @@ class TestDerive:
         poset, tree, store, bundles = sample_scheme
         phi = canonical_allocation(poset, tree).phi
         for holder in poset.labels:
-            points = set(bundles[holder].secrets)
-            assert points == phi[holder]
+            assert tuple(bundles[holder].secrets) == phi[holder]
+            points = set(phi[holder])
             for z in [*poset.labels, "zz"]:
                 secrets = {v: store.secrets.get(v, bytes(KEY_BYTES)) for v in points ^ {z}}
                 bad = SigmaBundle(holder=holder, secrets=secrets)

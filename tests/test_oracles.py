@@ -141,7 +141,7 @@ class TestAllocationByDefinition:
     def test_root_only(self):
         poset = Poset.from_arcs(["r"], [])
         tree = DerivationOutTree(root="r", parent={})
-        assert allocation_by_definition(poset, tree, {}).phi == {"r": frozenset({"r"})}
+        assert allocation_by_definition(poset, tree, {}).phi == {"r": ("r",)}
 
 
 class TestCoalitions:

@@ -50,8 +50,9 @@ def test_every_traced_name_resolves():
 
 @pytest.mark.parametrize("command, expected", [
     (["analyze"], ["cli.main"]),
-    # chain_metrics builds the chain allocation itself, through the traced name
-    (["compare", "--json"], ["cli.main", "baselines.chain_scheme_build", "baselines.chain_metrics"]),
+    # scheme_metrics validates the tree itself, through the traced name
+    (["compare", "--json"],
+     ["cli.main", "allocation.scheme_metrics", "trees.validate_tree", "baselines.chain_metrics"]),
     # the tracer rewraps a classmethod on the bundle's class
     (["derive", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "a"],
      ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive"]),
