@@ -52,8 +52,8 @@ def main() -> int:
         tree = min_weight_out_tree(poset, users)
         tree_m = scheme_metrics(poset, users, tree)
         chain_m = chain_metrics(poset, users, min_chain_partition(poset))
-        basic_m = classic_scheme_metrics(poset, users, "basic")
-        direct_m = classic_scheme_metrics(poset, users, "direct")
+        classic = classic_scheme_metrics(poset, users)
+        basic_m, direct_m = classic["basic"], classic["direct"]
 
         totals["tree"].append(tree_m.K_total)
         totals["chain"].append(chain_m.K_total)

@@ -58,7 +58,7 @@ def main() -> int:
     allocation = canonical_allocation(poset, tree)
     print("\nstart points per label:")
     for label in poset.labels:
-        print(f"  {label}: {{{', '.join(sorted(allocation.phi[label]))}}}")
+        print(f"  {label}: {{{', '.join(allocation[label])}}}")
     metrics = scheme_metrics(poset, users, tree)
     print(f"\ntotals: K_total={metrics.K_total} K_hat={metrics.K_hat} "
           f"k_max={metrics.k_max} d_max={metrics.d_max} public items={metrics.p}")
@@ -72,13 +72,9 @@ def main() -> int:
           f"(matches keystore: {got == store.keys['a']})")
 
     print("\nscheme comparison (same policy):")
-    rows = {
-        "basic": classic_scheme_metrics(poset, users, "basic"),
-        "iterative": classic_scheme_metrics(poset, users, "iterative"),
-        "direct": classic_scheme_metrics(poset, users, "direct"),
-        "chain": chain_metrics(poset, users, PARTITION),
-        "tree": metrics,
-    }
+    rows = classic_scheme_metrics(poset, users)
+    rows["chain"] = chain_metrics(poset, users, PARTITION)
+    rows["tree"] = metrics
     print(f"  {'scheme':<10} {'K':>4} {'k':>3} {'p':>4} {'d':>3}")
     for name, m in rows.items():
         print(f"  {name:<10} {m.K_total:>4} {m.k_max:>3} {m.p:>4} {m.d_max:>3}")

@@ -9,7 +9,6 @@ for comparison and certification.
 """
 
 from .allocation import (
-    KeyAllocation,
     SchemeMetrics,
     canonical_allocation,
     scheme_metrics,

@@ -10,23 +10,10 @@ partition, each entry under its chain predecessor.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .poset import Poset, masked_sums
 from .trees import DerivationOutTree, validate_tree
-
-
-class KeyAllocation(NamedTuple):
-    """Per-label start points in label order. Serialized under the "phi" key."""
-
-    phi: Mapping[str, tuple[str, ...]]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"phi": {label: list(points) for label, points in sorted(self.phi.items())}}
-
-    def sizes(self) -> dict[str, int]:
-        """The number of start points per label."""
-        return {label: len(points) for label, points in self.phi.items()}
 
 
 def start_points(poset: Poset, parent: Mapping[str, str], x: str) -> frozenset[str]:
@@ -74,11 +61,11 @@ def forest_sizes(poset: Poset, parent: Mapping[str, str]) -> dict[str, int]:
     return {x: down.bit_count() - k for x, down, k in zip(poset.labels, downs, inner)}
 
 
-def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> KeyAllocation:
+def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> dict[str, tuple[str, ...]]:
     """The pointwise-minimal allocation for ``tree``: the start points of
     every label on the tree, whose only parentless label is the root."""
     validate_tree(poset, tree)
-    return KeyAllocation(phi=forest_start_points(poset, tree.parent))
+    return forest_start_points(poset, tree.parent)
 
 
 class Violation(NamedTuple):
@@ -90,7 +77,7 @@ class Violation(NamedTuple):
 def validate_enforcement(
     poset: Poset,
     tree: DerivationOutTree,
-    allocation: KeyAllocation,
+    allocation: Mapping[str, Iterable[str]],
 ) -> tuple[Violation, ...]:
     """Check the three enforcement conditions by explicit tree reachability.
 
@@ -104,7 +91,7 @@ def validate_enforcement(
     labels = frozenset(poset.labels)
     violations: list[Violation] = []
     for x in poset.labels:
-        points = frozenset(allocation.phi.get(x, ()))
+        points = frozenset(allocation.get(x, ()))
         unknown = sorted(points - labels)
         for z in unknown:
             violations.append(Violation("unknown", x, f"start point {z!r} is not a label"))

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .allocation import KeyAllocation, SchemeMetrics, forest_sizes, forest_start_points
-from .errors import PolicyError
+from .allocation import SchemeMetrics, forest_sizes, forest_start_points
 from .poset import ChainPartition, Poset
 
 
@@ -26,10 +25,10 @@ def _chain_parents(poset: Poset, partition: ChainPartition) -> dict[str, str]:
     return {low: up for chain in partition.chains for up, low in zip(chain, chain[1:])}
 
 
-def chain_scheme_build(poset: Poset, partition: ChainPartition) -> KeyAllocation:
+def chain_scheme_build(poset: Poset, partition: ChainPartition) -> dict[str, tuple[str, ...]]:
     """Start points on the chain forest: a down-set meets each chain in a
     suffix, so a label starts at the top of each chain its down-set touches."""
-    return KeyAllocation(phi=forest_start_points(poset, _chain_parents(poset, partition)))
+    return forest_start_points(poset, _chain_parents(poset, partition))
 
 
 def chain_metrics(
@@ -55,11 +54,9 @@ def _longest_cover_path(poset: Poset) -> int:
     return max(height.values())
 
 
-CLASSIC_SCHEMES = ("basic", "iterative", "direct")
-
-
-def classic_scheme_metrics(poset: Poset, users: Mapping[str, int], scheme: str) -> SchemeMetrics:
-    """Size parameters of the classic public-information constructions.
+def classic_scheme_metrics(poset: Poset, users: Mapping[str, int]) -> dict[str, SchemeMetrics]:
+    """Size parameters of the classic public-information constructions,
+    keyed "basic", "iterative" and "direct" in that order.
 
     basic hands every authorized key out directly: its start points on the
     empty forest are whole down-sets, counted by popcount. iterative
@@ -67,13 +64,11 @@ def classic_scheme_metrics(poset: Poset, users: Mapping[str, int], scheme: str) 
     publishes one per strict-order pair and derives in a single step.
     K_total counts keys per label, K_hat weights by users.
     """
-    if scheme == "basic":
-        sizes = {x: mask.bit_count() + 1 for x, mask in zip(poset.labels, poset.strict_down)}
-        return SchemeMetrics.from_sizes(users, sizes, d_max=0)
+    sizes = {x: mask.bit_count() + 1 for x, mask in zip(poset.labels, poset.strict_down)}
     one_key = dict.fromkeys(poset.labels, 1)
-    if scheme == "iterative":
-        p = sum(mask.bit_count() for mask in poset.cover_up)
-        return SchemeMetrics.from_sizes(users, one_key, d_max=_longest_cover_path(poset), p=p)
-    if scheme == "direct":
-        return SchemeMetrics.from_sizes(users, one_key, d_max=1, p=poset.closure_size)
-    raise PolicyError(f"unknown scheme {scheme!r}; expected one of {CLASSIC_SCHEMES}")
+    covers = sum(mask.bit_count() for mask in poset.cover_up)
+    return {
+        "basic": SchemeMetrics.from_sizes(users, sizes, d_max=0),
+        "iterative": SchemeMetrics.from_sizes(users, one_key, _longest_cover_path(poset), covers),
+        "direct": SchemeMetrics.from_sizes(users, one_key, d_max=1, p=poset.closure_size),
+    }

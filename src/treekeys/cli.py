@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
-from .allocation import KeyAllocation, SchemeMetrics, canonical_allocation, scheme_metrics
+from .allocation import SchemeMetrics, canonical_allocation, scheme_metrics
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import (
     VIRTUAL_ROOT,
@@ -72,13 +72,13 @@ def _write_json(path: Path, data: Mapping[str, Any]) -> None:
         handle.write("\n")
 
 
-def _write_allocation(path: Path, allocation: KeyAllocation) -> None:
-    """Write ``allocation.to_json_dict()`` as ``_write_json`` would, a label
-    at a time, each label quoted once."""
-    quoted = {x: _quote(x) for x in allocation.phi}
+def _write_allocation(path: Path, allocation: Mapping[str, tuple[str, ...]]) -> None:
+    """Write ``{"phi": allocation}`` as ``_write_json`` would, a label at a
+    time, each label quoted once."""
+    quoted = {x: _quote(x) for x in allocation}
     with path.open("w", encoding="utf-8") as handle:
         separator = '{\n  "phi": {'
-        for x, points in sorted(allocation.phi.items()):
+        for x, points in sorted(allocation.items()):
             listed = ",\n      ".join(map(quoted.get, points))
             handle.write(f"{separator}\n    {quoted[x]}: [\n      {listed}\n    ]")
             separator = ","
@@ -132,7 +132,8 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     build = min_leaf_out_tree if args.min_leaves else min_weight_out_tree
     tree = build(poset, users, closure=args.arcs == "closure")
     allocation = canonical_allocation(poset, tree)
-    metrics = SchemeMetrics.from_sizes(users, allocation.sizes(), max(tree.depths().values()))
+    sizes = {x: len(points) for x, points in allocation.items()}
+    metrics = SchemeMetrics.from_sizes(users, sizes, max(tree.depths().values()))
     # the arc costs plus the root's own key, held by M(root) = the root's users
     expected = users[tree.root] + sum(weight_function(poset, users, tree.arcs()).values())
     if metrics.K_hat != expected:
@@ -199,18 +200,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         partition = min_chain_partition(poset)
     tree = min_weight_out_tree(poset, users)
-    rows = {
-        name: baselines.classic_scheme_metrics(poset, users, name)
-        for name in baselines.CLASSIC_SCHEMES
-    }
+    rows = baselines.classic_scheme_metrics(poset, users)
     rows["chain"] = baselines.chain_metrics(poset, users, partition)
     rows["tree"] = scheme_metrics(poset, users, tree)
     if args.json:
         print(json.dumps({k: m.to_json_dict() for k, m in rows.items()}, sort_keys=True, indent=2))
         return 0
     print(f"{'scheme':<10} {'K':>6} {'K_hat':>6} {'k':>4} {'p':>5} {'d':>4}")
-    for name in (*baselines.CLASSIC_SCHEMES, "chain", "tree"):
-        m = rows[name]
+    for name, m in rows.items():
         print(f"{name:<10} {m.K_total:>6} {m.K_hat:>6} {m.k_max:>4} {m.p:>5} {m.d_max:>4}")
     return 0
 
@@ -429,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # print a label the stream cannot encode escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -174,12 +174,6 @@ class SigmaBundle(NamedTuple):
     holder: str
     secrets: Mapping[str, bytes]
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "holder": self.holder,
-            "secrets": {label: value.hex() for label, value in sorted(self.secrets.items())},
-        }
-
     @classmethod
     def from_json_dict(cls, document: Mapping[str, Any]) -> "SigmaBundle":
         check_fields(document, {"holder", "secrets"}, "bundle")
@@ -219,7 +213,7 @@ def setup(
         keys[x] = prf(secrets[x], encode_label(x))
     store = SecretStore(tree=tree, secrets=secrets, keys=keys)
     bundles = {
-        x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in allocation.phi[x]})
+        x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in allocation[x]})
         for x in poset.labels
     }
     return store, bundles

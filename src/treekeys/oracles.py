@@ -16,7 +16,7 @@ import time
 from typing import Any, Iterable, Iterator, Mapping
 
 from . import kdf
-from .allocation import KeyAllocation, canonical_allocation, validate_enforcement
+from .allocation import canonical_allocation, validate_enforcement
 from .errors import AuthorizationError, PolicyError
 from .matching import max_bipartite_matching
 from .poset import (
@@ -234,7 +234,7 @@ def rematching_min_leaf_tree(
 
 def allocation_by_definition(
     poset: Poset, tree: DerivationOutTree, charged: Mapping[Arc, frozenset[str]]
-) -> KeyAllocation:
+) -> dict[str, tuple[str, ...]]:
     """Start points transcribed literally from their set-builder definition:
     a non-root label x starts at z for every tree arc (y, z) that strands
     x, that is, whose extra-key labels in ``charged`` hold x. The arcs
@@ -246,7 +246,7 @@ def allocation_by_definition(
             phi[x] = (x,)
         else:
             phi[x] = tuple(z for y, z in arcs if x in charged[(y, z)])
-    return KeyAllocation(phi=phi)
+    return phi
 
 
 def brute_width(poset: Poset) -> int:
@@ -286,7 +286,7 @@ def brute_reduction(closure: Iterable[Arc], elements: Iterable[str]) -> frozense
 def coalition_reachability(
     poset: Poset,
     tree: DerivationOutTree,
-    allocation: KeyAllocation,
+    allocation: Mapping[str, Iterable[str]],
     coalition: Iterable[str],
 ) -> frozenset[str]:
     """Labels whose secrets a coalition can compute from its pooled bundles.
@@ -302,7 +302,7 @@ def coalition_reachability(
     reached: set[str] = set()
     frontier: list[str] = []
     for v in members:
-        frontier.extend(allocation.phi[v])
+        frontier.extend(allocation[v])
     while frontier:
         z = frontier.pop()
         if z in reached:
@@ -469,7 +469,7 @@ def _examine_instance(
 
     allocation = canonical_allocation(poset, tree)
     results["allocation-vs-definition"].record(
-        allocation.phi == allocation_by_definition(poset, tree, charged).phi, payload
+        allocation == allocation_by_definition(poset, tree, charged), payload
     )
     results["allocation-enforces-policy"].record(
         not validate_enforcement(poset, tree, allocation), payload
@@ -477,7 +477,7 @@ def _examine_instance(
 
     # a broken allocation must be flagged: strip a non-trivial start point,
     # or (for trees where every set is a singleton) inflate one instead
-    tampered = {x: set(points) for x, points in allocation.phi.items()}
+    tampered = {x: set(points) for x, points in allocation.items()}
     stripped = False
     for x in sorted(tampered):
         extras = sorted(tampered[x] - {x})
@@ -491,8 +491,8 @@ def _examine_instance(
             if outside:
                 tampered[x].add(outside[0])
                 break
-    bad = KeyAllocation(phi={x: tuple(sorted(v)) for x, v in tampered.items()})
-    detected = bad.phi == allocation.phi or bool(validate_enforcement(poset, tree, bad))
+    bad = {x: tuple(sorted(v)) for x, v in tampered.items()}
+    detected = bad == allocation or bool(validate_enforcement(poset, tree, bad))
     results["invalid-allocation-detected"].record(detected, payload)
 
     results["charge-set-algebra"].record(_charge_set_algebra_ok(poset, charged), payload)
@@ -506,7 +506,7 @@ def _examine_instance(
     for other in itertools.islice(enumerate_out_trees(poset, cover_pairs), 20):
         other_alloc = allocation_by_definition(poset, other, charged)
         lhs = sum(
-            users.get(x, 0) * len(other_alloc.phi[x]) for x in poset.labels if x != poset.root
+            users.get(x, 0) * len(other_alloc[x]) for x in poset.labels if x != poset.root
         )
         if lhs != sum(wf[a] for a in other.arcs()):
             identity_ok = False

@@ -73,16 +73,16 @@ def test_criterion_03_minimum_tree_and_key_count(poset8, users8):
 
 
 def test_criterion_04_chain_partition_key_count(poset8, users8, partition8):
-    assert chain_scheme_build(poset8, partition8).phi["d"] == ("c", "d")
+    assert chain_scheme_build(poset8, partition8)["d"] == ("c", "d")
     assert chain_metrics(poset8, users8, partition8).K_total == 13
 
 
 def test_criterion_05_classic_scheme_sizes(poset8, users8):
-    basic = classic_scheme_metrics(poset8, users8, "basic")
+    basic = classic_scheme_metrics(poset8, users8)["basic"]
     assert basic.K_total == 31
-    iterative = classic_scheme_metrics(poset8, users8, "iterative")
+    iterative = classic_scheme_metrics(poset8, users8)["iterative"]
     assert (iterative.K_total, iterative.p) == (8, 10)
-    direct = classic_scheme_metrics(poset8, users8, "direct")
+    direct = classic_scheme_metrics(poset8, users8)["direct"]
     assert (direct.p, direct.d_max) == (23, 1)
 
 

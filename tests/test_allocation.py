@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from treekeys import (
     DerivationOutTree,
-    KeyAllocation,
     Poset,
     canonical_allocation,
     scheme_metrics,
@@ -40,76 +39,70 @@ def instances(max_elements=7):
 class TestCanonicalAllocation:
     def test_sample_start_points(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        assert allocation.phi["b"] == ("a", "b")
-        assert allocation.phi["e"] == ("c", "e")
-        assert allocation.phi["f"] == ("d", "f")
-        assert allocation.phi["c"] == ("c",)
-        assert sum(len(points) for points in allocation.phi.values()) == 11
+        assert allocation["b"] == ("a", "b")
+        assert allocation["e"] == ("c", "e")
+        assert allocation["f"] == ("d", "f")
+        assert allocation["c"] == ("c",)
+        assert sum(len(points) for points in allocation.values()) == 11
 
     def test_root_is_its_own_start_point(self, poset8, tree8_gd):
-        assert canonical_allocation(poset8, tree8_gd).phi["h"] == ("h",)
+        assert canonical_allocation(poset8, tree8_gd)["h"] == ("h",)
 
     def test_total_order_needs_one_point_each(self):
         labels = list("abcd")
         poset = Poset.from_arcs(labels, [(labels[i + 1], labels[i]) for i in range(3)])
         tree = DerivationOutTree(root="d", parent={"a": "b", "b": "c", "c": "d"})
         allocation = canonical_allocation(poset, tree)
-        assert all(allocation.phi[x] == (x,) for x in labels)
+        assert all(allocation[x] == (x,) for x in labels)
 
     def test_every_label_contains_itself(self, poset8, tree8_fd):
         allocation = canonical_allocation(poset8, tree8_fd)
-        assert all(x in allocation.phi[x] for x in poset8.labels)
-
-    def test_json_round_trip(self, poset8, tree8_gd):
-        allocation = canonical_allocation(poset8, tree8_gd)
-        doc = allocation.to_json_dict()
-        assert doc["phi"]["b"] == ["a", "b"]
-        assert {x: tuple(points) for x, points in doc["phi"].items()} == allocation.phi
+        assert all(x in allocation[x] for x in poset8.labels)
 
 
 class TestValidateEnforcement:
     def test_canonical_is_valid_and_minimal(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
         assert validate_enforcement(poset8, tree8_gd, allocation) == ()
-        assert allocation.phi == allocation_by_definition(
+        assert allocation == allocation_by_definition(
             poset8, tree8_gd, charged_sets(poset8, tree8_gd.arcs())
-        ).phi
+        )
 
     def test_missing_start_point_is_flagged(self, poset8, tree8_gd):
         # b's users need a start at a: the tree enters a from c, and b is not above c
         allocation = canonical_allocation(poset8, tree8_gd)
-        phi = dict(allocation.phi)
+        phi = dict(allocation)
         phi["b"] = frozenset({"b"})
-        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        violations = validate_enforcement(poset8, tree8_gd, phi)
         assert any(v.kind == "unreachable" and v.label == "b" for v in violations)
 
     def test_overreaching_start_point_is_flagged(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        phi = dict(allocation.phi)
+        phi = dict(allocation)
         phi["c"] = frozenset({"c", "e"})
-        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        violations = validate_enforcement(poset8, tree8_gd, phi)
         assert any(v.kind == "overreach" and v.label == "c" for v in violations)
 
     def test_missing_self_is_flagged(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        phi = dict(allocation.phi)
+        phi = dict(allocation)
         phi["g"] = frozenset({"d", "e"})  # covers down(g) minus g itself
-        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        violations = validate_enforcement(poset8, tree8_gd, phi)
         assert any(v.kind == "membership" and v.label == "g" for v in violations)
 
     def test_unknown_start_point_is_flagged(self, poset8, tree8_gd):
         allocation = canonical_allocation(poset8, tree8_gd)
-        phi = dict(allocation.phi)
+        phi = dict(allocation)
         phi["g"] = (*phi["g"], "zz")
-        violations = validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi))
+        violations = validate_enforcement(poset8, tree8_gd, phi)
         assert any(v.kind == "unknown" for v in violations)
 
     def test_valid_but_wasteful_allocation(self, poset8, tree8_gd):
         # an extra start point below h is wasteful but stays sound
         allocation = canonical_allocation(poset8, tree8_gd)
-        phi = dict(allocation.phi)
+        phi = dict(allocation)
         phi["h"] = frozenset({"h", "a"})
-        assert validate_enforcement(poset8, tree8_gd, KeyAllocation(phi=phi)) == ()
+        assert validate_enforcement(poset8, tree8_gd, phi) == ()
 
 
 class TestSchemeMetrics:
@@ -139,7 +132,7 @@ class TestSchemeMetrics:
         heavy = {"f": 10}
         metrics = scheme_metrics(poset8, heavy, tree8_gd)
         assert metrics.K_total == 11
-        assert metrics.K_hat == 10 * len(allocation.phi["f"])
+        assert metrics.K_hat == 10 * len(allocation["f"])
 
 
 def test_start_points_may_exceed_the_width():
@@ -154,7 +147,7 @@ def test_start_points_may_exceed_the_width():
     tree = min_weight_out_tree(poset, users)
     allocation = canonical_allocation(poset, tree)
     assert width(poset) == 2
-    assert allocation.phi["f"] == ("b", "d", "f")
+    assert allocation["f"] == ("b", "d", "f")
     assert validate_enforcement(poset, tree, allocation) == ()
 
 
@@ -167,7 +160,7 @@ def test_weighted_key_total_equals_arc_cost_total(instance):
     for tree in enumerate_out_trees(poset, covers(poset)):
         allocation = canonical_allocation(poset, tree)
         per_user_keys = sum(
-            users[x] * len(allocation.phi[x])
+            users[x] * len(allocation[x])
             for x in poset.labels
             if x != poset.root
         )
@@ -185,7 +178,7 @@ def test_canonical_matches_literal_definition(instance):
 
     tree = min_weight_out_tree(poset, users)
     literal = allocation_by_definition(poset, tree, charged_sets(poset, tree.arcs()))
-    assert canonical_allocation(poset, tree).phi == literal.phi
+    assert canonical_allocation(poset, tree) == literal
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +201,7 @@ def test_start_points_cover_down_sets_disjointly(instance):
     allocation = canonical_allocation(poset, tree)
     reach = tree.descendant_sets()
     for x in poset.labels:
-        points = sorted(allocation.phi[x])
+        points = sorted(allocation[x])
         union = set()
         for z in points:
             assert not (union & reach[z])  # pairwise disjoint
@@ -230,16 +223,16 @@ def test_valid_allocations_contain_the_canonical_one(instance, salt):
     phi = {}
     for x in poset.labels:
         extra = set()
-        candidates = sorted(poset.down_set(x).difference(canonical.phi[x]))
+        candidates = sorted(poset.down_set(x).difference(canonical[x]))
         if candidates and rng.random() < 0.7:
             extra.add(rng.choice(candidates))
-        phi[x] = extra.union(canonical.phi[x])
-    assert validate_enforcement(poset, tree, KeyAllocation(phi=phi)) == ()
-    assert all(phi[x].issuperset(canonical.phi[x]) for x in poset.labels)
+        phi[x] = extra.union(canonical[x])
+    assert validate_enforcement(poset, tree, phi) == ()
+    assert all(phi[x].issuperset(canonical[x]) for x in poset.labels)
 
-    victims = [x for x in poset.labels if len(canonical.phi[x]) > 1]
+    victims = [x for x in poset.labels if len(canonical[x]) > 1]
     if victims:
         victim = rng.choice(victims)
-        dropped = dict(canonical.phi)
+        dropped = dict(canonical)
         dropped[victim] = frozenset(sorted(dropped[victim])[1:])
-        assert validate_enforcement(poset, tree, KeyAllocation(phi=dropped)) != ()
+        assert validate_enforcement(poset, tree, dropped) != ()

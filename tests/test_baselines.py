@@ -24,7 +24,7 @@ def total_order(n=4):
 
 class TestChainScheme:
     def test_sample_start_points(self, poset8, partition8):
-        phi = chain_scheme_build(poset8, partition8).phi
+        phi = chain_scheme_build(poset8, partition8)
         assert phi["d"] == ("c", "d")
         assert phi["h"] == ("f", "h")
         assert phi["a"] == ("a",)
@@ -40,18 +40,18 @@ class TestChainScheme:
     def test_total_order_single_chain(self):
         poset = total_order()
         partition = min_chain_partition(poset)
-        phi = chain_scheme_build(poset, partition).phi
+        phi = chain_scheme_build(poset, partition)
         assert all(phi[x] == (x,) for x in poset.labels)
 
     def test_virtual_root_gets_a_chain_of_its_own(self):
         poset = Poset.from_arcs(["a", "b", "c"], [("a", "c"), ("b", "c")])
         assert poset.virtual_root
         partition = ChainPartition(chains=(("a", "c"), ("b",)))
-        phi = chain_scheme_build(poset, partition).phi
+        phi = chain_scheme_build(poset, partition)
         assert phi[poset.root] == ("a", "b", poset.root)
         assert phi["b"] == ("b", "c")
         with_root = ChainPartition(chains=((poset.root, "a", "c"), ("b",)))
-        assert chain_scheme_build(poset, with_root).phi["b"] == phi["b"]
+        assert chain_scheme_build(poset, with_root)["b"] == phi["b"]
 
     def test_rejects_overlapping_chains(self, poset8):
         partition = ChainPartition(chains=(("h", "g", "e", "c", "a"), ("f", "d", "b", "a")))
@@ -76,7 +76,7 @@ class TestChainScheme:
 
 class TestClassicSchemes:
     def test_basic_on_sample(self, poset8, users8):
-        metrics = classic_scheme_metrics(poset8, users8, "basic")
+        metrics = classic_scheme_metrics(poset8, users8)["basic"]
         assert metrics.K_total == 31  # 8 labels + 23 order pairs
         assert metrics.K_hat == 31
         assert metrics.k_max == 8
@@ -84,30 +84,30 @@ class TestClassicSchemes:
         assert metrics.p == 0
 
     def test_iterative_on_sample(self, poset8, users8):
-        metrics = classic_scheme_metrics(poset8, users8, "iterative")
+        metrics = classic_scheme_metrics(poset8, users8)["iterative"]
         assert (metrics.K_total, metrics.p) == (8, 10)
         assert metrics.k_max == 1
         assert metrics.d_max == 4  # longest cover path
 
     def test_direct_on_sample(self, poset8, users8):
-        metrics = classic_scheme_metrics(poset8, users8, "direct")
+        metrics = classic_scheme_metrics(poset8, users8)["direct"]
         assert (metrics.p, metrics.d_max) == (23, 1)
         assert metrics.K_total == 8
 
     def test_weighted_variant(self, poset8):
         heavy = {"h": 10, "a": 2}
-        basic = classic_scheme_metrics(poset8, heavy, "basic")
+        basic = classic_scheme_metrics(poset8, heavy)["basic"]
         assert basic.K_total == 31  # per-label count is user-independent
         assert basic.K_hat == 10 * 8 + 2 * 1
-        iterative = classic_scheme_metrics(poset8, heavy, "iterative")
+        iterative = classic_scheme_metrics(poset8, heavy)["iterative"]
         assert iterative.K_hat == 12
 
     def test_singleton(self):
         poset = Poset.from_arcs(["a"], [])
         users = one_user_each(poset)
-        basic = classic_scheme_metrics(poset, users, "basic")
+        basic = classic_scheme_metrics(poset, users)["basic"]
         assert basic.K_total == 1 and basic.p == 0
-        iterative = classic_scheme_metrics(poset, users, "iterative")
+        iterative = classic_scheme_metrics(poset, users)["iterative"]
         assert iterative.d_max == 0 and iterative.p == 0
 
     def test_iterative_depth_on_a_deep_chain(self):
@@ -115,12 +115,8 @@ class TestClassicSchemes:
         # million-pair closure stays in the masks and is never decoded
         labels = [f"c{i:04d}" for i in range(1500)]
         poset = Poset.from_arcs(labels, zip(labels, labels[1:]))
-        iterative = classic_scheme_metrics(poset, one_user_each(poset), "iterative")
+        iterative = classic_scheme_metrics(poset, one_user_each(poset))["iterative"]
         assert iterative.d_max == 1499 and iterative.p == 1499
-
-    def test_unknown_scheme(self, poset8, users8):
-        with pytest.raises(PolicyError, match="unknown scheme"):
-            classic_scheme_metrics(poset8, users8, "telepathic")
 
 
 @settings(max_examples=50, deadline=None)
@@ -129,7 +125,7 @@ def test_minimal_partitions_bound_keys_by_width(seed, count):
     poset = random_poset(count, 0.3, seed)
     allocation = chain_scheme_build(poset, min_chain_partition(poset))
     w = width(poset)
-    assert all(len(points) <= w for points in allocation.phi.values())
+    assert all(len(points) <= w for points in allocation.values())
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,7 +133,7 @@ def test_minimal_partitions_bound_keys_by_width(seed, count):
 def test_chain_scheme_is_sound_on_random_posets(seed, count):
     poset = random_poset(count, 0.35, seed)
     partition = min_chain_partition(poset)
-    phi = chain_scheme_build(poset, partition).phi
+    phi = chain_scheme_build(poset, partition)
     for holder in poset.labels:
         # each start point opens its chain from there down
         derivable = set()

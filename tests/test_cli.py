@@ -4,13 +4,14 @@ import random
 import subprocess
 import sys
 import tempfile
+import urllib.parse
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treekeys import VIRTUAL_ROOT, KeyAllocation, cli, parse_policy
+from treekeys import VIRTUAL_ROOT, DerivationOutTree, canonical_allocation, cli, kdf, parse_policy
 from treekeys.cli import main
 from treekeys.sealing import seal
 
@@ -50,6 +51,16 @@ class TestAnalyze:
         info = json.loads(out)
         assert info["elements"] == 8
         assert info["maximal"] == ["h"]
+
+    def test_label_the_output_cannot_encode_prints_escaped(self, tmp_path, monkeypatch):
+        # two maximal labels get the virtual root, which ASCII cannot encode
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"elements": ["a", "b"], "arcs": []}))
+        monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+        done = run_process("analyze", path)
+        assert done.returncode == 0, done.stderr
+        assert "root:         \\u22a4\n" in done.stdout
+        assert "Traceback" not in done.stderr
 
     def test_singleton(self, run, tmp_path):
         path = tmp_path / "p.json"
@@ -130,10 +141,10 @@ class TestBuildTree:
         real = cli.canonical_allocation
 
         def short(poset, tree):
-            phi = dict(real(poset, tree).phi)
+            phi = dict(real(poset, tree))
             x = min(x for x, points in phi.items() if len(points) > 1)
             phi[x] = frozenset({x})
-            return KeyAllocation(phi=phi)
+            return phi
 
         monkeypatch.setattr(cli, "canonical_allocation", short)
         out_dir = tmp_path / "short"
@@ -284,6 +295,37 @@ def test_written_artifacts_are_canonical_json(labels, rng, min_leaves):
         for path in written:
             text = path.read_text(encoding="utf-8")
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
+
+
+ESCAPED_POLICY = {  # two maximal labels, so the virtual root is written too
+    "elements": ['a"b', "c\\d", "e\x01f", "é", "⊤x"],
+    "arcs": [["⊤x", 'a"b'], ["⊤x", "c\\d"], ['a"b', "e\x01f"], ["c\\d", "e\x01f"],
+             ["é", "e\x01f"]],
+}
+
+
+@pytest.mark.parametrize("document", [SAMPLE_POLICY_DOC, ESCAPED_POLICY], ids=["sample", "escaped"])
+def test_written_artifacts_parse_back_to_what_the_library_returns(run, tmp_path, document):
+    # build-tree and keygen are the only writers of the allocation and the
+    # bundles: each file must read back to the library's value, in its order
+    policy, build, keys = tmp_path / "policy.json", tmp_path / "build", tmp_path / "keys"
+    policy.write_text(json.dumps(document))
+    assert run("build-tree", policy, "--out-dir", build)[0] == 0
+    assert run("keygen", policy, "--tree", build / "tree.json", "--seed", SEED,
+               "--out-dir", keys)[0] == 0
+    poset, _ = parse_policy(document)
+    tree = DerivationOutTree.from_json_dict(read_json(build / "tree.json"))
+    phi = read_json(build / "allocation.json")["phi"]
+    assert [(x, tuple(points)) for x, points in phi.items()] == list(
+        canonical_allocation(poset, tree).items()
+    )
+    store, bundles = kdf.setup(poset, tree, rng=kdf.seeded_bytes(bytes.fromhex(SEED)))
+    assert kdf.SecretStore.from_json_dict(read_json(keys / "keystore.json")) == store
+    assert len(list(keys.glob("sigma_*.json"))) == len(bundles) == len(poset.labels)
+    for x, bundle in bundles.items():
+        name = f"sigma_{urllib.parse.quote(x, safe='')}.json"
+        read = kdf.SigmaBundle.from_json_dict(read_json(keys / name))
+        assert (read.holder, list(read.secrets.items())) == (x, list(bundle.secrets.items()))
 
 
 @pytest.fixture
@@ -996,11 +1038,8 @@ class TestVerify:
     ):
         # setup hands every label one start point too few; derive refuses
         # each such bundle as malformed, and the battery must report it
-        from treekeys import canonical_allocation
-
         def one_short(poset, tree):
-            phi = canonical_allocation(poset, tree).phi
-            return KeyAllocation(phi={x: points[1:] for x, points in phi.items()})
+            return {x: points[1:] for x, points in canonical_allocation(poset, tree).items()}
 
         monkeypatch.setattr("treekeys.kdf.canonical_allocation", one_short)
         code, out, err = run("verify", policy_file, "--seeds", "3", "--json")

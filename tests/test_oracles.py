@@ -135,13 +135,13 @@ class TestBruteMinWeight:
 class TestAllocationByDefinition:
     def test_matches_optimized_on_sample(self, poset8, users8, tree8_gd):
         literal = allocation_by_definition(poset8, tree8_gd, charged_sets(poset8, tree8_gd.arcs()))
-        assert literal.phi == canonical_allocation(poset8, tree8_gd).phi
-        assert sum(len(v) for v in literal.phi.values()) == 11
+        assert literal == canonical_allocation(poset8, tree8_gd)
+        assert sum(len(v) for v in literal.values()) == 11
 
     def test_root_only(self):
         poset = Poset.from_arcs(["r"], [])
         tree = DerivationOutTree(root="r", parent={})
-        assert allocation_by_definition(poset, tree, {}).phi == {"r": ("r",)}
+        assert allocation_by_definition(poset, tree, {}) == {"r": ("r",)}
 
 
 class TestCoalitions:

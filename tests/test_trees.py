@@ -216,7 +216,6 @@ class TestTreeValue:
         values = [
             (poset8, "root"),
             (tree8_gd, "parent"),
-            (canonical_allocation(poset8, tree8_gd), "phi"),
             (bundles["f"], "holder"),
             (scheme_metrics(poset8, users8, tree8_gd), "K_hat"),
         ]
@@ -380,7 +379,7 @@ def test_ten_thousand_label_chain_from_policy_to_allocation():
     assert poset.closure_size == n * (n - 1) // 2
     tree = min_leaf_out_tree(poset, users)
     allocation = canonical_allocation(poset, tree)
-    assert all(allocation.phi[x] == (x,) for x in labels)
+    assert all(allocation[x] == (x,) for x in labels)
     metrics = scheme_metrics(poset, users, tree)
     assert metrics.K_total == n
     assert metrics.d_max == n - 1
