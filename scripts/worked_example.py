@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from treekeys import (
     ChainPartition,
+    SigmaBundle,
     canonical_allocation,
     chain_metrics,
     classic_scheme_metrics,
@@ -63,11 +64,12 @@ def main() -> int:
     print(f"\ntotals: K_total={metrics.K_total} K_hat={metrics.K_hat} "
           f"k_max={metrics.k_max} d_max={metrics.d_max} public items={metrics.p}")
 
-    store, bundles = setup(poset, tree, rng=seeded_bytes(b"worked example"))
+    store = setup(tree, rng=seeded_bytes(b"worked example"))
     print("\nkeystore (reproducible seed), first bytes of each key:")
     for label in poset.labels:
         print(f"  k({label}) = {store.keys[label].hex()[:16]}…")
-    got = derive(poset, tree, bundles["f"], "a")
+    bundle = SigmaBundle("f", {z: store.secrets[z] for z in allocation["f"]})
+    got = derive(poset, tree, bundle, "a")
     print(f"\nholder at f derives k(a): {got.hex()[:16]}… "
           f"(matches keystore: {got == store.keys['a']})")
 

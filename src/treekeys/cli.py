@@ -172,15 +172,16 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     limit = os.pathconf(out, "PC_NAME_MAX")  # the names are ASCII: a byte a character
     if too_long := [label for label, name in names.items() if len(name) > limit]:
         raise PolicyError(f"label {too_long[0]!r} needs a bundle file name over {limit} bytes")
-    store, bundles = kdf.setup(poset, tree, rng=rng)
+    allocation = canonical_allocation(poset, tree)
+    store = kdf.setup(tree, rng=rng)
     _write_json(out / "keystore.json", store.to_json_dict())
-    # a bundle's text as _write_json gives it, from start point lines made once
+    # a bundle's text as _write_json gives it: its start points' lines, each made once
     lines = {z: f'{_quote(z)}: "{secret.hex()}"' for z, secret in store.secrets.items()}
     for label, name in names.items():
-        secrets = ",\n    ".join(map(lines.get, bundles[label].secrets))
+        secrets = ",\n    ".join(map(lines.get, allocation[label]))
         text = f'{{\n  "holder": {_quote(label)},\n  "secrets": {{\n    {secrets}\n  }}\n}}\n'
         (out / name).write_text(text, encoding="utf-8")
-    print(f"wrote keystore.json and {len(bundles)} bundle files to {out}")
+    print(f"wrote keystore.json and {len(names)} bundle files to {out}")
     return 0
 
 
@@ -294,10 +295,10 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     targets = [path.with_name(path.name + SEALED_SUFFIX) for path, _ in entries]
     _refuse_shared_targets([path for path, _ in entries], targets)
     object_key = _key_source(args, poset, tree)
+    keys = {label: object_key(label) for _, label in entries}  # refused before any write
     for (path, label), target in zip(entries, targets):
-        key = object_key(label)
         # no name holds the object, so it is freed before the next is read
-        target.write_bytes(sealing.seal(key, label, _read_object(path)))
+        target.write_bytes(sealing.seal(keys[label], label, _read_object(path)))
         print(f"sealed {path} -> {target} (label {label})")
     return 0
 

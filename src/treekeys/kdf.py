@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .allocation import canonical_allocation, start_points
+from .allocation import start_points
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import Poset
 from .trees import DerivationOutTree
@@ -189,19 +189,15 @@ class SigmaBundle(NamedTuple):
 
 
 def setup(
-    poset: Poset,
-    tree: DerivationOutTree,
-    *,
-    rng: Callable[[int], bytes] = os.urandom,
-) -> tuple[SecretStore, dict[str, SigmaBundle]]:
-    """Generate all secrets and keys for the tree, plus one bundle per label.
+    tree: DerivationOutTree, *, rng: Callable[[int], bytes] = os.urandom
+) -> SecretStore:
+    """Generate all secrets and keys for the tree.
 
     The root secret is drawn from ``rng``; every other secret is the PRF of
     its parent's secret and its own label, walked root to leaf. No public
-    helper data is produced. Each bundle carries the secrets of its
-    label's canonical start points, in label order.
+    helper data is produced. A holder at x is handed the secrets of x's
+    start points on the same tree.
     """
-    allocation = canonical_allocation(poset, tree)
     root_secret = rng(KEY_BYTES)
     if not isinstance(root_secret, bytes) or len(root_secret) != KEY_BYTES:
         raise ValueError(f"randomness source must yield {KEY_BYTES} bytes")
@@ -211,12 +207,7 @@ def setup(
         if x != tree.root:
             secrets[x] = prf(secrets[tree.parent[x]], encode_label(x))
         keys[x] = prf(secrets[x], encode_label(x))
-    store = SecretStore(tree=tree, secrets=secrets, keys=keys)
-    bundles = {
-        x: SigmaBundle(holder=x, secrets={z: secrets[z] for z in allocation[x]})
-        for x in poset.labels
-    }
-    return store, bundles
+    return SecretStore(tree=tree, secrets=secrets, keys=keys)
 
 
 def derive(

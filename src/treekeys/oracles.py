@@ -513,21 +513,22 @@ def _examine_instance(
             break
     results["weighted-key-identity"].record(identity_ok, payload)
 
-    store, bundles = kdf.setup(poset, tree, rng=kdf.seeded_bytes(seed.to_bytes(8, "big")))
+    store = kdf.setup(tree, rng=kdf.seeded_bytes(seed.to_bytes(8, "big")))
     values = list(store.secrets.values()) + list(store.keys.values())
     results["secret-key-distinctness"].record(len(set(values)) == len(values), payload)
     derive_ok = True
     refusal_ok = True
-    for x in poset.labels:
+    for x in poset.labels:  # each bundle from the allocation certified above
+        bundle = kdf.SigmaBundle(x, {z: store.secrets[z] for z in allocation[x]})
         for y in poset.labels:
             if y == x or (x, y) in closure_pairs:
-                try:  # setup made this bundle: refusing it as malformed fails too
-                    derive_ok &= kdf.derive(poset, tree, bundles[x], y) == store.keys[y]
+                try:  # refusing a bundle of the allocation as malformed fails too
+                    derive_ok &= kdf.derive(poset, tree, bundle, y) == store.keys[y]
                 except PolicyError:
                     derive_ok = False
             else:
                 try:
-                    kdf.derive(poset, tree, bundles[x], y)
+                    kdf.derive(poset, tree, bundle, y)
                     refusal_ok = False
                 except AuthorizationError:
                     pass

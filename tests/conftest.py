@@ -25,6 +25,8 @@ from treekeys import (
     ChainPartition,
     DerivationOutTree,
     Poset,
+    SigmaBundle,
+    canonical_allocation,
 )
 
 SAMPLE_ELEMENTS = list("abcdefgh")
@@ -111,6 +113,15 @@ def one_user_each(poset):
     return users
 
 
+def bundles_of(poset, tree, store):
+    """Every label's bundle: the store's secrets at the label's canonical
+    start points, in the allocation's order."""
+    return {
+        x: SigmaBundle(x, {z: store.secrets[z] for z in points})
+        for x, points in canonical_allocation(poset, tree).items()
+    }
+
+
 @pytest.fixture(scope="session")
 def poset8():
     return Poset.from_arcs(SAMPLE_ELEMENTS, SAMPLE_COVERS)
@@ -162,7 +173,7 @@ def partition_file(tmp_path):
 
 def pytest_runtest_logreport(report):
     # one visible pass/fail line per acceptance criterion
-    if report.when == "call" and "test_acceptance" in report.nodeid:
+    if report.when == "call" and report.nodeid.split("::")[0].endswith("test_acceptance.py"):
         name = report.nodeid.split("::")[-1]
         outcome = "PASS" if report.passed else "FAIL"
         print(f"\n[acceptance] {name}: {outcome}")

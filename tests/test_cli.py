@@ -319,13 +319,15 @@ def test_written_artifacts_parse_back_to_what_the_library_returns(run, tmp_path,
     assert [(x, tuple(points)) for x, points in phi.items()] == list(
         canonical_allocation(poset, tree).items()
     )
-    store, bundles = kdf.setup(poset, tree, rng=kdf.seeded_bytes(bytes.fromhex(SEED)))
+    store = kdf.setup(tree, rng=kdf.seeded_bytes(bytes.fromhex(SEED)))
     assert kdf.SecretStore.from_json_dict(read_json(keys / "keystore.json")) == store
-    assert len(list(keys.glob("sigma_*.json"))) == len(bundles) == len(poset.labels)
-    for x, bundle in bundles.items():
+    assert len(list(keys.glob("sigma_*.json"))) == len(phi) == len(poset.labels)
+    for x, points in phi.items():  # a bundle is the store's secrets at x's start points
         name = f"sigma_{urllib.parse.quote(x, safe='')}.json"
         read = kdf.SigmaBundle.from_json_dict(read_json(keys / name))
-        assert (read.holder, list(read.secrets.items())) == (x, list(bundle.secrets.items()))
+        assert (read.holder, list(read.secrets.items())) == (
+            x, [(z, store.secrets[z]) for z in points]
+        )
 
 
 @pytest.fixture
@@ -673,6 +675,42 @@ def test_encrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
     assert "would overwrite the input" in done.stderr
     assert done.stdout == ""
     assert _files(folder) == {"x": b"first", "x.sealed": b"second"}
+
+
+@pytest.mark.parametrize(
+    "source, code, message",
+    [("bundle", 2, "'b' is not authorized for 'h'"),
+     ("keystore", 1, "keystore has no key for label 'h'")],
+    ids=["refused-bundle", "incomplete-keystore"],
+)
+def test_encrypt_without_a_later_entrys_key_seals_nothing(
+    keyed_sample, tmp_path, source, code, message
+):
+    # b may read a but not h, and the keystore lacks h: every key is looked
+    # up or derived before the first object is sealed
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    (folder / "o1").write_bytes(b"first")
+    (folder / "o2").write_bytes(b"second")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(folder / "o1"), "label": "a"},
+        {"path": str(folder / "o2"), "label": "h"},
+    ]}))
+    if source == "bundle":
+        holder = ["--bundle", keyed_sample["keys"] / "sigma_b.json"]
+    else:
+        store = read_json(keyed_sample["keys"] / "keystore.json")
+        del store["keys"]["h"]
+        (tmp_path / "partial.json").write_text(json.dumps(store))
+        holder = ["--keystore", tmp_path / "partial.json"]
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       *holder, "--manifest", manifest)
+    assert done.returncode == code
+    assert "Traceback" not in done.stderr
+    assert message in done.stderr
+    assert done.stdout == ""
+    assert _files(folder) == {"o1": b"first", "o2": b"second"}
 
 
 def test_decrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
@@ -1033,15 +1071,15 @@ class TestVerify:
         assert "Traceback" not in done.stderr
         assert "every seed in [0, 2**64)" in done.stderr
 
-    def test_malformed_bundle_from_setup_is_a_failure_not_an_error(
-        self, run, policy_file, monkeypatch
-    ):
-        # setup hands every label one start point too few; derive refuses
-        # each such bundle as malformed, and the battery must report it
-        def one_short(poset, tree):
-            return {x: points[1:] for x, points in canonical_allocation(poset, tree).items()}
+    def test_malformed_bundle_is_a_failure_not_an_error(self, run, policy_file, monkeypatch):
+        # the battery builds every label's bundle one start point short;
+        # derive refuses each as malformed, and the battery must report it
+        whole = kdf.SigmaBundle
 
-        monkeypatch.setattr("treekeys.kdf.canonical_allocation", one_short)
+        def one_short(holder, secrets):
+            return whole(holder, dict(list(secrets.items())[1:]))
+
+        monkeypatch.setattr("treekeys.kdf.SigmaBundle", one_short)
         code, out, err = run("verify", policy_file, "--seeds", "3", "--json")
         assert code == 3, err
         report = json.loads(out)
@@ -1050,7 +1088,6 @@ class TestVerify:
         assert failed == {"derive-correctness": {"instance": "policy"}}
 
     def test_failure_exits_three(self, run, policy_file, monkeypatch):
-        from treekeys import oracles
         from treekeys.oracles import CheckResult, VerificationReport
 
         def broken_suite(*args, **kwargs):

@@ -10,11 +10,13 @@ over the whole order with the literal arc weights, on those policies, on
 a 256-label MLS lattice and on small random ones, and the min-leaf
 tree also on the Boolean lattice 2^8. The first three check the
 paper's comparison with chain-based schemes: the tree scheme never needs
-more keys. When networkx is installed, it checks four results at
+more keys. When networkx is installed, it checks five results at
 scales enumeration cannot reach: the closure and covers at 2000 labels, the
 number of chains in the minimum partition (the width, by maximum
-matching) and the cost of the cheapest tree (by Edmonds' minimum
-arborescence over the literal arc weights).
+matching), the cost of the cheapest tree (by Edmonds' minimum
+arborescence over the literal arc weights) and the min-leaf tree's
+parents (each a cheapest one, as many as a maximum matching of the
+literal cheapest-parent table).
 
 The mask normalisation of ``Poset.from_arcs`` is compared with the
 set-based composition (closure, root, reduction) on those policies, the
@@ -68,7 +70,7 @@ from treekeys.oracles import (
 )
 from treekeys.trees import _cheapest_parents
 
-from conftest import mls_policy_doc, sparse_policy_doc
+from conftest import bundles_of, mls_policy_doc, sparse_policy_doc
 
 POLICIES = [(200, 11), (250, 12), (300, 13)]
 
@@ -161,6 +163,36 @@ def test_tree_cost_matches_networkx_arborescence(name, arcs):
         tree = build(poset, users, closure=arcs == "closure")
         assert sum(weights[arc] for arc in tree.arcs()) == cost
         assert scheme_metrics(poset, users, tree).K_hat == cost + users[poset.root]
+
+
+@pytest.mark.parametrize("arcs", ["covers", "closure"])
+@pytest.mark.parametrize(
+    "document", [lambda: sparse_policy_doc(2000, 14), lambda: _boolean_lattice(10)],
+    ids=["sparse-2000", "lattice-2^10"],
+)
+def test_min_leaf_tree_matches_networkx_matching(document, arcs):
+    # a minimum-cost tree gives each label a cheapest parent, and it has
+    # fewest leaves when it uses the most distinct parents: a maximum
+    # matching of each label to its cheapest parents, by the literal
+    # cost M(z) - M(y), with M(x) the users at or above x
+    nx = pytest.importorskip("networkx")
+    poset, users = parse_policy(document())
+    order = nx.DiGraph(list(covers(poset)))
+    order.add_nodes_from(poset.labels)
+    above = {z: nx.ancestors(order, z) for z in poset.labels}
+    M = {z: users[z] + sum(users[y] for y in above[z]) for z in poset.labels}
+    cheapest = {}
+    for z in poset.labels:
+        candidates = above[z] if arcs == "closure" else set(order.predecessors(z))
+        if candidates:
+            least = min(M[z] - M[y] for y in candidates)
+            cheapest[z] = {y for y in candidates if M[z] - M[y] == least}
+    table = nx.Graph(((z, "child"), (y, "parent")) for z, ys in cheapest.items() for y in ys)
+    children = [(z, "child") for z in cheapest]
+    matched = len(nx.bipartite.hopcroft_karp_matching(table, top_nodes=children)) // 2
+    tree = min_leaf_out_tree(poset, users, closure=arcs == "closure")
+    assert all(y in cheapest[z] for z, y in tree.parent.items())
+    assert len(set(tree.parent.values())) == matched
 
 
 def test_canonical_allocation_matches_definition(policy, trees):
@@ -470,7 +502,8 @@ def test_virtual_root_sorting_first():
 def test_derive_fails_closed_on_every_pair():
     poset, users = parse_policy(sparse_policy_doc(*POLICIES[0]))
     tree = min_weight_out_tree(poset, users)
-    store, bundles = setup(poset, tree, rng=seeded_bytes(b"differential"))
+    store = setup(tree, rng=seeded_bytes(b"differential"))
+    bundles = bundles_of(poset, tree, store)
     authorized = refused = 0
     for holder in poset.labels:
         below = poset.down_set(holder)

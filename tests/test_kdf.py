@@ -24,9 +24,12 @@ from treekeys import (
     prf,
     seeded_bytes,
     setup,
+    start_points,
 )
 from treekeys.kdf import KEY_BYTES, self_check
-from treekeys.oracles import covers, random_poset, random_users
+from treekeys.oracles import random_poset, random_users
+
+from conftest import bundles_of
 
 TEST_SEED = bytes(range(32))
 
@@ -63,8 +66,9 @@ RFC4231 = (
 
 @pytest.fixture(scope="module")
 def sample_scheme(poset8, tree8_gd):
-    store, bundles = setup(poset8, tree8_gd, rng=seeded_bytes(TEST_SEED))
-    return poset8, tree8_gd, store, bundles
+    store = setup(tree8_gd, rng=seeded_bytes(TEST_SEED))
+    sigma = bundles_of(poset8, tree8_gd, store)  # each label's bundle
+    return poset8, tree8_gd, store, sigma
 
 
 class TestPrf:
@@ -115,11 +119,10 @@ if sys.argv[1] == "cryptography":
     import cryptography.hazmat.primitives.ciphers.aead
 elif sys.argv[1] == "fallback":
     sys.modules["_sha2"] = sys.modules["_sha256"] = None
-from treekeys import DerivationOutTree, Poset, kdf
+from treekeys import DerivationOutTree, kdf
 cases, messages, sample = map(json.loads, sys.argv[2:])
-poset = Poset.from_arcs(sample["elements"], [tuple(arc) for arc in sample["arcs"]])
-store, bundles = kdf.setup(poset, DerivationOutTree.from_json_dict(sample["tree"]),
-                           rng=kdf.seeded_bytes(bytes.fromhex(sample["seed"])))
+store = kdf.setup(DerivationOutTree.from_json_dict(sample["tree"]),
+                  rng=kdf.seeded_bytes(bytes.fromhex(sample["seed"])))
 key = bytes(range(32))
 print(json.dumps({
     "sha256": kdf._sha256.__module__,
@@ -127,7 +130,6 @@ print(json.dumps({
     "prf": [kdf.prf(key, bytes.fromhex(m)).hex() for m in messages],
     "seeded": kdf.seeded_bytes(b"seed")(100).hex(),
     "store": store.to_json_dict(),
-    "bundles": {x: {z: s.hex() for z, s in b.secrets.items()} for x, b in bundles.items()},
     "loaded": [m for m in ("cryptography", "hashlib", "_hashlib", "hmac") if m in sys.modules],
 }))
 """
@@ -137,9 +139,8 @@ print(json.dumps({
 def test_each_hmac_backend_matches_vectors_and_independent_hmac(backend, sample_scheme):
     # one construction whatever else is loaded; only an interpreter without
     # a built-in SHA-256 module takes the constructor from hashlib
-    poset, tree, store, bundles = sample_scheme
-    sample = {"elements": list(poset.labels), "arcs": sorted(covers(poset)),
-              "tree": tree.to_json_dict(), "seed": TEST_SEED.hex()}
+    _, tree, store, _ = sample_scheme
+    sample = {"tree": tree.to_json_dict(), "seed": TEST_SEED.hex()}
     messages = [b"", b"a", b"some longer message " * 7, bytes(range(256))]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -163,9 +164,6 @@ def test_each_hmac_backend_matches_vectors_and_independent_hmac(backend, sample_
     assert result["prf"] == [manual_hmac_sha256(key, m).hex() for m in messages]
     assert result["seeded"] == seeded_bytes(b"seed")(100).hex()
     assert result["store"] == store.to_json_dict()
-    assert result["bundles"] == {
-        x: {z: secret.hex() for z, secret in bundle.secrets.items()} for x, bundle in bundles.items()
-    }
 
 
 class TestSetup:
@@ -201,74 +199,74 @@ class TestSetup:
         assert len(set(values)) == 16
 
     def test_bundles_carry_start_point_secrets(self, sample_scheme):
-        poset, tree, store, bundles = sample_scheme
-        allocation = canonical_allocation(poset, tree)
-        for label, bundle in bundles.items():
+        # the allocation's bundles hold the start points derive checks for
+        poset, tree, store, sigma = sample_scheme
+        for label, bundle in sigma.items():
             assert bundle.holder == label
-            assert set(bundle.secrets) == set(allocation[label])
+            assert set(bundle.secrets) == start_points(poset, tree.parent, label)
             assert all(bundle.secrets[z] == store.secrets[z] for z in bundle.secrets)
 
     def test_singleton(self):
         poset = Poset.from_arcs(["r"], [])
         tree = DerivationOutTree(root="r", parent={})
-        store, bundles = setup(poset, tree, rng=seeded_bytes(b"x"))
+        store = setup(tree, rng=seeded_bytes(b"x"))
         assert set(store.secrets) == {"r"} and set(store.keys) == {"r"}
-        assert bundles["r"].secrets == {"r": store.secrets["r"]}
+        assert bundles_of(poset, tree, store)["r"].secrets == {"r": store.secrets["r"]}
 
     def test_deterministic_under_a_seed(self, poset8, tree8_gd):
-        first, _ = setup(poset8, tree8_gd, rng=seeded_bytes(TEST_SEED))
-        second, _ = setup(poset8, tree8_gd, rng=seeded_bytes(TEST_SEED))
+        first = setup(tree8_gd, rng=seeded_bytes(TEST_SEED))
+        second = setup(tree8_gd, rng=seeded_bytes(TEST_SEED))
         assert first.to_json_dict() == second.to_json_dict()
-        other, _ = setup(poset8, tree8_gd, rng=seeded_bytes(b"different"))
+        other = setup(tree8_gd, rng=seeded_bytes(b"different"))
         assert other.secrets["h"] != first.secrets["h"]
 
     def test_rejects_bad_randomness(self, poset8, tree8_gd):
         with pytest.raises(ValueError, match="randomness"):
-            setup(poset8, tree8_gd, rng=lambda n: b"\x00" * 5)
+            setup(tree8_gd, rng=lambda n: b"\x00" * 5)
 
 
 class TestDerive:
     def test_distant_target(self, sample_scheme):
-        poset, tree, store, bundles = sample_scheme
+        poset, tree, store, sigma = sample_scheme
         # f's bundle covers a through start point d, three PRF hops away
-        assert derive(poset, tree, bundles["f"], "a") == store.keys["a"]
+        assert derive(poset, tree, sigma["f"], "a") == store.keys["a"]
 
     def test_self_target(self, sample_scheme):
-        poset, tree, store, bundles = sample_scheme
+        poset, tree, store, sigma = sample_scheme
         for label in "abcdefgh":
-            assert derive(poset, tree, bundles[label], label) == store.keys[label]
+            assert derive(poset, tree, sigma[label], label) == store.keys[label]
 
     def test_every_authorized_pair(self, sample_scheme):
-        poset, tree, store, bundles = sample_scheme
+        poset, tree, store, sigma = sample_scheme
         for holder, target in itertools.product(poset.labels, repeat=2):
             if target in poset.down_set(holder):
-                got = derive(poset, tree, bundles[holder], target)
+                got = derive(poset, tree, sigma[holder], target)
                 assert got == store.keys[target]
 
     def test_refuses_unauthorized_target(self, sample_scheme):
-        poset, tree, _, bundles = sample_scheme
+        poset, tree, _, sigma = sample_scheme
         with pytest.raises(AuthorizationError):
-            derive(poset, tree, bundles["c"], "e")
+            derive(poset, tree, sigma["c"], "e")
 
     def test_refuses_every_unauthorized_pair(self, sample_scheme):
-        poset, tree, _, bundles = sample_scheme
+        poset, tree, _, sigma = sample_scheme
         for holder, target in itertools.product(poset.labels, repeat=2):
             if target not in poset.down_set(holder):
                 with pytest.raises(AuthorizationError):
-                    derive(poset, tree, bundles[holder], target)
+                    derive(poset, tree, sigma[holder], target)
 
     def test_rejects_malformed_bundle(self, sample_scheme):
-        poset, tree, store, bundles = sample_scheme
+        poset, tree, store, sigma = sample_scheme
         truncated = SigmaBundle(holder="f", secrets={"f": store.secrets["f"]})
         with pytest.raises(PolicyError, match="malformed bundle"):
             derive(poset, tree, truncated, "f")
 
     def test_bundle_must_hold_exactly_the_start_points(self, sample_scheme):
         # toggle each label, and a stranger, in and out of every holder's bundle
-        poset, tree, store, bundles = sample_scheme
+        poset, tree, store, sigma = sample_scheme
         phi = canonical_allocation(poset, tree)
         for holder in poset.labels:
-            assert tuple(bundles[holder].secrets) == phi[holder]
+            assert tuple(sigma[holder].secrets) == phi[holder]
             points = set(phi[holder])
             for z in [*poset.labels, "zz"]:
                 secrets = {v: store.secrets.get(v, bytes(KEY_BYTES)) for v in points ^ {z}}
@@ -283,9 +281,9 @@ class TestDerive:
             derive(poset, tree, bad, "zz")
 
     def test_rejects_unknown_labels(self, sample_scheme):
-        poset, tree, _, bundles = sample_scheme
+        poset, tree, _, sigma = sample_scheme
         with pytest.raises(Exception):
-            derive(poset, tree, bundles["f"], "zz")
+            derive(poset, tree, sigma["f"], "zz")
 
 
 class TestSerialization:
@@ -302,9 +300,9 @@ class TestSerialization:
             SecretStore.from_json_dict({"tree": {}, "secrets": {}, "keys": {}, "pub": {}})
 
     def test_bundle_round_trip(self, sample_scheme):
-        _, _, _, bundles = sample_scheme
-        doc = {"holder": "f", "secrets": {z: s.hex() for z, s in bundles["f"].secrets.items()}}
-        assert SigmaBundle.from_json_dict(doc) == bundles["f"]
+        _, _, _, sigma = sample_scheme
+        doc = {"holder": "f", "secrets": {z: s.hex() for z, s in sigma["f"].secrets.items()}}
+        assert SigmaBundle.from_json_dict(doc) == sigma["f"]
 
     def test_bundle_rejects_bad_hex(self):
         with pytest.raises(PolicyError):
@@ -341,12 +339,13 @@ def test_random_schemes_derive_exactly_their_down_sets(seed, count):
     poset = random_poset(count, 0.35, seed)
     users = random_users(poset, seed + 1)
     tree = min_weight_out_tree(poset, users)
-    store, bundles = setup(poset, tree, rng=seeded_bytes(seed.to_bytes(8, "big")))
+    store = setup(tree, rng=seeded_bytes(seed.to_bytes(8, "big")))
+    sigma = bundles_of(poset, tree, store)
     for holder in poset.labels:
         for target in poset.labels:
             if target in poset.down_set(holder):
-                got = derive(poset, tree, bundles[holder], target)
+                got = derive(poset, tree, sigma[holder], target)
                 assert got == store.keys[target]
             else:
                 with pytest.raises(AuthorizationError):
-                    derive(poset, tree, bundles[holder], target)
+                    derive(poset, tree, sigma[holder], target)

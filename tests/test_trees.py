@@ -29,7 +29,7 @@ from treekeys.oracles import (
     random_users,
 )
 
-from conftest import SAMPLE_WEIGHTS, one_user_each, sparse_policy_doc
+from conftest import SAMPLE_WEIGHTS, bundles_of, one_user_each, sparse_policy_doc
 
 
 def total_order(n=5):
@@ -212,7 +212,7 @@ class TestTreeValue:
         assert tree8_gd.children() == literal
 
     def test_values_are_read_only(self, poset8, users8, tree8_gd):
-        _, bundles = setup(poset8, tree8_gd, rng=seeded_bytes(b"read-only"))
+        bundles = bundles_of(poset8, tree8_gd, setup(tree8_gd, rng=seeded_bytes(b"read-only")))
         values = [
             (poset8, "root"),
             (tree8_gd, "parent"),

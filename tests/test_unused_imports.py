@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package, script or test imports a name it never uses.
 
-When code is deleted, its imports tend to stay behind; this finds them
-with the standard library's ``ast``, so no linter is needed. The
+When code is deleted or an API changes, its imports tend to stay behind
+in the package and in the scripts and tests that call it; this finds
+them with the standard library's ``ast``, so no linter is needed. The
 package's ``__init__.py`` exists to re-export names and is exempt.
 """
 
@@ -10,7 +11,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "treekeys"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    path
+    for folder in (ROOT / "src" / "treekeys", ROOT / "scripts", ROOT / "tests")
+    for path in folder.glob("*.py")
+    if path.name != "__init__.py"
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -28,10 +35,7 @@ def unused_imports(source: str) -> list[str]:
     return sorted((name for name in imported if name not in read), key=imported.get)
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
