@@ -13,6 +13,7 @@ check, or a failed HMAC self-check).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -155,7 +156,8 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
-    tree = _load_tree(poset, args.tree)
+    tree = DerivationOutTree.from_json_dict(_load_json(args.tree))
+    allocation = canonical_allocation(poset, tree)  # checks the tree
     if args.seed is not None:
         try:
             seed = bytes.fromhex(args.seed)
@@ -172,7 +174,6 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     limit = os.pathconf(out, "PC_NAME_MAX")  # the names are ASCII: a byte a character
     if too_long := [label for label, name in names.items() if len(name) > limit]:
         raise PolicyError(f"label {too_long[0]!r} needs a bundle file name over {limit} bytes")
-    allocation = canonical_allocation(poset, tree)
     store = kdf.setup(tree, rng=rng)
     _write_json(out / "keystore.json", store.to_json_dict())
     # a bundle's text as _write_json gives it: its start points' lines, each made once
@@ -248,23 +249,16 @@ def _key_source(
     args: argparse.Namespace, poset: Poset, tree: DerivationOutTree
 ) -> Callable[[str], bytes]:
     """Object keys by label: looked up in ``--keystore`` or derived from
-    ``--bundle``, either file read once per command."""
+    ``--bundle`` once per label, either file read once per command."""
     if args.keystore:
         store = kdf.SecretStore.from_json_dict(_load_json(args.keystore))
         if store.tree != tree:
             raise PolicyError(
                 f"keystore {args.keystore} was made for a different tree than --tree"
             )
-        keys = store.keys
-
-        def stored(label: str) -> bytes:
-            if label not in keys:
-                raise PolicyError(f"keystore has no key for label {label!r}")
-            return keys[label]
-
-        return stored
+        return store.keys.__getitem__  # the store holds a key for every label of --tree
     bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle))
-    return lambda label: kdf.derive(poset, tree, bundle, label)
+    return functools.cache(lambda label: kdf.derive(poset, tree, bundle, label))
 
 
 def _refuse_shared_targets(sources: list[Path], targets: list[Path]) -> None:

@@ -165,6 +165,10 @@ class SecretStore(NamedTuple):
             keys = _decode_secrets(document["keys"], "key")
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise PolicyError(f"malformed keystore document: {exc}") from exc
+        labels = {tree.root, *tree.parent}
+        if odd := sorted(labels ^ secrets.keys() | labels ^ keys.keys()):
+            raise PolicyError("keystore secrets and keys must each hold exactly its tree's "
+                              f"labels; {odd[0]!r} is missing or extra")
         return cls(tree=tree, secrets=secrets, keys=keys)
 
 

@@ -122,6 +122,25 @@ def bundles_of(poset, tree, store):
     }
 
 
+#: Keystore faults that loading must refuse: h's key missing, h's secret
+#: missing, and a label outside the tree in both maps.
+KEYSTORE_FAULTS = ("missing-key", "missing-secret", "extra-label")
+
+
+def broken_keystore(document, fault):
+    """A copy of a keystore document of the sample hierarchy with one of
+    ``KEYSTORE_FAULTS``; every value left in it is well formed."""
+    broken = json.loads(json.dumps(document))
+    if fault == "missing-key":
+        del broken["keys"]["h"]
+    elif fault == "missing-secret":
+        del broken["secrets"]["h"]
+    else:
+        for field in ("secrets", "keys"):
+            broken[field]["z"] = "00" * 32
+    return broken
+
+
 @pytest.fixture(scope="session")
 def poset8():
     return Poset.from_arcs(SAMPLE_ELEMENTS, SAMPLE_COVERS)

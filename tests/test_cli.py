@@ -15,7 +15,13 @@ from treekeys import VIRTUAL_ROOT, DerivationOutTree, canonical_allocation, cli,
 from treekeys.cli import main
 from treekeys.sealing import seal
 
-from conftest import SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC, sparse_policy_doc
+from conftest import (
+    KEYSTORE_FAULTS,
+    SAMPLE_ELEMENTS,
+    SAMPLE_POLICY_DOC,
+    broken_keystore,
+    sparse_policy_doc,
+)
 
 SEED = "ab" * 32
 
@@ -255,6 +261,23 @@ class TestKeygen:
         assert repr(labels[-1]) in err
         assert not (keys / "keystore.json").exists()
         assert not list(keys.glob("sigma_*"))
+
+    def test_checks_its_tree_once(self, run, policy_file, tmp_path, monkeypatch):
+        build = tmp_path / "build"
+        assert run("build-tree", policy_file, "--out-dir", build)[0] == 0
+        checked = []
+        validate = cli.validate_tree
+
+        def counted(*args):
+            checked.append(args[1])
+            return validate(*args)
+
+        for module in ("cli", "allocation"):
+            monkeypatch.setattr(f"treekeys.{module}.validate_tree", counted)
+        code, _, _ = run("keygen", policy_file, "--tree", build / "tree.json", "--seed", SEED,
+                         "--out-dir", tmp_path / "keys")
+        assert code == 0
+        assert len(checked) == 1
 
     def test_foreign_tree_rejected(self, run, policy_file, tmp_path):
         bad = tmp_path / "tree.json"
@@ -680,14 +703,14 @@ def test_encrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
 @pytest.mark.parametrize(
     "source, code, message",
     [("bundle", 2, "'b' is not authorized for 'h'"),
-     ("keystore", 1, "keystore has no key for label 'h'")],
+     ("keystore", 1, "labels; 'h' is missing or extra")],
     ids=["refused-bundle", "incomplete-keystore"],
 )
 def test_encrypt_without_a_later_entrys_key_seals_nothing(
     keyed_sample, tmp_path, source, code, message
 ):
-    # b may read a but not h, and the keystore lacks h: every key is looked
-    # up or derived before the first object is sealed
+    # b may read a but not h, and a keystore that lacks h is refused when it
+    # is read: every key is looked up or derived before the first object is sealed
     folder = tmp_path / "objects"
     folder.mkdir()
     (folder / "o1").write_bytes(b"first")
@@ -711,6 +734,67 @@ def test_encrypt_without_a_later_entrys_key_seals_nothing(
     assert message in done.stderr
     assert done.stdout == ""
     assert _files(folder) == {"o1": b"first", "o2": b"second"}
+
+
+@pytest.mark.parametrize("fault", KEYSTORE_FAULTS)
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_keystore_not_covering_its_tree_opens_and_seals_nothing(
+    keyed_sample, tmp_path, command, fault
+):
+    # the object is labelled a, whose key every broken keystore still holds:
+    # the keystore is refused when it is read, before any object is
+    store = read_json(keyed_sample["keys"] / "keystore.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(broken_keystore(store, fault)))
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    if command == "encrypt":
+        (folder / "o1").write_bytes(b"plain")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"objects": [{"path": str(folder / "o1"), "label": "a"}]}))
+        operands = ["--manifest", manifest]
+    else:
+        (folder / "o1.sealed").write_bytes(seal(bytes.fromhex(store["keys"]["a"]), "a", b"plain"))
+        operands = [folder / "o1.sealed"]
+    before = _files(folder)
+    done = run_process(command, keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", broken, *operands)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "must each hold exactly its tree's labels" in done.stderr
+    assert done.stdout == ""
+    assert _files(folder) == before
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_bundle_derives_each_label_once(keyed_sample, tmp_path, monkeypatch, command):
+    # three objects labelled a: one derivation serves them all
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(folder / name), "label": "a"} for name in ("o1", "o2", "o3")]}))
+    for name in ("o1", "o2", "o3"):
+        (folder / name).write_bytes(name.encode())
+    holder = ["--tree", str(keyed_sample["tree"]),
+              "--bundle", str(keyed_sample["keys"] / "sigma_b.json")]
+    if command == "encrypt":
+        operands = ["--manifest", str(manifest)]
+    else:
+        assert main(["encrypt", str(keyed_sample["policy"]), *holder,
+                     "--manifest", str(manifest)]) == 0
+        operands = ["--out-dir", str(tmp_path / "opened"),
+                    *(str(folder / f"{name}.sealed") for name in ("o1", "o2", "o3"))]
+    derived = []
+    derive = kdf.derive
+
+    def counted(*args):
+        derived.append(args[-1])
+        return derive(*args)
+
+    monkeypatch.setattr(kdf, "derive", counted)
+    assert main([command, str(keyed_sample["policy"]), *holder, *operands]) == 0
+    assert derived == ["a"]
 
 
 def test_decrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):

@@ -29,7 +29,7 @@ from treekeys import (
 from treekeys.kdf import KEY_BYTES, self_check
 from treekeys.oracles import random_poset, random_users
 
-from conftest import bundles_of
+from conftest import KEYSTORE_FAULTS, broken_keystore, bundles_of
 
 TEST_SEED = bytes(range(32))
 
@@ -317,6 +317,13 @@ class TestSerialization:
         doc = store.to_json_dict()
         doc["keys"]["a"] = "abcd"
         with pytest.raises(PolicyError, match="2 bytes"):
+            SecretStore.from_json_dict(doc)
+
+    @pytest.mark.parametrize("fault", KEYSTORE_FAULTS)
+    def test_keystore_must_cover_exactly_its_trees_labels(self, sample_scheme, fault):
+        _, _, store, _ = sample_scheme
+        doc = broken_keystore(store.to_json_dict(), fault)
+        with pytest.raises(PolicyError, match="must each hold exactly its tree's labels"):
             SecretStore.from_json_dict(doc)
 
 

@@ -60,6 +60,9 @@ def test_every_traced_name_resolves():
     (["verify", "--seeds", "1"],
      ["cli.main", "oracles.run_suite", "oracles.coalition_reachability",
       "trees.DerivationOutTree.descendant_sets"]),
+    # keygen checks its tree once, inside the allocation it writes the bundles from
+    (["keygen", "--tree", "tree.json", "--seed", "07" * 32, "--out-dir", "out"],
+     ["cli.main", "allocation.canonical_allocation", "trees.validate_tree", "kdf.setup"]),
     # the holder commands, whose byte counts read seal's and unseal's arguments
     (["encrypt", "--tree", "tree.json", "--keystore", "keys/keystore.json",
       "--manifest", "manifest.json"],
@@ -67,13 +70,14 @@ def test_every_traced_name_resolves():
     (["decrypt", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "--out-dir", "out",
       "doc.txt.sealed"],
      ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive", "sealing.unseal"]),
-], ids=["analyze", "compare", "derive", "verify", "encrypt-keystore", "decrypt-bundle"])
+], ids=["analyze", "compare", "derive", "verify", "keygen", "encrypt-keystore",
+        "decrypt-bundle"])
 def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected):
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")
     plaintext = tmp_path / "doc.txt"
     sealed = tmp_path / "doc.txt.sealed"
-    if command[0] in ("derive", "encrypt", "decrypt"):  # what they read, made untraced
+    if command[0] in ("keygen", "derive", "encrypt", "decrypt"):  # what they read, untraced
         assert cli_main(["build-tree", str(policy), "--out-dir", str(tmp_path)]) == 0
         assert cli_main(["keygen", str(policy), "--tree", str(tmp_path / "tree.json"),
                          "--seed", "07" * 32, "--out-dir", str(tmp_path / "keys")]) == 0
