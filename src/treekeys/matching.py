@@ -1,13 +1,12 @@
-"""Maximum bipartite matching via Hopcroft-Karp, and single-path repair.
+"""Maximum bipartite matching by Hopcroft-Karp over bit masks, and
+single-path repair over lists.
 
-Used for minimum chain partitions and for leaf minimization when picking
-derivation trees. Leaf minimization computes one matching and then keeps
-it maximum with one repair per candidate: ``augment`` searches a single
-alternating path from one free vertex. Both are deterministic for a
-fixed iteration order of the adjacency mapping and its lists, and both
-search depth first on an explicit stack, so no recursion limit bounds a
-path. A frame is ``[left, untried edges, right tried last]``; when a free
-right is reached, each frame's left takes its last right.
+The matching gives minimum chain partitions and the first matching of
+leaf minimization, which then stays maximum with one ``augment`` per
+candidate. Both search depth first on an explicit stack, so no recursion
+limit bounds a path. A frame is ``[left, untried rights, right tried
+last]``; when a free right is reached, each frame's left takes its last
+right.
 """
 
 from __future__ import annotations
@@ -18,51 +17,65 @@ L = TypeVar("L", bound=Hashable)
 R = TypeVar("R", bound=Hashable)
 
 
-def max_bipartite_matching(adjacency: Mapping[L, Sequence[R]]) -> dict[L, R]:
+def max_bipartite_matching(adjacency: Sequence[int]) -> dict[int, int]:
     """Return a maximum matching of the bipartite graph as a left-to-right map.
 
-    ``adjacency`` maps each left vertex to the right vertices it may be
-    matched with; right vertices are implied. Runs in O(E * sqrt(V)).
+    Left ``i`` may take right ``j`` iff bit ``j`` of ``adjacency[i]`` is
+    set. Lefts are searched in index order and each left's rights lowest
+    first, so the result is deterministic. Breadth first, a phase reads
+    each right once; depth first, a frame passes over every right that
+    cannot extend its path in one mask operation.
     """
-    match_left: dict[L, R] = {}
-    match_right: dict[R, L] = {}
+    match_left: dict[int, int] = {}
+    match_right: dict[int, int] = {}
+    matched = 0  # the rights a left holds
     while True:
-        # breadth first from the free lefts; dist holds each reached left's layer
-        free = [u for u in adjacency if u not in match_left]
-        dist: dict[L, int | None] = dict.fromkeys(free, 0)
-        reached = list(free)
-        found = False
+        # breadth first from the free lefts: dist holds each reached left's
+        # layer, and layer[d] the rights held by the live lefts of layer d
+        free = [u for u in range(len(adjacency)) if u not in match_left]
+        dist: dict[int, int | None] = dict.fromkeys(free, 0)
+        layer = [0] * (len(adjacency) + 2)
+        reached, pending = list(free), matched  # pending: held rights not reached yet
         for u in reached:
-            for v in adjacency[u]:
-                w = match_right.get(v)
-                if w is None:
-                    found = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    reached.append(w)
-        if not found:
+            taken = adjacency[u] & pending
+            if taken:
+                d = dist[u] + 1
+                pending ^= taken
+                layer[d] |= taken
+                while taken:
+                    low = taken & -taken
+                    taken ^= low
+                    reached.append(match_right[low.bit_length() - 1])
+                    dist[reached[-1]] = d
+        if all(adjacency[u] & matched == adjacency[u] for u in reached):
             return match_left
         # down the layers from each free left, which only its own search matches
         for root in free:
-            stack = [[root, iter(adjacency[root]), None]]
+            stack = [[root, adjacency[root], None]]
             while stack:
                 frame = stack[-1]
-                below = dist[frame[0]] + 1  # dist holds every left met from a reached left
-                for v in frame[1]:
-                    frame[2] = v
-                    w = match_right.get(v)
-                    if w is None:
-                        for x, _, y in stack:
-                            match_left[x] = y
-                            match_right[y] = x
-                        stack.clear()
-                        break
-                    if dist[w] == below:
-                        stack.append([w, iter(adjacency[w]), None])
-                        break
-                else:
-                    dist[frame[0]] = None  # a dead end for the rest of the phase
+                left, rest = frame[0], frame[1]
+                # drop rights held off the next layer: none returns before this search ends
+                rest ^= rest & (matched ^ layer[dist[left] + 1])
+                if not rest:  # a dead end for the rest of the phase
+                    if left in match_left:
+                        layer[dist[left]] ^= 1 << match_left[left]
+                    dist[left] = None
                     stack.pop()
+                    continue
+                low = rest & -rest
+                frame[1] = rest ^ low
+                frame[2] = v = low.bit_length() - 1
+                if v in match_right:
+                    stack.append([match_right[v], adjacency[match_right[v]], None])
+                    continue
+                for x, _, y in stack:  # y moves from the layer below x's to x's
+                    layer[dist[x] + 1] &= ~(1 << y)
+                    layer[dist[x]] |= 1 << y
+                    match_left[x] = y
+                    match_right[y] = x
+                matched |= 1 << v
+                stack.clear()
 
 
 def augment(

@@ -13,12 +13,11 @@ import itertools
 import os
 import random
 import time
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import kdf
 from .allocation import canonical_allocation, validate_enforcement
 from .errors import AuthorizationError, PolicyError
-from .matching import max_bipartite_matching
 from .poset import (
     Arc,
     Poset,
@@ -35,6 +34,10 @@ from .trees import (
 
 #: Largest label count enumeration accepts.
 TREE_ENUMERATION_MAX_LABELS = 9
+
+
+L = TypeVar("L", bound=Hashable)
+R = TypeVar("R", bound=Hashable)
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -198,6 +201,57 @@ def brute_min_leaf_count(
     return min((total, n - len(set(combo))) for total, combo in weighted)
 
 
+def list_bipartite_matching(adjacency: Mapping[L, Sequence[R]]) -> dict[L, R]:
+    """A maximum matching by Hopcroft-Karp over adjacency lists, as a
+    left-to-right map.
+
+    The reference for ``matching.max_bipartite_matching``, which runs the
+    same phases over bit masks: given each left's rights as a sorted list
+    of bit positions, in left index order, it must pick the same pairs.
+    Lefts are searched in the mapping's order and rights in list order;
+    every edge is read in both phases.
+    """
+    match_left: dict[L, R] = {}
+    match_right: dict[R, L] = {}
+    while True:
+        # breadth first from the free lefts; dist holds each reached left's layer
+        free = [u for u in adjacency if u not in match_left]
+        dist: dict[L, int | None] = dict.fromkeys(free, 0)
+        reached = list(free)
+        found = False
+        for u in reached:
+            for v in adjacency[u]:
+                w = match_right.get(v)
+                if w is None:
+                    found = True
+                elif w not in dist:
+                    dist[w] = dist[u] + 1
+                    reached.append(w)
+        if not found:
+            return match_left
+        # down the layers from each free left, which only its own search matches
+        for root in free:
+            stack = [[root, iter(adjacency[root]), None]]
+            while stack:
+                frame = stack[-1]
+                below = dist[frame[0]] + 1
+                for v in frame[1]:
+                    frame[2] = v
+                    w = match_right.get(v)
+                    if w is None:
+                        for x, _, y in stack:
+                            match_left[x] = y
+                            match_right[y] = x
+                        stack.clear()
+                        break
+                    if dist[w] == below:
+                        stack.append([w, iter(adjacency[w]), None])
+                        break
+                else:
+                    dist[frame[0]] = None  # a dead end for the rest of the phase
+                    stack.pop()
+
+
 def rematching_min_leaf_tree(
     poset: Poset, users: Mapping[str, int], candidate_arcs: Iterable[Arc]
 ) -> DerivationOutTree:
@@ -215,7 +269,7 @@ def rematching_min_leaf_tree(
         least = min(weights[(p, child)] for p in parents)
         cheapest[child] = [p for p in parents if weights[(p, child)] == least]
     children = sorted(cheapest)
-    target = len(max_bipartite_matching(cheapest))
+    target = len(list_bipartite_matching(cheapest))
     chosen: dict[str, str] = {}
     used: set[str] = set()
     for i, child in enumerate(children):
@@ -223,7 +277,7 @@ def rematching_min_leaf_tree(
         for cand in cheapest[child]:
             image = used | {cand}
             residual = {r: [p for p in cheapest[r] if p not in image] for r in rest}
-            if len(image) + len(max_bipartite_matching(residual)) >= target:
+            if len(image) + len(list_bipartite_matching(residual)) >= target:
                 chosen[child] = cand
                 used = image
                 break

@@ -296,7 +296,7 @@ class ChainPartition(NamedTuple):
             for label in chain:
                 poset.index(label)
                 if label in seen:
-                    raise PolicyError(f"label {label!r} appears in more than one chain")
+                    raise PolicyError(f"label {label!r} appears more than once in the partition")
                 seen.add(label)
             for upper, lower in zip(chain, chain[1:]):
                 if not poset.above(upper, lower):
@@ -320,22 +320,19 @@ class ChainPartition(NamedTuple):
 def min_chain_partition(poset: Poset) -> ChainPartition:
     """A minimum chain partition (as many chains as the poset is wide).
 
-    Computed as a minimum path cover of the strict order via maximum
-    bipartite matching over the down-masks. Labels and mask bits are both
-    in sorted order, so ties are resolved lexicographically and the result
-    is deterministic.
+    Computed as a minimum path cover (Fulkerson) by a maximum bipartite
+    matching over the down-masks, read as they are. Labels and mask bits
+    are both in sorted order, so ties are resolved lexicographically and
+    the result is deterministic.
     """
-    adjacency = {x: poset.members(down) for x, down in zip(poset.labels, poset.strict_down)}
-    successor = max_bipartite_matching(adjacency)
-    has_predecessor = set(successor.values())
+    labels = poset.labels
+    successor = max_bipartite_matching(poset.strict_down)
     chains: list[tuple[str, ...]] = []
-    for head in poset.labels:
-        if head in has_predecessor:
-            continue
+    for head in sorted(set(range(len(labels))).difference(successor.values())):
         chain = [head]
         while chain[-1] in successor:
             chain.append(successor[chain[-1]])
-        chains.append(tuple(chain))
+        chains.append(tuple(labels[i] for i in chain))
     return ChainPartition(chains=tuple(chains))
 
 

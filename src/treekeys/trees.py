@@ -132,8 +132,8 @@ def _users_above(poset: Poset, users: Mapping[str, int]) -> dict[str, int]:
 
 def _cheapest_parents(
     poset: Poset, users: Mapping[str, int], *, closure: bool = False
-) -> dict[str, list[str]]:
-    """Each non-root label's minimum-weight parents, sorted.
+) -> list[int]:
+    """Each label's minimum-weight parents as a mask, by label index (0 for the root).
 
     Every minimum-cost tree picks one of these per label, and only these.
     Arc (y, z) costs M(z) - M(y), so z's cheapest parents are its covers
@@ -141,25 +141,13 @@ def _cheapest_parents(
     M: M only shrinks upward, so no label above z has a larger one.
     """
     users_above = _users_above(poset, users)
-    labels = poset.labels
     same_m: dict[int, int] = {}  # M -> the labels with that M, as a mask
-    if closure:
-        for i, x in enumerate(labels):
-            same_m[users_above[x]] = same_m.get(users_above[x], 0) | 1 << i
-    cheapest: dict[str, list[str]] = {}
-    for i, (z, covers) in enumerate(zip(labels, poset.cover_up)):
-        if z == poset.root:
-            continue
-        most, parents = -1, []
-        for y in poset.members(covers):  # the covers with the largest M, in label order
-            if users_above[y] > most:
-                most, parents = users_above[y], [y]
-            elif users_above[y] == most:
-                parents.append(y)
-        if closure:
-            parents = poset.members(poset.strict_up[i] & same_m[most])
-        cheapest[z] = parents
-    return cheapest
+    for i, m in enumerate(users_above.values()):  # in label order
+        same_m[m] = same_m.get(m, 0) | 1 << i
+    arcs = poset.strict_up if closure else poset.cover_up
+    # the largest M among each label's covers: -1, which no label has, for the root
+    most = [max(map(users_above.__getitem__, poset.members(c)), default=-1) for c in poset.cover_up]
+    return [up & same_m.get(m, 0) for up, m in zip(arcs, most)]
 
 
 def min_weight_out_tree(
@@ -171,10 +159,9 @@ def min_weight_out_tree(
     go to the lexicographically smallest parent, making the result
     deterministic.
     """
-    cheapest = _cheapest_parents(poset, users, closure=closure)
-    return DerivationOutTree(
-        root=poset.root, parent={child: parents[0] for child, parents in cheapest.items()}
-    )
+    labels, cheapest = poset.labels, _cheapest_parents(poset, users, closure=closure)
+    lowest = {labels[i]: labels[(m & -m).bit_length() - 1] for i, m in enumerate(cheapest) if m}
+    return DerivationOutTree(root=poset.root, parent=lowest)
 
 
 def min_leaf_out_tree(
@@ -201,8 +188,10 @@ def min_leaf_out_tree(
     question of the same state (a failed search and a rejected unused
     candidate change nothing); after one failure the rest are skipped.
     """
-    cheapest = _cheapest_parents(poset, users, closure=closure)
-    match = max_bipartite_matching(cheapest)  # label -> parent
+    labels = poset.labels
+    masks = _cheapest_parents(poset, users, closure=closure)
+    cheapest = {z: poset.members(mask) for z, mask in zip(labels, masks) if mask}
+    match = {labels[c]: labels[p] for c, p in max_bipartite_matching(masks).items()}
     owner = {p: c for c, p in match.items()}  # parent -> label
     takers: dict[str, list[str]] = {}  # parent -> labels it may be matched with
     for child, parents in cheapest.items():

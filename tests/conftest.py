@@ -16,8 +16,12 @@ Structural facts frozen from brute force: 10 cover arcs, 23 strict-order
 pairs, width 2, unique maximum h.
 """
 
+import functools
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,19 @@ from treekeys import (
     SigmaBundle,
     canonical_allocation,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded once by path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up while it is declared
+    spec.loader.exec_module(module)
+    return module
+
 
 SAMPLE_ELEMENTS = list("abcdefgh")
 

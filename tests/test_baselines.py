@@ -55,7 +55,7 @@ class TestChainScheme:
 
     def test_rejects_overlapping_chains(self, poset8):
         partition = ChainPartition(chains=(("h", "g", "e", "c", "a"), ("f", "d", "b", "a")))
-        with pytest.raises(PolicyError, match="more than one chain"):
+        with pytest.raises(PolicyError, match="more than once in the partition"):
             chain_scheme_build(poset8, partition)
 
     def test_rejects_incomplete_partition(self, poset8):

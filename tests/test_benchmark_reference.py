@@ -8,10 +8,7 @@ output change on any of them fails the tests. Maximum matchings decide
 both the min-leaf tree and the chain row.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 from treekeys import (
@@ -25,18 +22,9 @@ from treekeys import (
     scheme_metrics,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import PERFBENCH, load_perfbench
 
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # a dataclass looks its module up while it is declared
-    spec.loader.exec_module(module)
-    return module
-
-
-inputs, checks = load("inputs"), load("checks")
+inputs, checks = load_perfbench("inputs"), load_perfbench("checks")
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())["deploy-sparse"]
 
 

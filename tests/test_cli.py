@@ -942,6 +942,16 @@ class TestCompare:
         assert "Traceback" not in done.stderr
         assert "lists of string labels" in done.stderr
 
+    def test_label_repeated_within_one_chain_exits_one(self, tmp_path):
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps({"elements": ["a", "b", "c"], "arcs": [["a", "b"]]}))
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"chains": [["a", "a"]]}))
+        done = run_process("compare", policy, "--partition", partition)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "label 'a' appears more than once in the partition" in done.stderr
+
 
 class TestEncryptDecrypt:
     def make_manifest(self, tmp_path, label):

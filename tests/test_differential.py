@@ -12,17 +12,26 @@ tree also on the Boolean lattice 2^8. The first three check the
 paper's comparison with chain-based schemes: the tree scheme never needs
 more keys. When networkx is installed, it checks five results at
 scales enumeration cannot reach: the closure and covers at 2000 labels, the
-number of chains in the minimum partition (the width, by maximum
-matching), the cost of the cheapest tree (by Edmonds' minimum
+minimum chain partition (disjoint chains that cover the labels and step
+down, as many as the width by maximum matching, up to a 40x40 grid),
+the cost of the cheapest tree (by Edmonds' minimum
 arborescence over the literal arc weights) and the min-leaf tree's
 parents (each a cheapest one, as many as a maximum matching of the
 literal cheapest-parent table).
+
+The mask Hopcroft-Karp is compared pair by pair with the oracle's list
+version on everything the product matches: the strict orders and both
+cheapest-parent tables of 3,000 random posets, the benchmark's pool
+policies, two lattices and a chain.
 
 The mask normalisation of ``Poset.from_arcs`` is compared with the
 set-based composition (closure, root, reduction) on those policies, the
 lattice, a deep chain, a rootless antichain and random generator sets,
 errors included.
 """
+
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +61,7 @@ from treekeys import (
     transitive_closure,
     transitive_reduction,
     weight_function,
+    width,
 )
 from treekeys.allocation import forest_sizes
 from treekeys.matching import max_bipartite_matching
@@ -64,13 +74,14 @@ from treekeys.oracles import (
     charged_sets,
     closure,
     covers,
+    list_bipartite_matching,
     random_poset,
     random_users,
     rematching_min_leaf_tree,
 )
 from treekeys.trees import _cheapest_parents
 
-from conftest import bundles_of, mls_policy_doc, sparse_policy_doc
+from conftest import bundles_of, load_perfbench, mls_policy_doc, sparse_policy_doc
 
 POLICIES = [(200, 11), (250, 12), (300, 13)]
 
@@ -119,26 +130,38 @@ NETWORKX_ORDERS = {
     "sparse-600": lambda: sparse_policy_doc(600, 16),
     "sparse-1000": lambda: sparse_policy_doc(1000, 15),
     "mls-256": lambda: mls_policy_doc(1),
+    "sparse-2000": lambda: sparse_policy_doc(2000, 14),
     "chain-200": lambda: dict(zip(("elements", "arcs"), _chain(200))),
+    # 1000, not 2000: the 2000-chain's 2.0 M strict pairs take networkx's
+    # graph about 750 MiB, and its recursive search past the recursion limit
+    "chain-1000": lambda: dict(zip(("elements", "arcs"), _chain(1000))),
     "lattice-2^8": lambda: _boolean_lattice(8),
+    "lattice-2^10": lambda: _boolean_lattice(10),
+    "grid-40x40": lambda: _grid(40),
 }
 
 
-@pytest.mark.parametrize(
-    "name", ["sparse-300", "sparse-1000", "mls-256", "chain-200", "lattice-2^8"]
-)
+@pytest.mark.parametrize("name", [
+    "sparse-300", "sparse-1000", "sparse-2000", "mls-256", "chain-200", "chain-1000",
+    "lattice-2^8", "lattice-2^10", "grid-40x40",
+])
 def test_chain_partition_matches_networkx_width(name):
-    # Dilworth: the width is n minus a maximum matching of the closure's
-    # split graph, each label once as an upper end and once as a lower end
+    # a Dilworth certificate: the chains partition the labels and each
+    # steps strictly down, and (Fulkerson) no partition has fewer than
+    # n - |M| chains, M a maximum matching of the strict order's split graph
     nx = pytest.importorskip("networkx")
     poset, _ = parse_policy(NETWORKX_ORDERS[name]())
-    split = nx.Graph(((x, "upper"), (y, "lower")) for x, y in closure(poset))
-    uppers = [(x, "upper") for x in poset.labels]
-    split.add_nodes_from(uppers)
-    matched = len(nx.bipartite.hopcroft_karp_matching(split, top_nodes=uppers)) // 2
     partition = min_chain_partition(poset)
-    partition.validate_for(poset)
-    assert len(partition.chains) == len(poset.labels) - matched
+    listed = [x for chain in partition.chains for x in chain]
+    assert len(listed) == len(set(listed)) and set(listed) == set(poset.labels)
+    pairs = closure(poset)
+    assert all(step in pairs for chain in partition.chains for step in zip(chain, chain[1:]))
+    n, index = len(poset.labels), poset.positions
+    split = nx.Graph()
+    split.add_nodes_from(range(n))  # label i as an upper end; n + i is it as a lower end
+    split.add_edges_from((index[x], n + index[y]) for x, y in pairs)
+    matched = len(nx.bipartite.hopcroft_karp_matching(split, top_nodes=range(n))) // 2
+    assert len(partition.chains) == n - matched
 
 
 @pytest.mark.parametrize(
@@ -410,7 +433,7 @@ def _two_layers(edges):
     poset = Poset.from_arcs(labels, [(p, c) for c, ps in edges.items() for p in ps])
     users = {}
     table = _cheapest_parents(poset, users)
-    assert all(table[c] == sorted(ps) for c, ps in edges.items())
+    assert all(poset.members(table[poset.index(c)]) == sorted(ps) for c, ps in edges.items())
     return poset, users
 
 
@@ -440,9 +463,9 @@ def assert_closure_table_matches_literal_weights(poset, users):
     for child, parents in _in_arc_lists(poset, closure_pairs).items():
         least = min(weights[(p, child)] for p in parents)
         expected[child] = [p for p in parents if weights[(p, child)] == least]
-    table = _cheapest_parents(poset, users, closure=True)
-    assert table == expected
-    assert list(table) == [x for x in poset.labels if x != poset.root]
+    masks = _cheapest_parents(poset, users, closure=True)
+    assert {x: poset.members(mask) for x, mask in zip(poset.labels, masks) if mask} == expected
+    assert masks[poset.index(poset.root)] == 0
 
 
 def test_closure_table_matches_literal_weights(policy):
@@ -480,7 +503,7 @@ def test_virtual_root_sorting_first():
     poset, users = parse_policy(doc, root_label="0")
     assert poset.labels[0] == "0"
     order = poset.labels
-    successor = max_bipartite_matching({x: sorted(poset.down_set(x) - {x}) for x in order})
+    successor = list_bipartite_matching({x: sorted(poset.down_set(x) - {x}) for x in order})
     chains = []
     for head in (x for x in order if x not in successor.values()):
         chain = [head]
@@ -489,7 +512,8 @@ def test_virtual_root_sorting_first():
         chains.append(tuple(chain))
     assert min_chain_partition(poset) == ChainPartition(chains=tuple(chains))
 
-    assert _cheapest_parents(poset, users, closure=True)["f"] == ["0", "b", "d"]
+    f_parents = _cheapest_parents(poset, users, closure=True)[poset.index("f")]
+    assert poset.members(f_parents) == ["0", "b", "d"]
     best, _ = brute_min_weight(poset, users, charged_sets(poset, closure(poset)))
     weights = weight_function(poset, users, closure(poset))
     for build in (min_weight_out_tree, min_leaf_out_tree):
@@ -517,6 +541,71 @@ def test_derive_fails_closed_on_every_pair():
                 refused += 1
     assert authorized == len(poset.labels) + len(closure(poset))
     assert refused == len(poset.labels) ** 2 - authorized
+
+
+# -- the mask matching against the oracle's list matching ---------------------
+
+
+def bits(mask):
+    """The positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def matching_inputs(poset, users):
+    """What the product matches: the strict down-masks, for the chain
+    partition, and the cheapest-parent masks over both arc sets, for the
+    min-leaf tree."""
+    return [poset.strict_down] + [_cheapest_parents(poset, users, closure=c) for c in (False, True)]
+
+
+def assert_mask_matching_matches_list_matching(adjacency):
+    """The mask kernel picks, pair by pair, what the oracle's list kernel
+    picks from each left's rights listed lowest first, lefts in index order."""
+    expected = list_bipartite_matching({u: bits(mask) for u, mask in enumerate(adjacency)})
+    assert max_bipartite_matching(adjacency) == expected
+
+
+def test_mask_matching_matches_list_matching_on_random_posets():
+    # 3,000 seeded posets of 1-12 labels; few users, so cheapest parents tie
+    for seed in range(3000):
+        rng = random.Random(seed)
+        poset = random_poset(rng.randint(1, 12), rng.choice([0.1, 0.25, 0.4, 0.6, 0.8]), seed)
+        users = random_users(poset, seed + 1, high=rng.choice([0, 1, 3]))
+        for adjacency in matching_inputs(poset, users):
+            assert_mask_matching_matches_list_matching(adjacency)
+
+
+@pytest.mark.parametrize("pool", range(load_perfbench("inputs").SPARSE_POOL))
+def test_mask_matching_matches_list_matching_on_the_benchmark_pool(pool):
+    poset, users = parse_policy(load_perfbench("inputs").sparse_policy(pool))
+    for adjacency in matching_inputs(poset, users):
+        assert_mask_matching_matches_list_matching(adjacency)
+
+
+@pytest.mark.parametrize("name", ["mls-256", "lattice-2^8", "chain-200"])
+def test_mask_matching_matches_list_matching_on_lattices_and_chains(name):
+    poset, users = parse_policy(NETWORKX_ORDERS[name]())
+    for adjacency in matching_inputs(poset, users):
+        assert_mask_matching_matches_list_matching(adjacency)
+
+
+@pytest.mark.parametrize("measure", [min_chain_partition, width], ids=lambda f: f.__name__)
+def test_chain_partition_decodes_no_order(measure):
+    # the 3,000-chain has 4.5 M strict pairs: listed as labels for the
+    # matching, they alone would take tens of MiB
+    poset, _ = parse_policy(dict(zip(("elements", "arcs"), _chain(3000))))
+    tracemalloc.start()
+    try:
+        measure(poset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- mask normalisation against the set-based composition ---------------------

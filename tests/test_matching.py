@@ -2,6 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treekeys.matching import augment, max_bipartite_matching
+from treekeys.oracles import list_bipartite_matching
 
 
 def brute_max_matching_size(adjacency):
@@ -20,32 +21,38 @@ def brute_max_matching_size(adjacency):
     return go(list(adjacency), frozenset())
 
 
+def masks(adjacency):
+    """Lists of right positions as one mask per left, lefts 0..max in order."""
+    lefts = range(max(adjacency, default=-1) + 1)
+    return [sum(1 << v for v in adjacency.get(u, ())) for u in lefts]
+
+
 def test_perfect_matching():
-    got = max_bipartite_matching({"a": [1, 2], "b": [1], "c": [2, 3]})
+    got = max_bipartite_matching([0b0110, 0b0010, 0b1100])
     assert len(got) == 3
-    assert got["b"] == 1
+    assert got[1] == 1
 
 
 def test_bottleneck():
     # three lefts share one right
-    got = max_bipartite_matching({"a": [1], "b": [1], "c": [1]})
+    got = max_bipartite_matching([0b10, 0b10, 0b10])
     assert len(got) == 1
 
 
 def test_empty():
-    assert max_bipartite_matching({}) == {}
-    assert max_bipartite_matching({"a": []}) == {}
+    assert max_bipartite_matching([]) == {}
+    assert max_bipartite_matching([0]) == {}
 
 
 def test_augmenting_path_needed():
-    # greedy would match a-1 and strand b; maximum matching pairs both
-    got = max_bipartite_matching({"a": [1, 2], "b": [1]})
+    # greedy would match 0-1 and strand 1; maximum matching pairs both
+    got = max_bipartite_matching([0b110, 0b010])
     assert len(got) == 2
-    assert got == {"a": 2, "b": 1}
+    assert got == {0: 2, 1: 1}
 
 
 def test_deterministic():
-    adjacency = {"a": [1, 2, 3], "b": [1, 2], "c": [2, 3], "d": [3]}
+    adjacency = [0b1110, 0b0110, 0b1100, 0b1000]
     assert max_bipartite_matching(adjacency) == max_bipartite_matching(adjacency)
 
 
@@ -58,7 +65,7 @@ def test_deterministic():
     )
 )
 def test_matching_is_valid_and_maximum(adjacency):
-    got = max_bipartite_matching(adjacency)
+    got = max_bipartite_matching(masks(adjacency))
     for left, right in got.items():
         assert right in adjacency[left]
     assert len(set(got.values())) == len(got)  # injective
@@ -66,14 +73,12 @@ def test_matching_is_valid_and_maximum(adjacency):
 
 
 def test_long_augmenting_path_does_not_recurse():
-    # u1..u3000 take v1..v3000 in the first phase; u0 then needs an
-    # augmenting path through every one of them to reach v3001
+    # lefts 0..2999 take rights 1..3000 in the first phase; the last left
+    # then needs an augmenting path through every one of them to reach 3001
     n = 3000
-    adjacency = {f"u{i}": [f"v{i}", f"v{i + 1}"] for i in range(1, n + 1)}
-    adjacency["u0"] = ["v1"]
-    got = max_bipartite_matching(adjacency)
+    got = max_bipartite_matching([0b11 << i for i in range(1, n + 1)] + [1 << 1])
     assert len(got) == n + 1
-    assert got["u0"] == "v1" and got[f"u{n}"] == f"v{n + 1}"
+    assert got[n] == 1 and got[n - 1] == n + 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +97,7 @@ def test_augment_finds_the_missing_pair(adjacency, blocked, data):
     # pair of the whole graph, and any path that restores it starts there
     start = data.draw(st.sampled_from(sorted(adjacency)))
     rest = {u: [v for v in vs if v not in blocked] for u, vs in adjacency.items() if u != start}
-    mate = max_bipartite_matching(rest)
+    mate = list_bipartite_matching(rest)
     partner = {v: u for u, v in mate.items()}
     before = dict(mate)
     whole = {u: [v for v in vs if v not in blocked] for u, vs in adjacency.items()}
@@ -105,4 +110,3 @@ def test_augment_finds_the_missing_pair(adjacency, blocked, data):
     assert partner == {v: u for u, v in mate.items()}
     for u, v in mate.items():
         assert v in adjacency[u] and v not in blocked
-
