@@ -47,11 +47,11 @@ def chain_metrics(
 def _longest_cover_path(poset: Poset) -> int:
     """Cover arcs on the longest downward path. Sorting by down-mask popcount
     puts children first; each label's height then flows up to its covers."""
-    height = dict.fromkeys(poset.labels, 0)
-    for i in sorted(range(len(poset.labels)), key=lambda i: poset.strict_down[i].bit_count()):
-        for y in poset.members(poset.cover_up[i]):
-            height[y] = max(height[y], height[poset.labels[i]] + 1)
-    return max(height.values())
+    height = [0] * len(poset.labels)
+    for i in sorted(range(len(height)), key=lambda i: poset.strict_down[i].bit_count()):
+        for p in poset.covers[i]:
+            height[p] = max(height[p], height[i] + 1)
+    return max(height)
 
 
 def classic_scheme_metrics(poset: Poset, users: Mapping[str, int]) -> dict[str, SchemeMetrics]:
@@ -66,7 +66,7 @@ def classic_scheme_metrics(poset: Poset, users: Mapping[str, int]) -> dict[str, 
     """
     sizes = {x: mask.bit_count() + 1 for x, mask in zip(poset.labels, poset.strict_down)}
     one_key = dict.fromkeys(poset.labels, 1)
-    covers = sum(mask.bit_count() for mask in poset.cover_up)
+    covers = sum(map(len, poset.covers))
     return {
         "basic": SchemeMetrics.from_sizes(users, sizes, d_max=0),
         "iterative": SchemeMetrics.from_sizes(users, one_key, _longest_cover_path(poset), covers),

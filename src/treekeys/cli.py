@@ -108,7 +108,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     top = 1 << poset.index(poset.root) if poset.virtual_root else 0  # the maximal labels' up-mask
     info = {
         "elements": len(poset.labels),
-        "cover_arcs": sum(mask.bit_count() for mask in poset.cover_up),
+        "cover_arcs": sum(map(len, poset.covers)),
         "closure_arcs": poset.closure_size,
         "width": width(poset),
         "root": poset.root,

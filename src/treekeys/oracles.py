@@ -74,10 +74,9 @@ def random_users(poset: Poset, seed: int, *, high: int = 3) -> dict[str, int]:
 
 
 def covers(poset: Poset) -> frozenset[Arc]:
-    """Every cover pair (x, y), x covering y, decoded from the masks."""
-    return frozenset(
-        (x, y) for y, mask in zip(poset.labels, poset.cover_up) for x in poset.members(mask)
-    )
+    """Every cover pair (x, y), x covering y, read off the cover tuples."""
+    labels = poset.labels
+    return frozenset((labels[x], y) for y, ps in zip(labels, poset.covers) for x in ps)
 
 
 def closure(poset: Poset) -> frozenset[Arc]:

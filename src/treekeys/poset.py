@@ -1,20 +1,19 @@
 """Finite partially ordered sets of security labels.
 
-A label hierarchy is stored as bitmasks over a fixed label index: per
-label, the labels strictly below it, the labels strictly above it, and
-the labels that cover it (its parents in the order's diagram). The cover
-arcs and the full strict order (the transitive closure) are not kept as
-pairs: ``oracles.covers`` and ``oracles.closure`` decode them from the
-masks for the oracles and the tests. Every poset is rooted: when
-the input order has more than one maximal label, a reserved virtual top
-label is placed above all of them so that every label is reachable from
-a single point. Labels are unique non-empty strings that encode as
-UTF-8; those bytes feed the key derivation PRF, so uniqueness matters
-beyond aesthetics.
+A label hierarchy is stored over a fixed label index: per label, the
+labels strictly below and strictly above it as bitmasks, and the few
+that cover it (its parents in the order's diagram) as a tuple of
+indices. Neither the cover arcs nor the full strict order (the
+transitive closure) is kept as pairs: ``oracles.covers`` and
+``oracles.closure`` list them for the oracles and the tests. Every poset
+is rooted: when the input order has more than one maximal label, a
+reserved virtual top label is placed above all of them so that every
+label is reachable from a single point. Labels are unique non-empty
+strings that encode as UTF-8; those bytes feed the key derivation PRF,
+so uniqueness matters beyond aesthetics.
 
 ``transitive_closure``, ``transitive_reduction`` and ``ensure_root`` are
-the set-based reference for the normalisation ``Poset.from_arcs`` does on
-masks.
+the set-based reference for the normalisation ``Poset.from_arcs`` does.
 
 All values here are immutable and all operations are pure functions.
 """
@@ -33,14 +32,15 @@ VIRTUAL_ROOT = "⊤"
 Arc = tuple[str, str]
 
 
-def _topological_order(adjacency: Mapping[str, set[str]]) -> list[str]:
-    """Some parents-first order of ``adjacency``; its callers build the same result from any."""
-    indegree = {v: 0 for v in adjacency}
-    for v in adjacency:
-        for w in adjacency[v]:
+def _topological_order(adjacency: Mapping[str, Iterable[str]]) -> tuple[list[str], list[str]]:
+    """Some parents-first order of ``adjacency``, from which its callers build
+    the same result, and its sources (no arc's lower end) in key order."""
+    indegree = dict.fromkeys(adjacency, 0)
+    for kids in adjacency.values():
+        for w in kids:
             indegree[w] += 1
-    queue = [v for v, d in indegree.items() if d == 0]
-    order: list[str] = []
+    sources = [v for v, d in indegree.items() if d == 0]
+    queue, order = sources.copy(), []
     while queue:
         v = queue.pop()
         order.append(v)
@@ -50,7 +50,7 @@ def _topological_order(adjacency: Mapping[str, set[str]]) -> list[str]:
                 queue.append(w)
     if len(order) != len(adjacency):
         raise CycleError("cycle detected: the order relation is not antisymmetric")
-    return order
+    return order, sources
 
 
 def _check_label(lab: Any, what: str) -> None:
@@ -78,7 +78,7 @@ def transitive_closure(arcs: Iterable[Arc], elements: Iterable[str]) -> frozense
         if x == y:
             raise CycleError(f"cycle detected: self-loop on {x!r}")
         adjacency[x].add(y)
-    order = _topological_order(adjacency)
+    order, _ = _topological_order(adjacency)
     below: dict[str, set[str]] = {e: set() for e in elems}
     for v in reversed(order):
         for child in adjacency[v]:
@@ -144,8 +144,8 @@ class Poset(NamedTuple):
     (if one was added) included, so index order is sorted order, and
     ``positions`` maps each label to its index. Bit j of
     ``strict_down[i]`` is set iff ``labels[i]`` is strictly above
-    ``labels[j]``; ``strict_up`` is the converse, and bit j of
-    ``cover_up[i]`` is set iff ``labels[j]`` covers ``labels[i]``.
+    ``labels[j]``; ``strict_up`` is the converse, and ``covers[i]`` lists
+    the indices of the labels that cover ``labels[i]``, ascending.
     ``root`` is the unique maximum, possibly the virtual one.
     """
 
@@ -153,7 +153,7 @@ class Poset(NamedTuple):
     positions: dict[str, int]
     strict_down: tuple[int, ...]
     strict_up: tuple[int, ...]
-    cover_up: tuple[int, ...]
+    covers: tuple[tuple[int, ...], ...]
     root: str
     virtual_root: bool
 
@@ -161,7 +161,7 @@ class Poset(NamedTuple):
     def from_arcs(
         cls,
         elements: Iterable[str],
-        arcs: Iterable[Arc],
+        arcs: Iterable[Any],
         *,
         root_label: str = VIRTUAL_ROOT,
     ) -> "Poset":
@@ -169,40 +169,45 @@ class Poset(NamedTuple):
 
         ``arcs`` may be any subset of the intended strict order whose
         closure is that order (cover arcs, the full order, or anything in
-        between). When several labels are no arc's lower end, the virtual
-        root is added above them before any mask is built. Children come
-        before parents: a label's down-mask is the OR of its input
-        children's masks and bits, and its cover children are the input
-        children inside no input child's mask (every label below it lies at
-        or below some input child). Up-masks and cover masks then flow down
-        the covers, parents first.
+        between), each an [upper, lower] pair, repeats allowed. One loop
+        checks each pair and appends its lower end to its upper end's child
+        list. When several labels are no arc's lower end, the virtual root
+        is added above them before any mask is built. Children come before
+        parents: a label's down-mask is the OR of its input children's
+        masks and bits, and its covers are the input children inside no
+        input child's mask (every label below it lies at or below some
+        input child). Up-masks then flow down the covers, parents first.
 
         Raises CycleError on a directed cycle (self-loops included),
         UnknownLabelError on an arc naming a label outside ``elements``,
-        and PolicyError on a label, or a needed root label, that is empty,
-        not UTF-8 or (for the root) taken.
+        and PolicyError on an arc that is not a pair of strings, or on a
+        label, or a needed root label, that is empty, not UTF-8 or (for the
+        root) taken.
         """
-        seen: set[str] = set()
+        children: dict[str, list[str]] = {}
         for lab in elements:
             _check_label(lab, "each label")
-            if lab in seen:
+            if lab in children:
                 raise PolicyError(f"duplicate element {lab!r}")
-            seen.add(lab)
-        if not seen:
+            children[lab] = []
+        if not children:
             raise PolicyError("a policy needs at least one element")
-        children: dict[str, set[str]] = {lab: set() for lab in seen}
-        for x, y in arcs:
+        for entry in arcs:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise PolicyError(f"arc {entry!r} is not an [upper, lower] pair")
+            x, y = entry
+            if not isinstance(x, str) or not isinstance(y, str):
+                raise PolicyError(f"arc {entry!r} must contain string labels")
             for lab in (x, y):
-                if lab not in seen:
+                if lab not in children:
                     raise UnknownLabelError(f"arc ({x!r}, {y!r}) references unknown label {lab!r}")
             if x == y:
                 raise CycleError(f"cycle detected: self-loop on {x!r}")
-            children[x].add(y)
-        topological = _topological_order(children)
-        maximal = seen.difference(*children.values())  # no arc's lower end
+            children[x].append(y)
+        topological, maximal = _topological_order(children)
         if len(maximal) > 1:
             _check_label(root_label, "the root label")
-            if root_label in seen:
+            if root_label in children:
                 raise PolicyError(f"reserved root label {root_label!r} already in use")
             children[root_label] = maximal
             topological.insert(0, root_label)
@@ -213,25 +218,24 @@ class Poset(NamedTuple):
         index = {lab: i for i, lab in enumerate(labels)}
         order = [index[lab] for lab in topological]
         down = [0] * len(labels)
-        cover_kids: list[list[int]] = [[] for _ in labels]
+        covers: list[list[int]] = [[] for _ in labels]
         for v in reversed(order):  # children first
-            kids = [index[c] for c in children[labels[v]]]
             below = bits = 0
+            kids = dict.fromkeys(map(index.__getitem__, children[labels[v]]))  # repeats dropped
             for c in kids:
                 below |= down[c]
                 bits |= 1 << c
             down[v] = below | bits
-            cover_kids[v] = [c for c in kids if not below >> c & 1]
+            for c in kids:
+                if not below >> c & 1:
+                    covers[c].append(v)
         up = [0] * len(labels)
-        cover_up = [0] * len(labels)
         for v in order:  # parents first
-            mask = up[v] | 1 << v
-            for c in cover_kids[v]:
-                up[c] |= mask
-                cover_up[c] |= 1 << v
+            for p in covers[v]:
+                up[v] |= up[p] | 1 << p
         return cls(labels=tuple(labels), positions=index, strict_down=tuple(down),
-                   strict_up=tuple(up), cover_up=tuple(cover_up), root=root,
-                   virtual_root=root not in seen)
+                   strict_up=tuple(up), covers=tuple(tuple(sorted(p)) for p in covers),
+                   root=root, virtual_root=len(maximal) > 1)
 
     # -- order queries ----------------------------------------------------
 
@@ -352,25 +356,18 @@ def parse_policy(
 
     Document shape: {"elements": [label, ...], "arcs": [[x, y], ...],
     "users": {label: count}}. Arcs read "x is above y" and may be any
-    generating subset of the intended order. "users" is optional: omitted
-    entirely, every element gets one user; present, unlisted labels get
-    zero. The virtual root never has users. Unknown fields are rejected.
+    generating subset of the intended order; ``Poset.from_arcs`` checks
+    each. "users" is optional: omitted entirely, every element gets one
+    user; present, unlisted labels get zero. The virtual root never has
+    users. Unknown fields are rejected.
     """
     check_fields(document, _POLICY_FIELDS, "policy")
     elements = document.get("elements")
     if not isinstance(elements, list):
         raise PolicyError("policy must list 'elements'")
-    arcs_raw = document.get("arcs", [])
-    if not isinstance(arcs_raw, list):
+    arcs = document.get("arcs", [])
+    if not isinstance(arcs, list):
         raise PolicyError("'arcs' must be a list of [upper, lower] pairs")
-    arcs: list[Arc] = []
-    for entry in arcs_raw:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise PolicyError(f"arc {entry!r} is not an [upper, lower] pair")
-        x, y = entry
-        if not isinstance(x, str) or not isinstance(y, str):
-            raise PolicyError(f"arc {entry!r} must contain string labels")
-        arcs.append((x, y))
     poset = Poset.from_arcs(elements, arcs, root_label=root_label)
     users_raw = document.get("users")
     if users_raw is not None and not isinstance(users_raw, Mapping):

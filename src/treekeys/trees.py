@@ -137,17 +137,19 @@ def _cheapest_parents(
 
     Every minimum-cost tree picks one of these per label, and only these.
     Arc (y, z) costs M(z) - M(y), so z's cheapest parents are its covers
-    with the largest M, or with ``closure`` every label above z with that
-    M: M only shrinks upward, so no label above z has a larger one.
+    with the largest M, read off its cover tuple, or with ``closure`` every
+    label above z with that M: M only shrinks upward, so no label above z
+    has a larger one. Only ``closure`` builds a mask of the labels per M.
     """
-    users_above = _users_above(poset, users)
-    same_m: dict[int, int] = {}  # M -> the labels with that M, as a mask
-    for i, m in enumerate(users_above.values()):  # in label order
-        same_m[m] = same_m.get(m, 0) | 1 << i
-    arcs = poset.strict_up if closure else poset.cover_up
+    m = list(_users_above(poset, users).values())  # M by label index
     # the largest M among each label's covers: -1, which no label has, for the root
-    most = [max(map(users_above.__getitem__, poset.members(c)), default=-1) for c in poset.cover_up]
-    return [up & same_m.get(m, 0) for up, m in zip(arcs, most)]
+    most = [max([m[p] for p in ps], default=-1) for ps in poset.covers]
+    if not closure:
+        return [sum(1 << p for p in ps if m[p] == top) for ps, top in zip(poset.covers, most)]
+    same_m: dict[int, int] = {}  # M -> the labels with that M, as a mask
+    for i, mi in enumerate(m):
+        same_m[mi] = same_m.get(mi, 0) | 1 << i
+    return [up & same_m.get(top, 0) for up, top in zip(poset.strict_up, most)]
 
 
 def min_weight_out_tree(

@@ -27,7 +27,8 @@ policies, two lattices and a chain.
 The mask normalisation of ``Poset.from_arcs`` is compared with the
 set-based composition (closure, root, reduction) on those policies, the
 lattice, a deep chain, a rootless antichain and random generator sets,
-errors included.
+errors included; its cover tuples are compared as they are stored, and
+repeating and permuting the arcs leaves the poset equal.
 """
 
 import random
@@ -594,6 +595,20 @@ def test_mask_matching_matches_list_matching_on_lattices_and_chains(name):
         assert_mask_matching_matches_list_matching(adjacency)
 
 
+def test_parse_policy_keeps_no_wide_cover_masks():
+    # a sparse 2,000-label order has about 4,000 covers: kept as full-width
+    # masks, with a set per label and a copy of every arc while parsing, they
+    # peaked at 2.56 MiB on Python 3.11; as index tuples, at 1.39 MiB
+    document = sparse_policy_doc(2000, 2)
+    tracemalloc.start()
+    try:
+        parse_policy(document)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("measure", [min_chain_partition, width], ids=lambda f: f.__name__)
 def test_chain_partition_decodes_no_order(measure):
     # the 3,000-chain has 4.5 M strict pairs: listed as labels for the
@@ -623,13 +638,16 @@ def _set_based_forms(elements, arcs, root_label):
     elems, closure, root, added = ensure_root(
         frozenset(elements), transitive_closure(arcs, elements), root_label
     )
-    covers = transitive_reduction(closure, elems)
+    index = {x: i for i, x in enumerate(sorted(elems))}
+    parents = [[] for _ in index]  # the covers as ascending index tuples
+    for x, y in transitive_reduction(closure, elems):
+        parents[index[y]].append(index[x])
     downs = {x: {x} for x in elems}
     ups = {x: {x} for x in elems}
     for x, y in closure:
         downs[x].add(y)
         ups[y].add(x)
-    return elems, covers, closure, root, added, downs, ups
+    return elems, tuple(tuple(sorted(p)) for p in parents), closure, root, added, downs, ups
 
 
 def _mask_forms(elements, arcs, root_label):
@@ -639,7 +657,7 @@ def _mask_forms(elements, arcs, root_label):
         x: set(poset.members(up | 1 << i))
         for i, (x, up) in enumerate(zip(poset.labels, poset.strict_up))
     }
-    return (frozenset(poset.labels), covers(poset), closure(poset), poset.root,
+    return (frozenset(poset.labels), poset.covers, closure(poset), poset.root,
             poset.virtual_root, downs, ups)
 
 
@@ -667,6 +685,16 @@ NAMED_ORDERS = {
 def test_mask_normalisation_matches_set_based_composition(name):
     doc = NAMED_ORDERS[name]()
     assert_same_normalisation(doc["elements"], [tuple(a) for a in doc["arcs"]])
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_ORDERS))
+def test_mask_normalisation_ignores_repeated_and_permuted_arcs(name):
+    # the child lists keep input order and repeats; nothing built from them may
+    doc = NAMED_ORDERS[name]()
+    elements, arcs, rng = doc["elements"], doc["arcs"], random.Random(name)
+    shuffled = rng.sample(elements, len(elements))
+    repeated = [tuple(a) if rng.random() < 0.5 else a for a in rng.sample(arcs * 2, 2 * len(arcs))]
+    assert Poset.from_arcs(shuffled, repeated) == Poset.from_arcs(elements, arcs)
 
 
 def test_mask_closure_size_counts_the_decoded_closure():

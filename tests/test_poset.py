@@ -141,6 +141,15 @@ class TestParsePolicy:
         with pytest.raises(PolicyError):
             parse_policy({"elements": ["a", "b"], "arcs": [["a"]]})
 
+    @pytest.mark.parametrize("entry", [("a", "b", "c"), ("a",), None, ("a", 1), "ab"])
+    def test_malformed_arc_fails_closed_in_the_library_too(self, entry):
+        with pytest.raises(PolicyError) as parsed:
+            parse_policy({"elements": ["a", "b"], "arcs": [entry]})
+        with pytest.raises(PolicyError) as built:
+            Poset.from_arcs(["a", "b"], [entry])
+        assert type(built.value) is type(parsed.value) is PolicyError
+        assert str(built.value) == str(parsed.value)
+
     def test_users_default_to_one_each(self):
         _, users = parse_policy({"elements": ["a", "b"], "arcs": [["b", "a"]]})
         assert users == {"a": 1, "b": 1}
