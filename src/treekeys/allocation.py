@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 
 from .poset import Poset, masked_sums
-from .trees import DerivationOutTree, validate_tree
+from .trees import DerivationOutTree
 
 
 def start_points(poset: Poset, parent: Mapping[str, str], x: str) -> frozenset[str]:
@@ -63,8 +63,8 @@ def forest_sizes(poset: Poset, parent: Mapping[str, str]) -> dict[str, int]:
 
 def canonical_allocation(poset: Poset, tree: DerivationOutTree) -> dict[str, tuple[str, ...]]:
     """The pointwise-minimal allocation for ``tree``: the start points of
-    every label on the tree, whose only parentless label is the root."""
-    validate_tree(poset, tree)
+    every label on the tree, whose only parentless label is the root.
+    ``tree`` must be a validated derivation tree for ``poset``."""
     return forest_start_points(poset, tree.parent)
 
 
@@ -84,9 +84,9 @@ def validate_enforcement(
     Every label must be its own start point, every authorized label must be
     reachable from some start point, and no start point may reach an
     unauthorized label. Violations are returned, not raised: none means
-    the allocation enforces the policy.
+    the allocation enforces the policy. ``tree`` must be a validated
+    derivation tree for ``poset``.
     """
-    validate_tree(poset, tree)
     reach = tree.descendant_sets()
     labels = frozenset(poset.labels)
     violations: list[Violation] = []
@@ -153,8 +153,8 @@ def scheme_metrics(
 
     The root's only start point is the root, so its walks are the tree
     depths, and no label's walk to u is longer than the depth of u.
+    ``tree`` must be a validated derivation tree for ``poset``.
     """
-    validate_tree(poset, tree)
     return SchemeMetrics.from_sizes(
         users, forest_sizes(poset, tree.parent), max(tree.depths().values())
     )

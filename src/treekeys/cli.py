@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from . import baselines, kdf, oracles, sealing
-from .allocation import SchemeMetrics, canonical_allocation, scheme_metrics
+from .allocation import SchemeMetrics, canonical_allocation, forest_sizes, scheme_metrics
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
 from .poset import (
     VIRTUAL_ROOT,
@@ -38,7 +38,6 @@ from .trees import (
     min_leaf_out_tree,
     min_weight_out_tree,
     validate_tree,
-    weight_function,
 )
 
 
@@ -132,15 +131,13 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     poset, users = _load_policy(args)
     build = min_leaf_out_tree if args.min_leaves else min_weight_out_tree
     tree = build(poset, users, closure=args.arcs == "closure")
-    allocation = canonical_allocation(poset, tree)
-    sizes = {x: len(points) for x, points in allocation.items()}
+    allocation = canonical_allocation(poset, tree)  # start points off the up-masks
+    sizes = forest_sizes(poset, tree.parent)  # their counts off the down-masks
+    for x, k in sizes.items():
+        if len(allocation[x]) != k:
+            raise VerificationError(f"label {x!r} has a start-point count of "
+                                    f"{len(allocation[x])}, where the popcount gives {k}")
     metrics = SchemeMetrics.from_sizes(users, sizes, max(tree.depths().values()))
-    # the arc costs plus the root's own key, held by M(root) = the root's users
-    expected = users[tree.root] + sum(weight_function(poset, users, tree.arcs()).values())
-    if metrics.K_hat != expected:
-        raise VerificationError(
-            f"K_hat={metrics.K_hat} differs from the tree's arc cost total {expected}"
-        )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "tree.json", tree.to_json_dict())
@@ -156,8 +153,8 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
 
 def cmd_keygen(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
-    tree = DerivationOutTree.from_json_dict(_load_json(args.tree))
-    allocation = canonical_allocation(poset, tree)  # checks the tree
+    tree = _load_tree(poset, args.tree)
+    allocation = canonical_allocation(poset, tree)
     if args.seed is not None:
         try:
             seed = bytes.fromhex(args.seed)
@@ -275,9 +272,11 @@ def _refuse_shared_targets(sources: list[Path], targets: list[Path]) -> None:
             raise PolicyError(f"{sources[j]} and {sources[i]} would both be written to {target}")
 
 
-def _read_object(path: Path) -> bytes:
+def _read_object(path: Path, size: int = -1) -> bytes:
+    """Up to ``size`` bytes of ``path``, all of it by default."""
     try:
-        return path.read_bytes()
+        with path.open("rb") as handle:
+            return handle.read(size)
     except OSError as exc:
         raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -290,6 +289,8 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     _refuse_shared_targets([path for path, _ in entries], targets)
     object_key = _key_source(args, poset, tree)
     keys = {label: object_key(label) for _, label in entries}  # refused before any write
+    for path, _ in entries:  # so is an object that cannot be opened
+        _read_object(path, 0)
     for (path, label), target in zip(entries, targets):
         # no name holds the object, so it is freed before the next is read
         target.write_bytes(sealing.seal(keys[label], label, _read_object(path)))

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treekeys import VIRTUAL_ROOT, DerivationOutTree, canonical_allocation, cli, kdf, parse_policy
+from treekeys import (
+    VIRTUAL_ROOT,
+    DerivationOutTree,
+    canonical_allocation,
+    cli,
+    kdf,
+    parse_policy,
+    trees,
+)
 from treekeys.cli import main
 from treekeys.sealing import seal
 
@@ -142,7 +150,7 @@ class TestBuildTree:
     def test_allocation_short_of_the_arc_costs_exits_three(
         self, run, policy_file, tmp_path, monkeypatch
     ):
-        # K_hat must equal the tree's arc costs plus the root's own key:
+        # every label's start points must number what the popcount counts:
         # an allocation that drops a start point is caught before any write
         real = cli.canonical_allocation
 
@@ -156,7 +164,38 @@ class TestBuildTree:
         out_dir = tmp_path / "short"
         code, _, err = run("build-tree", policy_file, "--out-dir", out_dir)
         assert code == 3
-        assert "K_hat=10 differs from the tree's arc cost total 11" in err
+        assert "label 'b' has a start-point count of 1, where the popcount gives 2" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fault", ["extra-point-at-no-users", "moved-point"])
+    def test_allocation_off_the_popcount_in_one_label_exits_three(
+        self, run, tmp_path, monkeypatch, fault
+    ):
+        # faults that leave K_hat as it was: h handed to d, which has no
+        # users, or b's start point a moved to c, which has as many users as b
+        document = dict(SAMPLE_POLICY_DOC)
+        if fault == "extra-point-at-no-users":
+            document["users"] = {**document["users"], "d": 0}
+        policy = tmp_path / "p.json"
+        policy.write_text(json.dumps(document))
+        real = cli.canonical_allocation
+
+        def faulty(poset, tree):
+            phi = dict(real(poset, tree))
+            assert phi["b"] == ("a", "b") and phi["c"] == ("c",) and phi["d"] == ("d",)
+            if fault == "extra-point-at-no-users":
+                phi["d"] = ("d", "h")
+            else:
+                phi["b"], phi["c"] = ("b",), ("a", "c")
+            return phi
+
+        monkeypatch.setattr(cli, "canonical_allocation", faulty)
+        out_dir = tmp_path / "faulty"
+        code, out, err = run("build-tree", policy, "--out-dir", out_dir)
+        assert code == 3
+        label = "d" if fault == "extra-point-at-no-users" else "b"
+        assert f"label {label!r} has a start-point count of" in err
+        assert out == ""
         assert not out_dir.exists()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS that Linux reports")
@@ -261,23 +300,6 @@ class TestKeygen:
         assert repr(labels[-1]) in err
         assert not (keys / "keystore.json").exists()
         assert not list(keys.glob("sigma_*"))
-
-    def test_checks_its_tree_once(self, run, policy_file, tmp_path, monkeypatch):
-        build = tmp_path / "build"
-        assert run("build-tree", policy_file, "--out-dir", build)[0] == 0
-        checked = []
-        validate = cli.validate_tree
-
-        def counted(*args):
-            checked.append(args[1])
-            return validate(*args)
-
-        for module in ("cli", "allocation"):
-            monkeypatch.setattr(f"treekeys.{module}.validate_tree", counted)
-        code, _, _ = run("keygen", policy_file, "--tree", build / "tree.json", "--seed", SEED,
-                         "--out-dir", tmp_path / "keys")
-        assert code == 0
-        assert len(checked) == 1
 
     def test_foreign_tree_rejected(self, run, policy_file, tmp_path):
         bad = tmp_path / "tree.json"
@@ -604,6 +626,42 @@ def sealed_report(keyed_sample, tmp_path):
     return payload.with_name("report.txt.sealed")
 
 
+@pytest.mark.parametrize(
+    "command, checks",
+    [("build-tree", 0), ("compare", 0), ("verify", 0),
+     ("keygen", 1), ("derive", 1), ("encrypt", 1), ("decrypt", 1)],
+)
+def test_a_command_checks_the_tree_it_reads_once(
+    run, keyed_sample, sealed_report, tmp_path, monkeypatch, command, checks
+):
+    # wrapped in every namespace that binds it, as the benchmark's tracer does;
+    # a tree the command builds itself is valid by construction
+    real = trees.validate_tree
+    checked = []
+
+    def counted(poset, tree):
+        checked.append(tree)
+        return real(poset, tree)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "treekeys" and getattr(module, "validate_tree", None) is real:
+            monkeypatch.setattr(module, "validate_tree", counted)
+    tree, keystore = keyed_sample["tree"], keyed_sample["keys"] / "keystore.json"
+    options = {
+        "build-tree": ["--out-dir", tmp_path / "build2"],
+        "compare": ["--json"],
+        "verify": ["--seeds", 2],
+        "keygen": ["--tree", tree, "--seed", SEED, "--out-dir", tmp_path / "keys2"],
+        "derive": ["--tree", tree, "--bundle", keyed_sample["keys"] / "sigma_f.json", "a"],
+        "encrypt": ["--tree", tree, "--keystore", keystore,
+                    "--manifest", tmp_path / "manifest.json"],
+        "decrypt": ["--tree", tree, "--keystore", keystore, sealed_report,
+                    "--out-dir", tmp_path / "opened"],
+    }[command]
+    assert run(command, keyed_sample["policy"], *options)[0] == 0
+    assert len(checked) == checks
+
+
 def test_encrypt_has_no_suffix_option(keyed_sample, sealed_report, tmp_path):
     # an empty suffix used to seal each object over its own plaintext
     payload = tmp_path / "report.txt"
@@ -698,6 +756,29 @@ def test_encrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
     assert "would overwrite the input" in done.stderr
     assert done.stdout == ""
     assert _files(folder) == {"x": b"first", "x.sealed": b"second"}
+
+
+@pytest.mark.parametrize("second", ["missing", "directory"])
+def test_encrypt_with_a_later_object_it_cannot_open_seals_nothing(keyed_sample, tmp_path, second):
+    # every object is opened before the first is sealed, so x is not sealed
+    # and left behind when the manifest's next entry cannot be read
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    (folder / "x.txt").write_bytes(b"first")
+    if second == "directory":
+        (folder / "nope.txt").mkdir()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(folder / "x.txt"), "label": "a"},
+        {"path": str(folder / "nope.txt"), "label": "a"},
+    ]}))
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json", "--manifest", manifest)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"cannot read {folder / 'nope.txt'}" in done.stderr
+    assert done.stdout == ""
+    assert not list(folder.glob("*.sealed"))
 
 
 @pytest.mark.parametrize(

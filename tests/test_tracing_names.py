@@ -48,31 +48,36 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("command, expected", [
-    (["analyze"], ["cli.main"]),
-    # scheme_metrics validates the tree itself, through the traced name
+@pytest.mark.parametrize("command, expected, absent", [
+    (["analyze"], ["cli.main"], []),
+    # the commands that build their tree check none, and build-tree counts
+    # its start points by popcount, not by arc costs
     (["compare", "--json"],
-     ["cli.main", "allocation.scheme_metrics", "trees.validate_tree", "baselines.chain_metrics"]),
+     ["cli.main", "allocation.scheme_metrics", "baselines.chain_metrics"],
+     ["trees.validate_tree"]),
+    (["build-tree", "--out-dir", "out"],
+     ["cli.main", "trees.min_weight_out_tree", "allocation.canonical_allocation"],
+     ["trees.weight_function", "trees.validate_tree"]),
     # the tracer rewraps a classmethod on the bundle's class
     (["derive", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "a"],
-     ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive"]),
+     ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive"], []),
     # and a method on the tree class, which only the battery reaches
     (["verify", "--seeds", "1"],
      ["cli.main", "oracles.run_suite", "oracles.coalition_reachability",
-      "trees.DerivationOutTree.descendant_sets"]),
-    # keygen checks its tree once, inside the allocation it writes the bundles from
+      "trees.DerivationOutTree.descendant_sets"], []),
+    # keygen checks the tree it reads once, before it allocates the bundles' start points
     (["keygen", "--tree", "tree.json", "--seed", "07" * 32, "--out-dir", "out"],
-     ["cli.main", "allocation.canonical_allocation", "trees.validate_tree", "kdf.setup"]),
+     ["cli.main", "trees.validate_tree", "allocation.canonical_allocation", "kdf.setup"], []),
     # the holder commands, whose byte counts read seal's and unseal's arguments
     (["encrypt", "--tree", "tree.json", "--keystore", "keys/keystore.json",
       "--manifest", "manifest.json"],
-     ["cli.main", "sealing.seal"]),
+     ["cli.main", "sealing.seal"], []),
     (["decrypt", "--tree", "tree.json", "--bundle", "keys/sigma_f.json", "--out-dir", "out",
       "doc.txt.sealed"],
-     ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive", "sealing.unseal"]),
-], ids=["analyze", "compare", "derive", "verify", "keygen", "encrypt-keystore",
+     ["cli.main", "kdf.SigmaBundle.from_json_dict", "kdf.derive", "sealing.unseal"], []),
+], ids=["analyze", "compare", "build-tree", "derive", "verify", "keygen", "encrypt-keystore",
         "decrypt-bundle"])
-def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected):
+def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expected, absent):
     policy = tmp_path / "policy.json"
     policy.write_text(json.dumps(SAMPLE_POLICY_DOC), encoding="utf-8")
     plaintext = tmp_path / "doc.txt"
@@ -102,6 +107,7 @@ def test_traced_command_runs_as_the_benchmark_runs_it(tmp_path, command, expecte
     assert record["exit"] == 0
     called = {record["names"][span[0]] for span in record["spans"]}
     assert [name for name in expected if name not in called] == []
+    assert [name for name in absent if name in called] == []
     if command[0] == "encrypt":
         assert record["counts"]["sealing.seal.bytes"] == plaintext.stat().st_size
     if command[0] == "decrypt":
