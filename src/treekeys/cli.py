@@ -312,6 +312,8 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
                               "pass --out-dir to choose a destination")
         targets.append(Path(args.out_dir) / base if args.out_dir else path.with_name(base))
     _refuse_shared_targets(paths, targets)
+    for path in paths:  # an operand that cannot be opened is refused before any write
+        _read_object(path, 0)
     object_key = _key_source(args, poset, tree)
     for path, target in zip(paths, targets):
         blob = _read_object(path)

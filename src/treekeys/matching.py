@@ -2,11 +2,12 @@
 single-path repair over lists.
 
 The matching gives minimum chain partitions and the first matching of
-leaf minimization, which then stays maximum with one ``augment`` per
-candidate. Both search depth first on an explicit stack, so no recursion
-limit bounds a path. A frame is ``[left, untried rights, right tried
-last]``; when a free right is reached, each frame's left takes its last
-right.
+leaf minimization, which ``augment`` keeps maximum: per fixed label, at
+most one search back from the parent it gives up, and one forward
+search from the holder of each unused candidate tried. Both search
+depth first on an explicit stack, so no recursion limit bounds a path.
+A frame is ``[left, untried rights, right tried last]``; when a free
+right is reached, each frame's left takes its last right.
 """
 
 from __future__ import annotations

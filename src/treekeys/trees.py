@@ -176,19 +176,21 @@ def min_leaf_out_tree(
     bipartite matching between labels and their cheapest parents yields
     the largest achievable set of distinct parents. A greedy pass then
     fixes, label by label, the lexicographically smallest parent that
-    keeps that maximum attainable, deciding each candidate with one
-    repair of the matching instead of a new one.
+    keeps that maximum attainable, repairing the matching instead of
+    building a new one.
 
     The matching stays maximum between the labels not yet fixed and the
     parents not yet used, one short of the maximum per parent used.
-    Fixing a label drops its matched parent; a new parent also drops the
-    label matched to it. At most one matched pair is then missing, and an
-    alternating path that restores it must start at the dropped label or
-    end at the dropped parent: any other would have augmented the
-    matching before. For a parent already used, only the dropped parent
-    needs a new label, so every used candidate of one label asks the same
-    question of the same state (a failed search and a rejected unused
-    candidate change nothing); after one failure the rest are skipped.
+    Whether a choice keeps the maximum depends only on which labels are
+    fixed and which parents are used, not on which maximum matching is
+    held. Fixing a label drops the parent it held (``freed``), and any
+    path that restores the matching ends there, so one backward search
+    from ``freed``, asked at most once and only when first needed,
+    settles whether the matching is whole again. If it is, or the label
+    held no parent, every candidate keeps the maximum. If not, no used
+    parent does, and an unused one does only if it is free or one forward
+    search finds its rival another parent; that search goes first, so a
+    success spares the backward one.
     """
     labels = poset.labels
     masks = _cheapest_parents(poset, users, closure=closure)
@@ -206,27 +208,24 @@ def min_leaf_out_tree(
         freed = match.pop(child, None)
         if freed is not None:
             del owner[freed]
-        stuck = False  # the used-parent search failed for this label
+        whole = True if freed is None else None  # None until freed's search is asked
         for cand in cheapest[child]:
-            if cand in used:
-                if freed is None or not stuck and augment(takers, owner, match, freed, chosen):
+            rival = None if cand in used else owner.pop(cand, None)
+            if rival is not None:  # cand's pair goes: rival looks for another parent
+                del match[rival]
+                used.add(cand)
+            elif cand not in used:
+                break  # a free parent
+            if whole or rival is not None and augment(cheapest, match, owner, rival, used):
+                break
+            if whole is None:
+                whole = augment(takers, owner, match, freed, chosen)
+                if whole:
                     break
-                stuck = True
-                continue
-            rival = owner.pop(cand, None)
-            if rival is None:
-                break
-            del match[rival]
-            used.add(cand)
-            if (
-                freed is None
-                or augment(cheapest, match, owner, rival, used)
-                or augment(takers, owner, match, freed, chosen)
-            ):
-                break
-            used.discard(cand)
-            match[rival] = cand
-            owner[cand] = rival
+            if rival is not None:  # rejected: rival keeps cand
+                used.discard(cand)
+                match[rival] = cand
+                owner[cand] = rival
         else:  # pragma: no cover - the greedy invariant guarantees progress
             raise AssertionError("no feasible parent choice; matching invariant broken")
         chosen[child] = cand

@@ -902,6 +902,29 @@ def test_decrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
     assert _files(folder) == before
 
 
+@pytest.mark.parametrize("second", ["missing", "directory"])
+def test_decrypt_with_a_later_operand_it_cannot_open_writes_nothing(
+    keyed_sample, tmp_path, second
+):
+    # every operand is opened before the first plaintext is written, so x is
+    # not opened and out/ is not made when the next operand cannot be read
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    key = bytes.fromhex(read_json(keyed_sample["keys"] / "keystore.json")["keys"]["a"])
+    (folder / "x.sealed").write_bytes(seal(key, "a", b"first"))
+    if second == "directory":
+        (folder / "nope.sealed").mkdir()
+    done = run_process("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json",
+                       folder / "x.sealed", folder / "nope.sealed",
+                       "--out-dir", tmp_path / "out")
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"cannot read {folder / 'nope.sealed'}" in done.stderr
+    assert done.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_decrypt_over_its_own_input_exits_one(run, keyed_sample, tmp_path):
     # a container without the suffix, opened into its own folder, names itself
     (tmp_path / "x").write_bytes(b"plain")

@@ -33,6 +33,7 @@ repeating and permuting the arcs leaves the poset equal.
 
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,7 +66,7 @@ from treekeys import (
     width,
 )
 from treekeys.allocation import forest_sizes
-from treekeys.matching import max_bipartite_matching
+from treekeys.matching import augment, max_bipartite_matching
 from treekeys.oracles import (
     _in_arc_lists,
     _literal_arc_weights,
@@ -452,9 +453,31 @@ def _two_layers(edges):
 @example({"c0": ["p0", "p1"], "c1": ["p0", "p2"], "c2": ["p2"], "c3": ["p0"]})
 # a rejected candidate must give its parent back to the label it took it from
 @example({"c0": ["p0", "p2"], "c1": ["p0", "p1"], "c2": ["p0"]})
+# c3 asks whether the matching is whole again once, not once per failing candidate
+@example(
+    {
+        "c0": ["p2", "p5"],
+        "c1": ["p6"],
+        "c2": ["p0", "p1", "p4"],
+        "c3": ["p0", "p1", "p3", "p5"],
+        "c4": ["p3", "p4", "p6"],
+        "c5": ["p1", "p2", "p4", "p6"],
+        "c6": ["p0", "p3", "p4"],
+    }
+)
 def test_min_leaf_tree_matches_rematching_greedy_on_any_table(edges):
     poset, users = _two_layers(edges)
-    assert min_leaf_out_tree(poset, users) == rematching_min_leaf_tree(poset, users, covers(poset))
+    backward = []  # for each search back from a freed parent, the labels fixed by then
+
+    def counted(adjacency, mate, partner, start, blocked):
+        if not adjacency.keys() & edges.keys():  # parent -> labels: a backward search
+            backward.append(len(blocked))  # it blocks the fixed labels, the asking one last
+        return augment(adjacency, mate, partner, start, blocked)
+
+    with mock.patch("treekeys.trees.augment", counted):
+        tree = min_leaf_out_tree(poset, users)
+    assert tree == rematching_min_leaf_tree(poset, users, covers(poset))
+    assert len(backward) == len(set(backward))  # at most one backward search per label
 
 
 def assert_closure_table_matches_literal_weights(poset, users):
