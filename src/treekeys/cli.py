@@ -85,6 +85,12 @@ def _write_allocation(path: Path, allocation: Mapping[str, tuple[str, ...]]) -> 
         handle.write("\n  }\n}\n")
 
 
+def _refuse_directory(path: Path) -> None:
+    """Refuse, before anything is written, an output path that is a directory."""
+    if path.is_dir():
+        raise PolicyError(f"cannot write {path}: it is a directory")
+
+
 def _load_policy(args: argparse.Namespace) -> tuple[Poset, dict[str, int]]:
     return parse_policy(_load_json(args.policy), root_label=args.root_label)
 
@@ -140,6 +146,8 @@ def cmd_build_tree(args: argparse.Namespace) -> int:
     metrics = SchemeMetrics.from_sizes(users, sizes, max(tree.depths().values()))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in ("tree.json", "allocation.json", "metrics.json"):
+        _refuse_directory(out / name)
     _write_json(out / "tree.json", tree.to_json_dict())
     _write_allocation(out / "allocation.json", allocation)
     _write_json(out / "metrics.json", metrics.to_json_dict())
@@ -167,10 +175,17 @@ def cmd_keygen(args: argparse.Namespace) -> int:
         rng = os.urandom
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    names = {label: f"sigma_{urllib.parse.quote(label, safe='')}.json" for label in poset.labels}
+    _refuse_directory(out / "keystore.json")
     limit = os.pathconf(out, "PC_NAME_MAX")  # the names are ASCII: a byte a character
-    if too_long := [label for label, name in names.items() if len(name) > limit]:
-        raise PolicyError(f"label {too_long[0]!r} needs a bundle file name over {limit} bytes")
+    with os.scandir(out) as entries:  # one listing, not a stat per bundle
+        directories = {entry.name for entry in entries if entry.is_dir()}
+    names = {}
+    for label in poset.labels:
+        names[label] = name = f"sigma_{urllib.parse.quote(label, safe='')}.json"
+        if len(name) > limit:
+            raise PolicyError(f"label {label!r} needs a bundle file name over {limit} bytes")
+        if name in directories:
+            raise PolicyError(f"cannot write {out / name}: it is a directory")
     store = kdf.setup(tree, rng=rng)
     _write_json(out / "keystore.json", store.to_json_dict())
     # a bundle's text as _write_json gives it: its start points' lines, each made once
@@ -258,12 +273,14 @@ def _key_source(
     return functools.cache(lambda label: kdf.derive(poset, tree, bundle, label))
 
 
-def _refuse_shared_targets(sources: list[Path], targets: list[Path]) -> None:
+def _refuse_targets(sources: list[Path], targets: list[Path]) -> None:
     """Refuse, before anything is written, two sources bound for one file,
-    and a target that is a source of the same command, its own included."""
+    a target that is a source of the same command, its own included, and a
+    target that is a directory."""
     inputs = {source.resolve(): source for source in sources}
     first: dict[Path, int] = {}
     for i, target in enumerate(targets):
+        _refuse_directory(target)
         resolved = target.resolve()
         if resolved in inputs:
             raise PolicyError(f"the output of {sources[i]} would overwrite the input "
@@ -286,7 +303,7 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     tree = _load_tree(poset, args.tree)
     entries = _load_manifest(poset, args.manifest)
     targets = [path.with_name(path.name + SEALED_SUFFIX) for path, _ in entries]
-    _refuse_shared_targets([path for path, _ in entries], targets)
+    _refuse_targets([path for path, _ in entries], targets)
     object_key = _key_source(args, poset, tree)
     keys = {label: object_key(label) for _, label in entries}  # refused before any write
     for path, _ in entries:  # so is an object that cannot be opened
@@ -311,7 +328,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
             raise PolicyError(f"{path} does not end with {SEALED_SUFFIX!r}; "
                               "pass --out-dir to choose a destination")
         targets.append(Path(args.out_dir) / base if args.out_dir else path.with_name(base))
-    _refuse_shared_targets(paths, targets)
+    _refuse_targets(paths, targets)
     for path in paths:  # an operand that cannot be opened is refused before any write
         _read_object(path, 0)
     object_key = _key_source(args, poset, tree)

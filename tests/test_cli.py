@@ -545,6 +545,42 @@ def test_only_key_derivation_loads_hmac(command, derives, seals, keyed_sample, t
     assert read_json(report) == [0, derives, ["cryptography"] if seals else []]
 
 
+@pytest.mark.parametrize("command, executed", [
+    (["analyze", "{policy}"], []),
+    (["build-tree", "{policy}", "--min-leaves", "--out-dir", "{tmp}/again"], []),
+    (["keygen", "{policy}", "--tree", "{tree}", "--seed", SEED, "--out-dir", "{tmp}/keys"], []),
+    (["derive", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_f.json", "a"], []),
+    (["encrypt", "{policy}", "--tree", "{tree}", "--keystore", "{keys}/keystore.json",
+      "--manifest", "{tmp}/manifest.json"], ["sealing"]),
+    (["decrypt", "{policy}", "--tree", "{tree}", "--bundle", "{keys}/sigma_h.json",
+      "--out-dir", "{tmp}/opened", "{sealed}"], ["sealing"]),
+    (["compare", "{policy}", "--json"], ["baselines"]),
+    (["verify", "{policy}", "--seeds", "1"], ["oracles"]),
+], ids=["analyze", "build-tree-min-leaves", "keygen", "derive", "encrypt-keystore",
+        "decrypt-bundle", "compare", "verify"])
+def test_a_command_executes_only_the_layers_it_runs(
+    command, executed, keyed_sample, sealed_report, tmp_path
+):
+    # the other layers stay registered but unexecuted: a deferred module keeps
+    # its lazy class until an attribute is read, and type() reads none
+    names = {"policy": keyed_sample["policy"], "tree": keyed_sample["tree"],
+             "keys": keyed_sample["keys"], "tmp": tmp_path, "sealed": sealed_report}
+    layers = ("oracles", "baselines", "sealing")
+    probe = (
+        "import json, sys, types\n"
+        "import treekeys\n"
+        "from treekeys.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        f"ran = [m for m in {layers!r} if type(sys.modules['treekeys.' + m]) is types.ModuleType]\n"
+        "same = treekeys.chain_metrics is treekeys.baselines.chain_metrics\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, ran, same]))\n"
+    )
+    report = tmp_path / "layers.json"
+    done = run_python("-c", probe, report, *(arg.format(**names) for arg in command))
+    assert done.returncode == 0, done.stderr
+    assert read_json(report) == [0, executed, True]
+
+
 def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd, tmp_path):
     # the same seed on another minimum-cost tree: objects sealed with this
     # keystore would not open from bundles made for --tree
@@ -923,6 +959,71 @@ def test_decrypt_with_a_later_operand_it_cannot_open_writes_nothing(
     assert f"cannot read {folder / 'nope.sealed'}" in done.stderr
     assert done.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_build_tree_refuses_a_later_output_that_is_a_directory(run, policy_file, tmp_path):
+    out = tmp_path / "build"
+    (out / "allocation.json").mkdir(parents=True)
+    code, stdout, err = run("build-tree", policy_file, "--out-dir", out)
+    assert code == 1
+    assert stdout == ""
+    assert f"cannot write {out / 'allocation.json'}: it is a directory" in err
+    assert sorted(path.name for path in out.iterdir()) == ["allocation.json"]
+
+
+def test_keygen_refuses_a_later_bundle_that_is_a_directory(run, keyed_sample, tmp_path):
+    # the bundles are written in label order, so a-c and the keystore come first
+    out = tmp_path / "keys2"
+    (out / "sigma_d.json").mkdir(parents=True)
+    code, stdout, err = run("keygen", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                            "--seed", SEED, "--out-dir", out)
+    assert code == 1
+    assert stdout == ""
+    assert f"cannot write {out / 'sigma_d.json'}: it is a directory" in err
+    assert sorted(path.name for path in out.iterdir()) == ["sigma_d.json"]
+
+
+@pytest.fixture
+def two_objects(keyed_sample, tmp_path):
+    """``x.txt`` and ``y.txt``, both labelled e, and a manifest listing them in that order."""
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    for name in ("x.txt", "y.txt"):
+        (folder / name).write_bytes(f"the object {name}\n".encode())
+    manifest = tmp_path / "objects.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(folder / name), "label": "e"} for name in ("x.txt", "y.txt")]}))
+    return folder, manifest
+
+
+def test_encrypt_refuses_a_later_target_that_is_a_directory(run, keyed_sample, two_objects):
+    folder, manifest = two_objects
+    (folder / "y.txt.sealed").mkdir()
+    code, out, err = run("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                         "--keystore", keyed_sample["keys"] / "keystore.json",
+                         "--manifest", manifest)
+    assert code == 1
+    assert out == ""
+    assert f"cannot write {folder / 'y.txt.sealed'}: it is a directory" in err
+    assert not (folder / "x.txt.sealed").exists()
+
+
+def test_decrypt_refuses_a_later_target_that_is_a_directory(
+    run, keyed_sample, two_objects, tmp_path
+):
+    folder, manifest = two_objects
+    keystore = keyed_sample["keys"] / "keystore.json"
+    assert run("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+               "--keystore", keystore, "--manifest", manifest)[0] == 0
+    out = tmp_path / "out"
+    (out / "y.txt").mkdir(parents=True)
+    code, stdout, err = run("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                            "--keystore", keystore, folder / "x.txt.sealed",
+                            folder / "y.txt.sealed", "--out-dir", out)
+    assert code == 1
+    assert stdout == ""
+    assert f"cannot write {out / 'y.txt'}: it is a directory" in err
+    assert sorted(path.name for path in out.iterdir()) == ["y.txt"]
 
 
 def test_decrypt_over_its_own_input_exits_one(run, keyed_sample, tmp_path):

@@ -3,8 +3,11 @@
 ``perfbench/tracing.py`` names the functions it wraps by module and
 name. A rename in ``treekeys`` would otherwise surface only when a traced
 benchmark run fails to install its wrappers; here it fails the tests.
-The tracer also expects ``import treekeys.cli`` to load every module it
-names, which only running it as the benchmark does can show.
+The tracer also expects ``import treekeys.cli`` to register every module
+it names in ``sys.modules``, which only running it as the benchmark does
+can show. A registered module need not have executed: the package
+defers ``oracles``, ``baselines`` and ``sealing``, and each executes when
+the tracer first reads an attribute of it.
 """
 
 import importlib
