@@ -17,13 +17,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from treekeys import (
-    chain_metrics,
-    classic_scheme_metrics,
-    min_chain_partition,
-    min_weight_out_tree,
-    scheme_metrics,
-)
+from treekeys import min_chain_partition, min_weight_out_tree, scheme_metrics
+from treekeys.baselines import chain_metrics, classic_scheme_metrics
 from treekeys.oracles import random_poset
 
 

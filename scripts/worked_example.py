@@ -15,8 +15,6 @@ from treekeys import (
     ChainPartition,
     SigmaBundle,
     canonical_allocation,
-    chain_metrics,
-    classic_scheme_metrics,
     derive,
     min_weight_out_tree,
     parse_policy,
@@ -26,6 +24,7 @@ from treekeys import (
     weight_function,
     width,
 )
+from treekeys.baselines import chain_metrics, classic_scheme_metrics
 from treekeys.oracles import closure, covers
 
 POLICY = {

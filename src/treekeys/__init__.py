@@ -76,10 +76,3 @@ def _defer(name: str) -> ModuleType:
 # bound here as an import binds a submodule, under the package's import lock;
 # each executes when one of its names is first read
 baselines, oracles, sealing = _defer("baselines"), _defer("oracles"), _defer("sealing")
-
-
-def __getattr__(name: str) -> object:
-    """The baselines' names, each read off the deferred module when asked for."""
-    if name in ("chain_metrics", "chain_scheme_build", "classic_scheme_metrics"):
-        return getattr(baselines, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,14 +25,7 @@ from typing import Any, Callable, Mapping
 from . import baselines, kdf, oracles, sealing
 from .allocation import SchemeMetrics, canonical_allocation, forest_sizes, scheme_metrics
 from .errors import AuthorizationError, PolicyError, VerificationError, check_fields
-from .poset import (
-    VIRTUAL_ROOT,
-    ChainPartition,
-    Poset,
-    min_chain_partition,
-    parse_policy,
-    width,
-)
+from .poset import ChainPartition, Poset, min_chain_partition, parse_policy, width
 from .trees import (
     DerivationOutTree,
     min_leaf_out_tree,
@@ -92,7 +85,7 @@ def _refuse_directory(path: Path) -> None:
 
 
 def _load_policy(args: argparse.Namespace) -> tuple[Poset, dict[str, int]]:
-    return parse_policy(_load_json(args.policy), root_label=args.root_label)
+    return parse_policy(_load_json(args.policy))
 
 
 def _load_tree(poset: Poset, path: str) -> DerivationOutTree:
@@ -252,6 +245,8 @@ def _load_manifest(poset: Poset, path: str) -> list[tuple[Path, str]]:
             raise PolicyError(f"manifest path {path!r} has no file system encoding") from None
         if "\0" in path:
             raise PolicyError(f"manifest path {path!r} contains a NUL character")
+        if Path(path).name in ("", ".."):
+            raise PolicyError(f"manifest path {path!r} names no file")
         _check_object_label(poset, label)
         entries.append((Path(path), label))
     return entries
@@ -378,11 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="treekeys", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
     common.add_argument("policy", help="policy document (JSON)")
-    common.add_argument(
-        "--root-label",
-        default=VIRTUAL_ROOT,
-        help="reserved label for the virtual root (default: %(default)s)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="print structural policy statistics")

@@ -7,10 +7,11 @@ indices. Neither the cover arcs nor the full strict order (the
 transitive closure) is kept as pairs: ``oracles.covers`` and
 ``oracles.closure`` list them for the oracles and the tests. Every poset
 is rooted: when the input order has more than one maximal label, a
-reserved virtual top label is placed above all of them so that every
-label is reachable from a single point. Labels are unique non-empty
-strings that encode as UTF-8; those bytes feed the key derivation PRF,
-so uniqueness matters beyond aesthetics.
+virtual top label (``VIRTUAL_ROOT``, lengthened until no label takes it)
+is placed above all of them so that every label is reachable from a
+single point. Labels are unique non-empty strings that encode as UTF-8;
+those bytes feed the key derivation PRF, so uniqueness matters beyond
+aesthetics.
 
 ``transitive_closure``, ``transitive_reduction`` and ``ensure_root`` are
 the set-based reference for the normalisation ``Poset.from_arcs`` does.
@@ -25,7 +26,7 @@ from typing import Any, Iterable, Mapping, NamedTuple
 from .errors import CycleError, PolicyError, UnknownLabelError, check_fields
 from .matching import max_bipartite_matching
 
-#: Reserved label for the virtual top element added by root augmentation.
+#: The virtual top element's label, repeated until no policy label takes it.
 VIRTUAL_ROOT = "⊤"
 
 #: An ordered pair (x, y) read "x is above y" (x > y, or x covers y).
@@ -51,15 +52,6 @@ def _topological_order(adjacency: Mapping[str, Iterable[str]]) -> tuple[list[str
     if len(order) != len(adjacency):
         raise CycleError("cycle detected: the order relation is not antisymmetric")
     return order, sources
-
-
-def _check_label(lab: Any, what: str) -> None:
-    """Raise PolicyError unless ``lab`` is a non-empty string that encodes as
-    UTF-8 (its bytes feed the PRF); only lone surrogates fail the round trip."""
-    if not isinstance(lab, str) or not lab:
-        raise PolicyError(f"{what} must be a non-empty string, got {lab!r}")
-    if lab.encode("utf-8", "replace").decode("utf-8") != lab:
-        raise PolicyError(f"{what} {lab!r} does not encode as UTF-8")
 
 
 def transitive_closure(arcs: Iterable[Arc], elements: Iterable[str]) -> frozenset[Arc]:
@@ -118,23 +110,22 @@ def transitive_reduction(closure: Iterable[Arc], elements: Iterable[str]) -> fro
 
 
 def ensure_root(
-    elements: frozenset[str], closure: frozenset[Arc], root_label: str = VIRTUAL_ROOT
+    elements: frozenset[str], closure: frozenset[Arc]
 ) -> tuple[frozenset[str], frozenset[Arc], str, bool]:
     """Make the order rooted: identity if a unique maximum exists, otherwise
-    add ``root_label`` above every element.
+    add a virtual root above every element, named by the shortest run of
+    ``VIRTUAL_ROOT`` that no element takes.
 
-    Returns (elements, closure, root, added). Raises PolicyError if the
-    reserved label is already taken when augmentation is needed.
+    Returns (elements, closure, root, added).
     """
     non_maximal = {y for _, y in closure}
     maximal = sorted(elements - non_maximal)
     if len(maximal) == 1:
         return elements, closure, maximal[0], False
-    if root_label in elements:
-        raise PolicyError(f"reserved root label {root_label!r} already in use")
-    new_elements = elements | {root_label}
-    new_closure = closure | {(root_label, x) for x in elements}
-    return frozenset(new_elements), frozenset(new_closure), root_label, True
+    root = VIRTUAL_ROOT
+    while root in elements:
+        root += VIRTUAL_ROOT
+    return elements | {root}, closure | {(root, x) for x in elements}, root, True
 
 
 class Poset(NamedTuple):
@@ -158,13 +149,7 @@ class Poset(NamedTuple):
     virtual_root: bool
 
     @classmethod
-    def from_arcs(
-        cls,
-        elements: Iterable[str],
-        arcs: Iterable[Any],
-        *,
-        root_label: str = VIRTUAL_ROOT,
-    ) -> "Poset":
+    def from_arcs(cls, elements: Iterable[str], arcs: Iterable[Any]) -> "Poset":
         """Normalize any generating arc set into a rooted poset.
 
         ``arcs`` may be any subset of the intended strict order whose
@@ -172,7 +157,8 @@ class Poset(NamedTuple):
         between), each an [upper, lower] pair, repeats allowed. One loop
         checks each pair and appends its lower end to its upper end's child
         list. When several labels are no arc's lower end, the virtual root
-        is added above them before any mask is built. Children come before
+        is added above them before any mask is built, named ``VIRTUAL_ROOT``
+        repeated as often as it takes to name no label. Children come before
         parents: a label's down-mask is the OR of its input children's
         masks and bits, and its covers are the input children inside no
         input child's mask (every label below it lies at or below some
@@ -181,12 +167,15 @@ class Poset(NamedTuple):
         Raises CycleError on a directed cycle (self-loops included),
         UnknownLabelError on an arc naming a label outside ``elements``,
         and PolicyError on an arc that is not a pair of strings, or on a
-        label, or a needed root label, that is empty, not UTF-8 or (for the
-        root) taken.
+        label that is empty or not UTF-8.
         """
         children: dict[str, list[str]] = {}
         for lab in elements:
-            _check_label(lab, "each label")
+            if not isinstance(lab, str) or not lab:
+                raise PolicyError(f"each label must be a non-empty string, got {lab!r}")
+            # its bytes feed the PRF; only lone surrogates fail the round trip
+            if lab.encode("utf-8", "replace").decode("utf-8") != lab:
+                raise PolicyError(f"each label {lab!r} does not encode as UTF-8")
             if lab in children:
                 raise PolicyError(f"duplicate element {lab!r}")
             children[lab] = []
@@ -206,12 +195,11 @@ class Poset(NamedTuple):
             children[x].append(y)
         topological, maximal = _topological_order(children)
         if len(maximal) > 1:
-            _check_label(root_label, "the root label")
-            if root_label in children:
-                raise PolicyError(f"reserved root label {root_label!r} already in use")
-            children[root_label] = maximal
-            topological.insert(0, root_label)
-            root = root_label
+            root = VIRTUAL_ROOT
+            while root in children:
+                root += VIRTUAL_ROOT
+            children[root] = maximal
+            topological.insert(0, root)
         else:
             (root,) = maximal
         labels = sorted(children)
@@ -348,9 +336,7 @@ def width(poset: Poset) -> int:
 _POLICY_FIELDS = {"elements", "arcs", "users"}
 
 
-def parse_policy(
-    document: Mapping[str, Any], *, root_label: str = VIRTUAL_ROOT
-) -> tuple[Poset, dict[str, int]]:
+def parse_policy(document: Mapping[str, Any]) -> tuple[Poset, dict[str, int]]:
     """Parse a policy document into a rooted poset and its user counts,
     a ``label -> count`` dict over every label of the poset.
 
@@ -368,7 +354,7 @@ def parse_policy(
     arcs = document.get("arcs", [])
     if not isinstance(arcs, list):
         raise PolicyError("'arcs' must be a list of [upper, lower] pairs")
-    poset = Poset.from_arcs(elements, arcs, root_label=root_label)
+    poset = Poset.from_arcs(elements, arcs)
     users_raw = document.get("users")
     if users_raw is not None and not isinstance(users_raw, Mapping):
         raise PolicyError("'users' must map labels to counts")

@@ -14,15 +14,13 @@ import time
 import pytest
 
 from treekeys import (
-    classic_scheme_metrics,
-    chain_metrics,
-    chain_scheme_build,
     min_weight_out_tree,
     parse_policy,
     scheme_metrics,
     weight_function,
     width,
 )
+from treekeys.baselines import chain_metrics, chain_scheme_build, classic_scheme_metrics
 from treekeys.cli import main as cli_main
 from treekeys.kdf import self_check
 from treekeys.oracles import closure, covers, extra_key_labels, run_suite

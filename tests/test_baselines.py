@@ -6,12 +6,10 @@ from treekeys import (
     ChainPartition,
     Poset,
     PolicyError,
-    chain_metrics,
-    chain_scheme_build,
-    classic_scheme_metrics,
     min_chain_partition,
     width,
 )
+from treekeys.baselines import chain_metrics, chain_scheme_build, classic_scheme_metrics
 from treekeys.oracles import random_poset
 
 from conftest import one_user_each

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treekeys import (
-    VIRTUAL_ROOT,
     DerivationOutTree,
     canonical_allocation,
     cli,
@@ -310,10 +309,9 @@ class TestKeygen:
 
 
 # labels that JSON must escape: a quote, a backslash, a control character,
-# non-ASCII text, and the virtual root's symbol as a prefix
+# non-ASCII text, and the virtual root's symbol, alone, repeated or as a prefix
 ESCAPED_LABELS = st.lists(
-    st.text('"\\\x01é日⊤ab', min_size=1, max_size=4).filter(lambda x: x != VIRTUAL_ROOT),
-    min_size=1, max_size=7, unique=True,
+    st.text('"\\\x01é日⊤ab', min_size=1, max_size=4), min_size=1, max_size=7, unique=True,
 )
 
 
@@ -321,6 +319,7 @@ ESCAPED_LABELS = st.lists(
 @given(ESCAPED_LABELS, st.randoms(use_true_random=False), st.booleans())
 @example(["only"], random.Random(0), False)  # one label: an empty "parents"
 @example(['a"b', "c\\d", "e\x01f", "ünï", "⊤x"], random.Random(1), True)
+@example(["⊤", "⊤⊤", "a"], random.Random(0), True)  # no arcs: the virtual root is "⊤⊤⊤"
 def test_written_artifacts_are_canonical_json(labels, rng, min_leaves):
     # every file build-tree and keygen write reads back as the text
     # json.dumps(..., indent=2, sort_keys=True) gives it, under any hash seed
@@ -572,8 +571,8 @@ def test_a_command_executes_only_the_layers_it_runs(
         "from treekeys.cli import main\n"
         "code = main(sys.argv[2:])\n"
         f"ran = [m for m in {layers!r} if type(sys.modules['treekeys.' + m]) is types.ModuleType]\n"
-        "same = treekeys.chain_metrics is treekeys.baselines.chain_metrics\n"
-        "open(sys.argv[1], 'w').write(json.dumps([code, ran, same]))\n"
+        "unaliased = not hasattr(treekeys, 'chain_metrics')\n"
+        "open(sys.argv[1], 'w').write(json.dumps([code, ran, unaliased]))\n"
     )
     report = tmp_path / "layers.json"
     done = run_python("-c", probe, report, *(arg.format(**names) for arg in command))
@@ -603,27 +602,20 @@ def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd
 
 
 @pytest.mark.parametrize(
-    "policy, options, message",
+    "policy, message",
     [
-        ({"elements": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "c"], ["c", "a"]]}, [],
+        ({"elements": ["a", "b", "c"], "arcs": [["a", "b"], ["b", "c"], ["c", "a"]]},
          "cycle detected"),
-        ({"elements": ["a", "b", "⊤"], "arcs": []}, [], "reserved root label '⊤' already in use"),
-        ({"elements": ["a", "b"], "arcs": []}, ["--root-label", ""],
-         "root label must be a non-empty string, got ''"),
         # a lone surrogate is a valid JSON string, but it has no UTF-8 bytes for the PRF
-        ({"elements": ["a", "\ud800"], "arcs": [["a", "\ud800"]]}, [],
+        ({"elements": ["a", "\ud800"], "arcs": [["a", "\ud800"]]},
          "label '\\ud800' does not encode as UTF-8"),
-        # argv decodes the byte 0xff to the lone surrogate U+DCFF
-        ({"elements": ["a", "b"], "arcs": []}, ["--root-label", "\udcff"],
-         "root label '\\udcff' does not encode as UTF-8"),
     ],
-    ids=["cycle", "taken-root-label", "empty-root-label", "surrogate-label",
-         "surrogate-root-label"],
+    ids=["cycle", "surrogate-label"],
 )
-def test_unnormalisable_policy_exits_one(policy, options, message, tmp_path):
+def test_unnormalisable_policy_exits_one(policy, message, tmp_path):
     path = tmp_path / "policy.json"
     path.write_text(json.dumps(policy), encoding="utf-8")
-    done = run_process("analyze", path, *options)
+    done = run_process("analyze", path)
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert message in done.stderr
@@ -647,6 +639,22 @@ def test_manifest_path_that_names_no_file_exits_one(keyed_sample, tmp_path, obje
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert "manifest path" in done.stderr
+
+
+@pytest.mark.parametrize("object_path", ["", ".", "/", ".."])
+def test_encrypt_refuses_a_manifest_path_without_a_file_name(keyed_sample, tmp_path, object_path):
+    # refused when the manifest is read, before the earlier entry is sealed
+    payload = tmp_path / "report.txt"
+    payload.write_bytes(b"numbers\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [{"path": str(payload), "label": "e"},
+                                                {"path": object_path, "label": "e"}]}))
+    done = run_process("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                       "--keystore", keyed_sample["keys"] / "keystore.json", "--manifest", manifest)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"manifest path {object_path!r} names no file" in done.stderr
+    assert not payload.with_name("report.txt.sealed").exists()
 
 
 @pytest.fixture
@@ -1288,6 +1296,34 @@ class TestEncryptDecrypt:
         assert "Traceback" not in done.stderr
         assert "objects cannot be labeled with the virtual root" in done.stderr
         assert not (tmp_path / "x").exists()
+
+    def test_a_label_named_top_lengthens_the_virtual_root_in_every_command(self, run, tmp_path):
+        # "⊤" is a policy label, so the virtual root is "⊤⊤": that labels no
+        # object, and "⊤" labels one as any other label does
+        policy, build, keys = tmp_path / "p.json", tmp_path / "build", tmp_path / "keys"
+        policy.write_text(json.dumps({"elements": ["⊤", "a"], "arcs": []}))
+        tree = build / "tree.json"
+        code, out, _ = run("analyze", policy, "--json")
+        assert code == 0 and json.loads(out)["root"] == "⊤⊤"
+        assert run("build-tree", policy, "--out-dir", build)[0] == 0
+        assert read_json(tree)["root"] == "⊤⊤"
+        assert run("keygen", policy, "--tree", tree, "--seed", SEED, "--out-dir", keys)[0] == 0
+        code, out, _ = run("derive", policy, "--tree", tree,
+                           "--bundle", keys / "sigma_%E2%8A%A4%E2%8A%A4.json", "⊤")
+        assert code == 0
+        assert out.strip() == read_json(keys / "keystore.json")["keys"]["⊤"]
+        assert run("compare", policy, "--json")[0] == 0
+        assert run("verify", policy, "--seeds", "2")[0] == 0
+        payload, manifest = tmp_path / "data.bin", tmp_path / "manifest.json"
+        payload.write_bytes(b"x")
+        for label, expected in (("⊤⊤", 1), ("⊤", 0)):
+            manifest.write_text(json.dumps({"objects": [{"path": str(payload), "label": label}]}))
+            code, _, err = run("encrypt", policy, "--tree", tree,
+                               "--keystore", keys / "keystore.json", "--manifest", manifest)
+            assert code == expected, err
+        assert run("decrypt", policy, "--tree", tree, "--bundle", keys / "sigma_%E2%8A%A4.json",
+                   "--out-dir", tmp_path / "out", tmp_path / "data.bin.sealed")[0] == 0
+        assert (tmp_path / "out" / "data.bin").read_bytes() == b"x"
 
 
 class TestVerify:

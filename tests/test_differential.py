@@ -49,8 +49,6 @@ from treekeys import (
     Poset,
     canonical_allocation,
     oracles,
-    chain_metrics,
-    chain_scheme_build,
     derive,
     min_chain_partition,
     min_leaf_out_tree,
@@ -66,6 +64,7 @@ from treekeys import (
     width,
 )
 from treekeys.allocation import forest_sizes
+from treekeys.baselines import chain_metrics, chain_scheme_build
 from treekeys.matching import augment, max_bipartite_matching
 from treekeys.oracles import (
     _in_arc_lists,
@@ -517,15 +516,16 @@ def test_closure_table_matches_literal_weights_on_small_policies(
 
 
 def test_virtual_root_sorting_first():
-    # the virtual root "0" sorts, and so is indexed, before every label, and
-    # it ties as a closure parent wherever no label above holds users
+    # the virtual root "⊤" sorts, and so is indexed, before every label that
+    # it prefixes, and it ties as a closure parent wherever no label above
+    # holds users
     doc = {
-        "elements": ["a", "b", "c", "d", "e", "f"],
-        "arcs": [["a", "c"], ["b", "c"], ["b", "d"], ["c", "e"], ["d", "f"]],
-        "users": {"a": 1, "c": 2},
+        "elements": ["⊤a", "⊤b", "⊤c", "⊤d", "⊤e", "⊤f"],
+        "arcs": [["⊤a", "⊤c"], ["⊤b", "⊤c"], ["⊤b", "⊤d"], ["⊤c", "⊤e"], ["⊤d", "⊤f"]],
+        "users": {"⊤a": 1, "⊤c": 2},
     }
-    poset, users = parse_policy(doc, root_label="0")
-    assert poset.labels[0] == "0"
+    poset, users = parse_policy(doc)
+    assert poset.labels[0] == "⊤"
     order = poset.labels
     successor = list_bipartite_matching({x: sorted(poset.down_set(x) - {x}) for x in order})
     chains = []
@@ -536,8 +536,8 @@ def test_virtual_root_sorting_first():
         chains.append(tuple(chain))
     assert min_chain_partition(poset) == ChainPartition(chains=tuple(chains))
 
-    f_parents = _cheapest_parents(poset, users, closure=True)[poset.index("f")]
-    assert poset.members(f_parents) == ["0", "b", "d"]
+    f_parents = _cheapest_parents(poset, users, closure=True)[poset.index("⊤f")]
+    assert poset.members(f_parents) == ["⊤", "⊤b", "⊤d"]
     best, _ = brute_min_weight(poset, users, charged_sets(poset, closure(poset)))
     weights = weight_function(poset, users, closure(poset))
     for build in (min_weight_out_tree, min_leaf_out_tree):
@@ -657,9 +657,9 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-def _set_based_forms(elements, arcs, root_label):
+def _set_based_forms(elements, arcs):
     elems, closure, root, added = ensure_root(
-        frozenset(elements), transitive_closure(arcs, elements), root_label
+        frozenset(elements), transitive_closure(arcs, elements)
     )
     index = {x: i for i, x in enumerate(sorted(elems))}
     parents = [[] for _ in index]  # the covers as ascending index tuples
@@ -673,8 +673,8 @@ def _set_based_forms(elements, arcs, root_label):
     return elems, tuple(tuple(sorted(p)) for p in parents), closure, root, added, downs, ups
 
 
-def _mask_forms(elements, arcs, root_label):
-    poset = Poset.from_arcs(elements, arcs, root_label=root_label)
+def _mask_forms(elements, arcs):
+    poset = Poset.from_arcs(elements, arcs)
     downs = {x: poset.down_set(x) for x in poset.labels}
     ups = {
         x: set(poset.members(up | 1 << i))
@@ -684,10 +684,10 @@ def _mask_forms(elements, arcs, root_label):
             poset.virtual_root, downs, ups)
 
 
-def assert_same_normalisation(elements, arcs, root_label=VIRTUAL_ROOT):
+def assert_same_normalisation(elements, arcs):
     elements, arcs = list(elements), list(arcs)
-    expected = _outcome(lambda: _set_based_forms(elements, arcs, root_label))
-    assert _outcome(lambda: _mask_forms(elements, arcs, root_label)) == expected
+    expected = _outcome(lambda: _set_based_forms(elements, arcs))
+    assert _outcome(lambda: _mask_forms(elements, arcs)) == expected
     return expected
 
 
@@ -732,15 +732,18 @@ LABEL_POOL = list("abcdefghijkl")
 
 @st.composite
 def generator_sets(draw):
-    """Labels, arcs and a root label: an order's generators, sometimes broken.
+    """Labels and arcs: an order's generators, sometimes broken.
 
     Arcs run down a hidden ranking of the labels, with transitive shortcuts
     (non-cover arcs) added; some sets also get a self-loop, a reversed arc
-    (a cycle), an unknown label or a label that takes the root label.
+    (a cycle) or an unknown label, and some name labels "⊤" or "⊤⊤", which
+    the virtual root's name must then pass over.
     """
     ranked = draw(st.permutations(LABEL_POOL))[: draw(st.integers(1, 12))]
-    if draw(st.integers(0, 4)) == 0:
-        ranked[draw(st.integers(0, len(ranked) - 1))] = VIRTUAL_ROOT
+    taken = draw(st.sampled_from([(), (), (VIRTUAL_ROOT,), (VIRTUAL_ROOT * 2,),
+                                  (VIRTUAL_ROOT, VIRTUAL_ROOT * 2)]))
+    for i, label in zip(draw(st.permutations(range(len(ranked)))), taken):
+        ranked[i] = label
     pairs = [(ranked[j], ranked[i]) for i in range(len(ranked)) for j in range(i + 1, len(ranked))]
     arcs = draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else []
     heads = {}
@@ -756,17 +759,18 @@ def generator_sets(draw):
         elif fault == "unknown":
             arcs.append((ranked[0], "zz"))
     arcs = draw(st.permutations(arcs))
-    return ranked, arcs, draw(st.sampled_from([VIRTUAL_ROOT, "TOP"]))
+    return ranked, arcs
 
 
 @settings(max_examples=300, deadline=None)
 @given(generator_sets())
-@example((["a", "b"], [], VIRTUAL_ROOT))  # an antichain gets the virtual root
-@example((["a", "b", VIRTUAL_ROOT], [], VIRTUAL_ROOT))  # ... unless its label is taken
-@example((["a", "b", VIRTUAL_ROOT], [(VIRTUAL_ROOT, "a"), (VIRTUAL_ROOT, "b")], VIRTUAL_ROOT))
-@example((["a", "b", "c"], [("c", "b"), ("b", "a"), ("c", "a")], VIRTUAL_ROOT))
-@example((["a", "b"], [("a", "b"), ("b", "a")], VIRTUAL_ROOT))
-@example((["a"], [("a", "a")], VIRTUAL_ROOT))
-@example((["a"], [("a", "zz"), ("a", "a")], VIRTUAL_ROOT))
+@example((["a", "b"], []))  # an antichain gets the virtual root "⊤"
+@example((["a", "b", VIRTUAL_ROOT], []))  # ... "⊤⊤" when "⊤" is a label
+@example((["a", VIRTUAL_ROOT * 2, VIRTUAL_ROOT], []))  # ... "⊤⊤⊤" when both are
+@example((["a", "b", VIRTUAL_ROOT], [(VIRTUAL_ROOT, "a"), (VIRTUAL_ROOT, "b")]))
+@example((["a", "b", "c"], [("c", "b"), ("b", "a"), ("c", "a")]))
+@example((["a", "b"], [("a", "b"), ("b", "a")]))
+@example((["a"], [("a", "a")]))
+@example((["a"], [("a", "zz"), ("a", "a")]))
 def test_mask_normalisation_matches_set_based_composition_on_generator_sets(case):
     assert_same_normalisation(*case)

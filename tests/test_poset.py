@@ -27,19 +27,22 @@ from conftest import SAMPLE_COVERS, SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC
 
 @st.composite
 def shuffled_policies(draw):
-    """Random elements and arcs of an acyclic order, shuffled, with a root
-    label that sorts before, among or after the labels ("0" < "a.." <
-    "m" < "z.." < "⊤")."""
+    """Random elements and arcs of an acyclic order, shuffled. Some labels
+    start with "⊤", so the virtual root sorts before, among or after them
+    ("a.." < "z.." < "⊤" < "⊤a.." < "⊤z.."), and "⊤" or "⊤⊤" may be
+    labels themselves, so the root's name must be lengthened."""
     n = draw(st.integers(1, 12))
-    labels = [f"{'az'[i % 2]}{i}" for i in range(n)]
+    labels = [f"{'⊤' * draw(st.booleans())}{'az'[i % 2]}{i}" for i in range(n)]
+    labels += draw(st.sampled_from([[], [VIRTUAL_ROOT], [VIRTUAL_ROOT * 2],
+                                    [VIRTUAL_ROOT, VIRTUAL_ROOT * 2]]))
+    n = len(labels)
     rank = draw(st.permutations(range(n)))  # a label only lies below higher-ranked ones
     arcs = [
         (labels[j], labels[i])
         for i in range(n) for j in range(n)
         if rank[j] > rank[i] and draw(st.booleans())
     ]
-    root_label = draw(st.sampled_from(["0", "m", VIRTUAL_ROOT]))
-    return labels, arcs, root_label
+    return labels, arcs
 
 
 def random_posets(max_elements=8):
@@ -192,22 +195,15 @@ class TestRootAugmentation:
         assert {y for x, y in covers(poset) if x == poset.root} == {"f", "g"}
 
     def test_reserved_label_clash(self):
-        with pytest.raises(PolicyError, match="reserved"):
-            Poset.from_arcs(["x", "y", "⊤"], [])
+        # the virtual root takes the shortest run of "⊤" that no label takes
+        assert Poset.from_arcs(["x", "y", "⊤"], []).root == "⊤⊤"
+        assert Poset.from_arcs(["x", "⊤⊤", "⊤"], []).root == "⊤⊤⊤"
+        assert Poset.from_arcs(["x", "⊤⊤"], []).root == "⊤"
+        assert Poset.from_arcs(["⊤", "x"], [("⊤", "x")]).root == "⊤"
 
     def test_cycle_reported_before_reserved_label_clash(self):
         with pytest.raises(CycleError):
             parse_policy({"elements": ["a", "b", "c", "⊤"], "arcs": [["a", "b"], ["b", "a"]]})
-
-    def test_custom_root_label(self):
-        poset = Poset.from_arcs(["x", "y"], [], root_label="TOP")
-        assert poset.root == "TOP"
-
-    @pytest.mark.parametrize("root_label", ["", None])
-    def test_root_label_must_be_a_non_empty_string_when_added(self, root_label):
-        with pytest.raises(PolicyError, match="root label must be a non-empty string"):
-            Poset.from_arcs(["x", "y"], [], root_label=root_label)
-        assert Poset.from_arcs(["x", "y"], [("x", "y")], root_label=root_label).root == "x"
 
     def test_virtual_root_cannot_hold_users(self):
         antichain = {"elements": ["x", "y"], "arcs": []}
@@ -215,6 +211,13 @@ class TestRootAugmentation:
             parse_policy({**antichain, "users": {VIRTUAL_ROOT: 2}})
         assert parse_policy(antichain)[1] == {"x": 1, "y": 1, VIRTUAL_ROOT: 0}
         assert parse_policy({**antichain, "users": {VIRTUAL_ROOT: 0}})[1][VIRTUAL_ROOT] == 0
+
+    def test_a_label_named_top_holds_users_and_the_lengthened_root_none(self):
+        taken = {"elements": ["⊤", "a"], "arcs": []}
+        assert parse_policy(taken)[1] == {"⊤": 1, "a": 1, "⊤⊤": 0}
+        assert parse_policy({**taken, "users": {"⊤": 3}})[1]["⊤"] == 3
+        with pytest.raises(PolicyError, match="virtual root"):
+            parse_policy({**taken, "users": {"⊤⊤": 1}})
 
 
 class TestDownSets:
@@ -267,15 +270,17 @@ class TestWidthAndPartition:
 @settings(max_examples=200, deadline=None)
 @given(shuffled_policies(), st.randoms(use_true_random=False))
 def test_labels_sorted_and_independent_of_input_order(policy, rng):
-    labels, arcs, root_label = policy
-    poset = Poset.from_arcs(labels, arcs, root_label=root_label)
+    labels, arcs = policy
+    poset = Poset.from_arcs(labels, arcs)
     assert list(poset.labels) == sorted(poset.labels)
     assert poset.positions == {x: i for i, x in enumerate(poset.labels)}
     assert poset.root in poset.labels
-    assert poset.virtual_root == (poset.root == root_label)
+    assert poset.virtual_root == (poset.root not in labels)
+    if poset.virtual_root:
+        assert poset.root == next(r for r in ("⊤", "⊤⊤", "⊤⊤⊤") if r not in labels)
     rng.shuffle(labels)
     rng.shuffle(arcs)
-    assert Poset.from_arcs(labels, arcs, root_label=root_label) == poset
+    assert Poset.from_arcs(labels, arcs) == poset
 
 
 @settings(max_examples=60, deadline=None)
