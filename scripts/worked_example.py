@@ -21,11 +21,11 @@ from treekeys import (
     scheme_metrics,
     seeded_bytes,
     setup,
-    weight_function,
     width,
 )
 from treekeys.baselines import chain_metrics, classic_scheme_metrics
 from treekeys.oracles import closure, covers
+from treekeys.trees import weight_function
 
 POLICY = {
     "elements": list("abcdefgh"),

@@ -18,7 +18,6 @@ from .allocation import (
     canonical_allocation,
     scheme_metrics,
     start_points,
-    validate_enforcement,
 )
 from .errors import (
     AuthorizationError,
@@ -41,11 +40,8 @@ from .poset import (
     VIRTUAL_ROOT,
     ChainPartition,
     Poset,
-    ensure_root,
     min_chain_partition,
     parse_policy,
-    transitive_closure,
-    transitive_reduction,
     width,
 )
 from .trees import (
@@ -53,7 +49,6 @@ from .trees import (
     min_leaf_out_tree,
     min_weight_out_tree,
     validate_tree,
-    weight_function,
 )
 
 __version__ = "0.1.0"

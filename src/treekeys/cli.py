@@ -194,7 +194,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 def cmd_derive(args: argparse.Namespace) -> int:
     poset, _users = _load_policy(args)
     tree = _load_tree(poset, args.tree)
-    bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle))
+    bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle), poset, tree)
     key = kdf.derive(poset, tree, bundle, args.target)
     print(key.hex())
     return 0
@@ -264,7 +264,7 @@ def _key_source(
                 f"keystore {args.keystore} was made for a different tree than --tree"
             )
         return store.keys.__getitem__  # the store holds a key for every label of --tree
-    bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle))
+    bundle = kdf.SigmaBundle.from_json_dict(_load_json(args.bundle), poset, tree)
     return functools.cache(lambda label: kdf.derive(poset, tree, bundle, label))
 
 

@@ -179,7 +179,9 @@ class SigmaBundle(NamedTuple):
     secrets: Mapping[str, bytes]
 
     @classmethod
-    def from_json_dict(cls, document: Mapping[str, Any]) -> "SigmaBundle":
+    def from_json_dict(
+        cls, document: Mapping[str, Any], poset: Poset, tree: DerivationOutTree
+    ) -> "SigmaBundle":
         check_fields(document, {"holder", "secrets"}, "bundle")
         holder = document.get("holder")
         secrets = document.get("secrets")
@@ -189,6 +191,8 @@ class SigmaBundle(NamedTuple):
             parsed = _decode_secrets(secrets, "secret")
         except (TypeError, ValueError) as exc:
             raise PolicyError(f"malformed bundle secrets: {exc}") from exc
+        if set(parsed) != start_points(poset, tree.parent, holder):
+            raise PolicyError(f"malformed bundle for {holder!r}: start points do not match")
         return cls(holder=holder, secrets=parsed)
 
 
@@ -222,18 +226,17 @@ def derive(
 ) -> bytes:
     """Derive the object key for ``target`` from a holder's bundle.
 
-    ``tree`` must be a validated derivation tree for ``poset``. Refuses
+    ``tree`` must be a validated derivation tree for ``poset``, and ``bundle``
+    must hold exactly its holder's start points on it, as one read by
+    ``SigmaBundle.from_json_dict`` or built from the allocation does. Refuses
     (without touching any secret) unless the target sits at or below the
-    holder, and rejects a bundle whose start points are not the holder's.
-    Walks the unique tree path from the covering start point down to the
-    target, one PRF step per hop, then one final key step.
+    holder. Walks the unique tree path from the covering start point down to
+    the target, one PRF step per hop, then one final key step.
     """
     poset.index(target)
     poset.index(bundle.holder)
     if not (target == bundle.holder or poset.above(bundle.holder, target)):
         raise AuthorizationError(f"{bundle.holder!r} is not authorized for {target!r}")
-    if set(bundle.secrets) != start_points(poset, tree.parent, bundle.holder):
-        raise PolicyError(f"malformed bundle for {bundle.holder!r}: start points do not match")
     path: list[str] = []  # the target up to, not including, the covering start point
     for start in tree.ancestors(target):
         if start in bundle.secrets:

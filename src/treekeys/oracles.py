@@ -16,7 +16,7 @@ import time
 from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from . import kdf
-from .allocation import canonical_allocation, validate_enforcement
+from .allocation import canonical_allocation, start_points, validate_enforcement
 from .errors import AuthorizationError, PolicyError
 from .poset import (
     Arc,
@@ -573,9 +573,11 @@ def _examine_instance(
     refusal_ok = True
     for x in poset.labels:  # each bundle from the allocation certified above
         bundle = kdf.SigmaBundle(x, {z: store.secrets[z] for z in allocation[x]})
+        # the start points a read bundle is checked against must be these
+        derive_ok &= start_points(poset, tree.parent, x) == set(allocation[x])
         for y in poset.labels:
             if y == x or (x, y) in closure_pairs:
-                try:  # refusing a bundle of the allocation as malformed fails too
+                try:  # finding no start point to walk down from fails too
                     derive_ok &= kdf.derive(poset, tree, bundle, y) == store.keys[y]
                 except PolicyError:
                     derive_ok = False

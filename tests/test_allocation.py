@@ -8,9 +8,8 @@ from treekeys import (
     Poset,
     canonical_allocation,
     scheme_metrics,
-    validate_enforcement,
-    weight_function,
 )
+from treekeys.allocation import validate_enforcement
 from treekeys.oracles import (
     allocation_by_definition,
     charged_sets,
@@ -19,6 +18,7 @@ from treekeys.oracles import (
     random_poset,
     random_users,
 )
+from treekeys.trees import weight_function
 
 from conftest import one_user_each
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import treekeys
 from treekeys import (
     DerivationOutTree,
     canonical_allocation,
@@ -368,7 +369,7 @@ def test_written_artifacts_parse_back_to_what_the_library_returns(run, tmp_path,
     assert len(list(keys.glob("sigma_*.json"))) == len(phi) == len(poset.labels)
     for x, points in phi.items():  # a bundle is the store's secrets at x's start points
         name = f"sigma_{urllib.parse.quote(x, safe='')}.json"
-        read = kdf.SigmaBundle.from_json_dict(read_json(keys / name))
+        read = kdf.SigmaBundle.from_json_dict(read_json(keys / name), poset, tree)
         assert (read.holder, list(read.secrets.items())) == (
             x, [(z, store.secrets[z]) for z in points]
         )
@@ -578,6 +579,18 @@ def test_a_command_executes_only_the_layers_it_runs(
     done = run_python("-c", probe, report, *(arg.format(**names) for arg in command))
     assert done.returncode == 0, done.stderr
     assert read_json(report) == [0, executed, True]
+
+
+def test_the_package_binds_no_reference_function():
+    # the set-based normalisation, the arc-cost table and the enforcement
+    # check serve the oracles, the tests and the worked example, which
+    # import each from the module that defines it
+    defined = {"poset": ("ensure_root", "transitive_closure", "transitive_reduction"),
+               "trees": ("weight_function",), "allocation": ("validate_enforcement",)}
+    for module, names in defined.items():
+        for name in names:
+            assert not hasattr(treekeys, name), name
+            assert callable(getattr(getattr(treekeys, module), name))
 
 
 def test_encrypt_with_keystore_for_another_tree_exits_one(keyed_sample, tree8_gd, tmp_path):
@@ -920,6 +933,84 @@ def test_bundle_derives_each_label_once(keyed_sample, tmp_path, monkeypatch, com
     monkeypatch.setattr(kdf, "derive", counted)
     assert main([command, str(keyed_sample["policy"]), *holder, *operands]) == 0
     assert derived == ["a"]
+
+
+@pytest.mark.parametrize("command", ["derive", "encrypt", "decrypt"])
+def test_bundle_start_points_are_computed_once_per_command(
+    keyed_sample, tmp_path, monkeypatch, command
+):
+    # f's bundle opens objects of three labels: its start points are worked
+    # out once, when it is read, not once per key derived from it
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(folder / label), "label": label} for label in "abd"]}))
+    for label in "abd":
+        (folder / label).write_bytes(label.encode())
+    holder = ["--tree", str(keyed_sample["tree"]),
+              "--bundle", str(keyed_sample["keys"] / "sigma_f.json")]
+    if command == "derive":
+        operands = ["a"]
+    elif command == "encrypt":
+        operands = ["--manifest", str(manifest)]
+    else:
+        assert main(["encrypt", str(keyed_sample["policy"]), *holder,
+                     "--manifest", str(manifest)]) == 0
+        operands = ["--out-dir", str(tmp_path / "opened"),
+                    *(str(folder / f"{label}.sealed") for label in "abd")]
+    holders = []
+    start_points = kdf.start_points
+
+    def counted(poset, parent, x):
+        holders.append(x)
+        return start_points(poset, parent, x)
+
+    monkeypatch.setattr(kdf, "start_points", counted)
+    assert main([command, str(keyed_sample["policy"]), *holder, *operands]) == 0
+    assert holders == ["f"]
+
+
+@pytest.mark.parametrize("fault", ["short", "extra", "stranger"])
+@pytest.mark.parametrize("command", ["derive", "encrypt", "decrypt"])
+def test_bundle_not_holding_its_start_points_exits_one_before_any_object(
+    run, keyed_sample, tmp_path, monkeypatch, command, fault
+):
+    # f's bundle one start point short, or with h's or an unknown label's
+    # secret added, is refused when it is read: before any object's bytes
+    # are read or any file is written, and before derive authorises e
+    bundle = read_json(keyed_sample["keys"] / "sigma_f.json")
+    if fault == "short":
+        del bundle["secrets"][next(iter(bundle["secrets"]))]
+    else:
+        bundle["secrets"]["h" if fault == "extra" else "zz"] = "00" * kdf.KEY_BYTES
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(bundle))
+    store = read_json(keyed_sample["keys"] / "keystore.json")
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    (folder / "o1").write_bytes(b"plain")
+    (folder / "o2.sealed").write_bytes(seal(bytes.fromhex(store["keys"]["a"]), "a", b"plain"))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [{"path": str(folder / "o1"), "label": "a"}]}))
+    operands = {"derive": [["a"], ["e"]], "encrypt": [["--manifest", manifest]],
+                "decrypt": [[folder / "o2.sealed"]]}[command]
+    before = _files(folder)
+    sizes = []
+    read_object = cli._read_object
+
+    def recorded(path, size=-1):
+        sizes.append(size)
+        return read_object(path, size)
+
+    monkeypatch.setattr(cli, "_read_object", recorded)
+    for operand in operands:
+        code, out, err = run(command, keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                             "--bundle", broken, *operand)
+        assert (code, out) == (1, "")
+        assert "malformed bundle for 'f': start points do not match" in err
+    assert set(sizes) <= {0}  # decrypt opens each operand first, reading nothing
+    assert _files(folder) == before
 
 
 def test_decrypt_output_over_a_later_input_exits_one(keyed_sample, tmp_path):
@@ -1408,7 +1499,8 @@ class TestVerify:
 
     def test_malformed_bundle_is_a_failure_not_an_error(self, run, policy_file, monkeypatch):
         # the battery builds every label's bundle one start point short;
-        # derive refuses each as malformed, and the battery must report it
+        # derive finds no start point above what the dropped one covers,
+        # and the battery must report it
         whole = kdf.SigmaBundle
 
         def one_short(holder, secrets):
@@ -1420,6 +1512,20 @@ class TestVerify:
         report = json.loads(out)
         assert report["passed"] is False
         failed = {c["name"]: c["counterexample"] for c in report["checks"] if not c["passed"]}
+        assert failed == {"derive-correctness": {"instance": "policy"}}
+
+    def test_start_points_off_the_allocation_fail_derive_correctness(
+        self, run, policy_file, monkeypatch
+    ):
+        # a read bundle is checked against start_points, so the battery checks
+        # them against the allocation it certified, at every holder
+        start_points = kdf.start_points
+        monkeypatch.setattr("treekeys.oracles.start_points",
+                            lambda *args: frozenset(sorted(start_points(*args))[1:]))
+        code, out, err = run("verify", policy_file, "--seeds", "3", "--json")
+        assert code == 3, err
+        failed = {c["name"]: c["counterexample"] for c in json.loads(out)["checks"]
+                  if not c["passed"]}
         assert failed == {"derive-correctness": {"instance": "policy"}}
 
     def test_failure_exits_three(self, run, policy_file, monkeypatch):

@@ -57,15 +57,12 @@ from treekeys import (
     scheme_metrics,
     seeded_bytes,
     setup,
-    ensure_root,
-    transitive_closure,
-    transitive_reduction,
-    weight_function,
     width,
 )
 from treekeys.allocation import forest_sizes
 from treekeys.baselines import chain_metrics, chain_scheme_build
 from treekeys.matching import augment, max_bipartite_matching
+from treekeys.poset import ensure_root, transitive_closure, transitive_reduction
 from treekeys.oracles import (
     _in_arc_lists,
     _literal_arc_weights,
@@ -80,7 +77,7 @@ from treekeys.oracles import (
     random_users,
     rematching_min_leaf_tree,
 )
-from treekeys.trees import _cheapest_parents
+from treekeys.trees import _cheapest_parents, weight_function
 
 from conftest import bundles_of, load_perfbench, mls_policy_doc, sparse_policy_doc
 

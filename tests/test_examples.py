@@ -1,9 +1,11 @@
-"""Smoke tests for the examples: both scripts and README's library block
-must run to the end on the current API, and README's transcript must
-print what the commands print."""
+"""Smoke tests for the examples: the scripts and README's library block
+must run to the end on the current API, README's transcript must print
+what the commands print, and the stage timer must write every cell."""
 
+import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 
 from treekeys.cli import main as cli_main
 
-from conftest import SAMPLE_PARTITION_DOC, SAMPLE_POLICY_DOC
+from conftest import SAMPLE_PARTITION_DOC, SAMPLE_POLICY_DOC, sparse_policy_doc
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +57,47 @@ def test_readme_transcript_prints_what_the_command_prints(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert cli_main(command.split()) == 0
     assert capsys.readouterr().out.splitlines() == shown.splitlines()
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_bench(out, *args):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--out", str(out), *map(str, args)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_bench_times_every_stage_from_both_source_trees(tmp_path):
+    report = run_bench(tmp_path / "bench.json", "--case", "sparse:250", "--repeat", 1,
+                       "--src", ROOT)
+    stages = load_bench().STAGES
+    assert [(r["source"], r["stage"]) for r in report["rows"]] == [
+        (source, stage) for source in ("current", "other") for stage in stages
+    ]
+    assert {(r["family"], r["size"], r["status"]) for r in report["rows"]} == {
+        ("sparse", 250, "ok")}
+    assert all(r["ms"] >= 0 for r in report["rows"])
+    assert report["python"] == platform.python_version()
+
+
+def test_bench_records_a_timeout_or_an_error_in_every_cell(tmp_path):
+    # a budget no stage meets, and a second source tree with no treekeys in it
+    report = run_bench(tmp_path / "bench.json", "--case", "sparse:250", "--repeat", 1,
+                       "--budget", 1e-6, "--src", tmp_path / "empty")
+    statuses = [(r["source"], r["status"]) for r in report["rows"]]
+    count = len(load_bench().STAGES)
+    assert statuses == [("current", "timeout")] + [("current", "error")] * (count - 1) + [
+        ("other", "error")] * count
+    assert all(r["ms"] is None and r["detail"] for r in report["rows"])
+
+
+def test_bench_sparse_family_is_the_tests_sparse_policy():
+    assert load_bench().sparse(250) == sparse_policy_doc(250, 1)

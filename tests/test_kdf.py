@@ -199,7 +199,7 @@ class TestSetup:
         assert len(set(values)) == 16
 
     def test_bundles_carry_start_point_secrets(self, sample_scheme):
-        # the allocation's bundles hold the start points derive checks for
+        # the allocation's bundles hold the start points a read bundle is checked against
         poset, tree, store, sigma = sample_scheme
         for label, bundle in sigma.items():
             assert bundle.holder == label
@@ -256,24 +256,28 @@ class TestDerive:
                     derive(poset, tree, sigma[holder], target)
 
     def test_rejects_malformed_bundle(self, sample_scheme):
-        poset, tree, store, sigma = sample_scheme
-        truncated = SigmaBundle(holder="f", secrets={"f": store.secrets["f"]})
-        with pytest.raises(PolicyError, match="malformed bundle"):
-            derive(poset, tree, truncated, "f")
+        # a bundle short of its holder's start points is refused when it is read
+        poset, tree, store, _ = sample_scheme
+        truncated = {"holder": "f", "secrets": {"f": store.secrets["f"].hex()}}
+        message = "malformed bundle for 'f': start points do not match"
+        with pytest.raises(PolicyError, match=message):
+            SigmaBundle.from_json_dict(truncated, poset, tree)
 
     def test_bundle_must_hold_exactly_the_start_points(self, sample_scheme):
-        # toggle each label, and a stranger, in and out of every holder's bundle
+        # toggle each label, and a stranger, in and out of every holder's
+        # bundle: each is refused when it is read
         poset, tree, store, sigma = sample_scheme
         phi = canonical_allocation(poset, tree)
         for holder in poset.labels:
             assert tuple(sigma[holder].secrets) == phi[holder]
             points = set(phi[holder])
             for z in [*poset.labels, "zz"]:
-                secrets = {v: store.secrets.get(v, bytes(KEY_BYTES)) for v in points ^ {z}}
-                bad = SigmaBundle(holder=holder, secrets=secrets)
+                secrets = {v: store.secrets.get(v, bytes(KEY_BYTES)).hex() for v in points ^ {z}}
                 with pytest.raises(PolicyError, match="malformed bundle"):
-                    derive(poset, tree, bad, holder)
-        # the target is checked, then authorised, before the bundle
+                    SigmaBundle.from_json_dict({"holder": holder, "secrets": secrets}, poset, tree)
+        with pytest.raises(PolicyError, match="unknown label 'zz'"):
+            SigmaBundle.from_json_dict({"holder": "zz", "secrets": {}}, poset, tree)
+        # derive checks the target, then authorises, before touching a secret
         bad = SigmaBundle(holder="c", secrets={})
         with pytest.raises(AuthorizationError):
             derive(poset, tree, bad, "e")
@@ -300,17 +304,19 @@ class TestSerialization:
             SecretStore.from_json_dict({"tree": {}, "secrets": {}, "keys": {}, "pub": {}})
 
     def test_bundle_round_trip(self, sample_scheme):
-        _, _, _, sigma = sample_scheme
+        poset, tree, _, sigma = sample_scheme
         doc = {"holder": "f", "secrets": {z: s.hex() for z, s in sigma["f"].secrets.items()}}
-        assert SigmaBundle.from_json_dict(doc) == sigma["f"]
+        assert SigmaBundle.from_json_dict(doc, poset, tree) == sigma["f"]
 
-    def test_bundle_rejects_bad_hex(self):
-        with pytest.raises(PolicyError):
-            SigmaBundle.from_json_dict({"holder": "x", "secrets": {"x": "zz"}})
+    def test_bundle_rejects_bad_hex(self, sample_scheme):
+        poset, tree, _, _ = sample_scheme
+        with pytest.raises(PolicyError, match="malformed bundle secrets"):
+            SigmaBundle.from_json_dict({"holder": "a", "secrets": {"a": "zz"}}, poset, tree)
 
-    def test_bundle_rejects_short_secret(self):
+    def test_bundle_rejects_short_secret(self, sample_scheme):
+        poset, tree, _, _ = sample_scheme
         with pytest.raises(PolicyError, match="2 bytes"):
-            SigmaBundle.from_json_dict({"holder": "x", "secrets": {"x": "abcd"}})
+            SigmaBundle.from_json_dict({"holder": "a", "secrets": {"a": "abcd"}}, poset, tree)
 
     def test_keystore_rejects_short_key(self, sample_scheme):
         _, _, store, _ = sample_scheme

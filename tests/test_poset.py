@@ -10,8 +10,6 @@ from treekeys import (
     VIRTUAL_ROOT,
     min_chain_partition,
     parse_policy,
-    transitive_closure,
-    transitive_reduction,
     width,
 )
 from treekeys.oracles import (
@@ -21,6 +19,7 @@ from treekeys.oracles import (
     covers,
     random_poset,
 )
+from treekeys.poset import transitive_closure, transitive_reduction
 
 from conftest import SAMPLE_COVERS, SAMPLE_ELEMENTS, SAMPLE_POLICY_DOC
 

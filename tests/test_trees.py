@@ -15,7 +15,6 @@ from treekeys import (
     min_weight_out_tree,
     parse_policy,
     validate_tree,
-    weight_function,
 )
 from treekeys.matching import max_bipartite_matching
 from treekeys.oracles import (
@@ -28,6 +27,7 @@ from treekeys.oracles import (
     random_poset,
     random_users,
 )
+from treekeys.trees import weight_function
 
 from conftest import SAMPLE_WEIGHTS, bundles_of, one_user_each, sparse_policy_doc
 
