@@ -4,9 +4,9 @@
 Each case is one policy: a family and its size. For every case a fresh
 interpreter runs the stages below in order, each on what the ones before
 produced, and times each with ``time.process_time``, best of
-``--repeat``. With ``--src DIR`` the same cases are timed again from
+``REPEAT``. With ``--src DIR`` the same cases are timed again from
 ``DIR/src`` (another checkout, say the parent commit), the two source
-trees alternating process by process. A stage call over ``--budget``
+trees alternating process by process. A stage call over ``BUDGET_S``
 seconds of wall time records ``timeout``, one that raises records
 ``error``, and so does every later stage that needs what it would have
 made: every (case, source, stage) cell is written, none dropped.
@@ -17,6 +17,7 @@ Standard library only; the families are written out below.
 """
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -28,6 +29,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Calls per stage; the least CPU time counts.
+REPEAT = 3
+
+#: Seconds of wall time one stage call may take.
+BUDGET_S = 60.0
 
 #: The stages, in the order they run.
 STAGES = (
@@ -119,19 +126,24 @@ def _stages(document):
         allocation=allocation.canonical_allocation(p, tree))
     yield "forest_sizes", lambda: allocation.forest_sizes(p, tree.parent)
     yield "kdf.setup", lambda: made.update(store=kdf.setup(tree, rng=kdf.seeded_bytes(b"bench")))
-    # the root's bundle, walked down to the deepest label of the tree
+    # what the derive command does past parsing: read the root's bundle, which
+    # checks its start points, then walk down to the deepest label of the tree
     secrets = made["store"].secrets
-    bundle = kdf.SigmaBundle(p.root, {z: secrets[z] for z in made["allocation"][p.root]})
+    document = {"holder": p.root,
+                "secrets": {z: secrets[z].hex() for z in made["allocation"][p.root]}}
+    read = kdf.SigmaBundle.from_json_dict
+    # a reader that takes the document alone leaves the check to derive
+    checked = (p, tree) if len(inspect.signature(read).parameters) > 1 else ()
     target = max(p.labels, key=tree.depths().get)
-    yield "derive", lambda: kdf.derive(p, tree, bundle, target)
+    yield "derive", lambda: kdf.derive(p, tree, read(document, *checked), target)
 
 
-def _best_of(call, repeat, budget):
-    """The least CPU time of ``repeat`` calls, in milliseconds; raises
-    ``_Timeout`` if a call runs over ``budget`` seconds."""
+def _best_of(call):
+    """The least CPU time of ``REPEAT`` calls, in milliseconds; raises
+    ``_Timeout`` if a call runs over ``BUDGET_S`` seconds."""
     best = float("inf")
-    for _ in range(repeat):
-        signal.setitimer(signal.ITIMER_REAL, budget)
+    for _ in range(REPEAT):
+        signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
         started = time.process_time()
         try:
             call()
@@ -141,7 +153,7 @@ def _best_of(call, repeat, budget):
     return round(best * 1000, 3)
 
 
-def run_child(case, repeat, budget):
+def run_child(case):
     """Time every stage of ``case`` in this process, from the treekeys on
     ``PYTHONPATH``, printing each stage's row as a JSON line once it ends."""
     family, size = case.split(":")
@@ -162,9 +174,9 @@ def run_child(case, repeat, budget):
         else:
             assert stage == name, (stage, name)
             try:
-                row.update(status="ok", ms=_best_of(call, repeat, budget))
+                row.update(status="ok", ms=_best_of(call))
             except _Timeout:
-                row.update(status="timeout", detail=f"a call took over {budget} s")
+                row.update(status="timeout", detail=f"a call took over {BUDGET_S} s")
             except Exception as exc:  # recorded, not raised
                 row.update(status="error", detail=f"{type(exc).__name__}: {exc}")
             if row["status"] != "ok":
@@ -172,15 +184,14 @@ def run_child(case, repeat, budget):
         print(json.dumps(row), flush=True)
 
 
-def time_case(case, source, src, repeat, budget):
+def time_case(case, source, src):
     """The rows of ``case`` timed from ``src``, one per stage, whatever
     becomes of the process that times them."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    command = [sys.executable, __file__, "--child", case, "--repeat", str(repeat),
-               "--budget", str(budget)]
+    command = [sys.executable, __file__, "--child", case]
     try:
         done = subprocess.run(command, capture_output=True, text=True, env=env,
-                              timeout=budget * repeat * len(STAGES) + 60)
+                              timeout=BUDGET_S * REPEAT * len(STAGES) + 60)
         out, ending = done.stdout, f"exit {done.returncode}: {done.stderr.strip()[-200:]}"
         lost = "error"
     except subprocess.TimeoutExpired as exc:  # its output so far comes undecoded
@@ -201,12 +212,10 @@ def main():
     parser.add_argument("--case", action="append", metavar="FAMILY:SIZE",
                         help=f"a case to time, repeatable (default: {' '.join(DEFAULT_CASES)}); "
                              f"families: {', '.join(FAMILIES)}; a lattice's size is its atoms")
-    parser.add_argument("--repeat", type=int, default=3, help="calls per stage; the best counts")
-    parser.add_argument("--budget", type=float, default=60.0, help="seconds per stage call")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        run_child(args.child, args.repeat, args.budget)
+        run_child(args.child)
         return 0
     if not args.out:
         parser.error("--out is required")
@@ -222,16 +231,16 @@ def main():
     for i, case in enumerate(cases):
         order = sources if i % 2 == 0 else sources[::-1]  # alternate which runs first
         for source, src in order:
-            rows.extend(time_case(case, source, src, args.repeat, args.budget))
+            rows.extend(time_case(case, source, src))
             print(f"{case} {source}: " + " ".join(
                 f"{r['stage']}={r['ms'] if r['status'] == 'ok' else r['status']}"
                 for r in rows[-len(STAGES):]), file=sys.stderr)
     report = {
-        "method": f"time.process_time in-process, best of {args.repeat}; milliseconds",
+        "method": f"time.process_time in-process, best of {REPEAT}; milliseconds",
         "python": platform.python_version(),
         "host": {"system": platform.system(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
-        "budget_s": args.budget,
+        "budget_s": BUDGET_S,
         "sources": [source for source, _ in sources],
         "rows": rows,
     }

@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -76,8 +77,7 @@ def run_bench(out, *args):
 
 
 def test_bench_times_every_stage_from_both_source_trees(tmp_path):
-    report = run_bench(tmp_path / "bench.json", "--case", "sparse:250", "--repeat", 1,
-                       "--src", ROOT)
+    report = run_bench(tmp_path / "bench.json", "--case", "sparse:250", "--src", ROOT)
     stages = load_bench().STAGES
     assert [(r["source"], r["stage"]) for r in report["rows"]] == [
         (source, stage) for source in ("current", "other") for stage in stages
@@ -88,15 +88,24 @@ def test_bench_times_every_stage_from_both_source_trees(tmp_path):
     assert report["python"] == platform.python_version()
 
 
-def test_bench_records_a_timeout_or_an_error_in_every_cell(tmp_path):
-    # a budget no stage meets, and a second source tree with no treekeys in it
-    report = run_bench(tmp_path / "bench.json", "--case", "sparse:250", "--repeat", 1,
-                       "--budget", 1e-6, "--src", tmp_path / "empty")
-    statuses = [(r["source"], r["status"]) for r in report["rows"]]
-    count = len(load_bench().STAGES)
-    assert statuses == [("current", "timeout")] + [("current", "error")] * (count - 1) + [
-        ("other", "error")] * count
-    assert all(r["ms"] is None and r["detail"] for r in report["rows"])
+def test_bench_records_a_timeout_or_an_error_in_every_cell(tmp_path, monkeypatch, capsys):
+    # a budget no stage meets, timed in this process
+    bench = load_bench()
+    monkeypatch.setattr(bench, "BUDGET_S", 1e-6)
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    handler = signal.getsignal(signal.SIGALRM)
+    try:
+        bench.run_child("sparse:250")
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # and a source tree with no treekeys in it, timed in a child process
+    rows += bench.time_case("sparse:250", "other", tmp_path / "empty")
+    statuses = [(r.get("source"), r["stage"], r["status"]) for r in rows]
+    first, *later = bench.STAGES
+    assert statuses == [(None, first, "timeout")] + [(None, stage, "error") for stage in later] + [
+        ("other", stage, "error") for stage in bench.STAGES]
+    assert all(r["ms"] is None and r["detail"] for r in rows)
 
 
 def test_bench_sparse_family_is_the_tests_sparse_policy():

@@ -284,6 +284,20 @@ class TestDerive:
         with pytest.raises(PolicyError, match="unknown label 'zz'"):
             derive(poset, tree, bad, "zz")
 
+    def test_trusts_a_bundle_it_is_handed(self, sample_scheme):
+        # derive does not check a bundle's start points: a hand-built bundle that
+        # also holds a wrong secret below one of them walks from that secret
+        poset, tree, store, sigma = sample_scheme
+        starts = sigma["f"].secrets
+        below = next(x for x in poset.down_set("f") if x not in starts and tree.parent[x] in starts)
+        bundle = SigmaBundle("f", {**starts, below: bytes(KEY_BYTES)})
+        assert derive(poset, tree, bundle, below) == prf(bytes(KEY_BYTES), encode_label(below))
+        assert derive(poset, tree, bundle, below) != store.keys[below]
+        with pytest.raises(PolicyError, match="malformed bundle"):
+            SigmaBundle.from_json_dict(
+                {"holder": "f", "secrets": {z: s.hex() for z, s in bundle.secrets.items()}},
+                poset, tree)
+
     def test_rejects_unknown_labels(self, sample_scheme):
         poset, tree, _, sigma = sample_scheme
         with pytest.raises(Exception):
