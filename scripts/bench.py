@@ -18,6 +18,7 @@ Standard library only; the families are written out below.
 
 import argparse
 import inspect
+import io
 import json
 import os
 import platform
@@ -48,7 +49,12 @@ STAGES = (
     "forest_sizes",
     "kdf.setup",
     "derive",
+    "seal[1MiB]",
+    "unseal[1MiB]",
 )
+
+#: The object that the seal and unseal stages time.
+SEALED_BYTES = 1 << 20
 
 #: The two sizes of each family that ROADMAP's baseline table uses.
 DEFAULT_CASES = (
@@ -109,7 +115,7 @@ def _stages(document):
     yields runs untimed, after the call before has been timed; it raises
     when a later stage needs what a stage that did not finish would have made."""
     import treekeys
-    from treekeys import allocation, kdf, poset, trees
+    from treekeys import allocation, kdf, poset, sealing, trees
 
     if Path(treekeys.__file__).parents[1] != Path(os.environ["PYTHONPATH"]):
         raise ImportError(f"treekeys was imported from {treekeys.__file__}")
@@ -136,6 +142,24 @@ def _stages(document):
     checked = (p, tree) if len(inspect.signature(read).parameters) > 1 else ()
     target = max(p.labels, key=tree.depths().get)
     yield "derive", lambda: kdf.derive(p, tree, read(document, *checked), target)
+    # what encrypt and decrypt do with an object once it is read: seal it, or
+    # authenticate and open it, and write what comes out
+    key, plaintext = made["store"].keys[target], bytes(range(256)) * (SEALED_BYTES // 256)
+    container = io.BytesIO()
+    _write(container, sealing.seal(key, target, plaintext))
+    blob = container.getvalue()
+    with open(os.devnull, "wb") as sink:
+        yield "seal[1MiB]", lambda: _write(sink, sealing.seal(key, target, plaintext))
+        yield "unseal[1MiB]", lambda: _write(sink, sealing.unseal(key, blob)[1])
+
+
+def _write(sink, output):
+    """Write what ``seal`` or ``unseal`` gives: its pieces, or the one buffer
+    that a tree from before piecewise sealing returns."""
+    if isinstance(output, (bytes, bytearray)):
+        sink.write(output)
+    else:
+        sink.writelines(output)
 
 
 def _best_of(call):

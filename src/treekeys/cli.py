@@ -284,13 +284,30 @@ def _refuse_targets(sources: list[Path], targets: list[Path]) -> None:
             raise PolicyError(f"{sources[j]} and {sources[i]} would both be written to {target}")
 
 
-def _read_object(path: Path, size: int = -1) -> bytes:
-    """Up to ``size`` bytes of ``path``, all of it by default."""
+def _object_size(path: Path) -> int:
+    """The size of ``path``, which is opened so that an object that cannot
+    be read is refused before any write."""
     try:
         with path.open("rb") as handle:
-            return handle.read(size)
+            return os.fstat(handle.fileno()).st_size
     except OSError as exc:
         raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _read_object(path: Path, buffer: memoryview) -> memoryview:
+    """All of ``path``, read into the front of ``buffer``; refused if it
+    has grown past the buffer since it was sized."""
+    try:
+        with path.open("rb") as handle:
+            size = 0
+            while read := handle.readinto(buffer[size:]):
+                size += read
+            if handle.read(1):
+                raise PolicyError(f"cannot read {path}: it grew past {len(buffer)} bytes "
+                                  "while the command ran")
+    except OSError as exc:
+        raise PolicyError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return buffer[:size]
 
 
 def cmd_encrypt(args: argparse.Namespace) -> int:
@@ -301,11 +318,12 @@ def cmd_encrypt(args: argparse.Namespace) -> int:
     _refuse_targets([path for path, _ in entries], targets)
     object_key = _key_source(args, poset, tree)
     keys = {label: object_key(label) for _, label in entries}  # refused before any write
-    for path, _ in entries:  # so is an object that cannot be opened
-        _read_object(path, 0)
+    sizes = [_object_size(path) for path, _ in entries]  # so is an unreadable object
+    buffer = memoryview(bytearray(max(sizes, default=0)))  # each object is read into it in turn
     for (path, label), target in zip(entries, targets):
-        # no name holds the object, so it is freed before the next is read
-        target.write_bytes(sealing.seal(keys[label], label, _read_object(path)))
+        sealed = sealing.seal(keys[label], label, _read_object(path, buffer))
+        with target.open("wb") as handle:
+            handle.writelines(sealed)
         print(f"sealed {path} -> {target} (label {label})")
     return 0
 
@@ -324,18 +342,17 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
                               "pass --out-dir to choose a destination")
         targets.append(Path(args.out_dir) / base if args.out_dir else path.with_name(base))
     _refuse_targets(paths, targets)
-    for path in paths:  # an operand that cannot be opened is refused before any write
-        _read_object(path, 0)
+    sizes = [_object_size(path) for path in paths]  # refused before any write if unreadable
     object_key = _key_source(args, poset, tree)
+    buffer = memoryview(bytearray(max(sizes, default=0)))  # each operand is read into it in turn
     for path, target in zip(paths, targets):
-        blob = _read_object(path)
+        blob = _read_object(path, buffer)
         label = sealing.sealed_label(blob)
         _check_object_label(poset, label)
-        key = object_key(label)
-        _, plaintext = sealing.unseal(key, blob)
+        _, plaintext = sealing.unseal(object_key(label), blob)  # authenticated before any write
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(plaintext)
-        del blob, plaintext  # freed before the next object is read
+        with target.open("wb") as handle:
+            handle.writelines(plaintext)
         print(f"opened {path} -> {target} (label {label})")
     return 0
 

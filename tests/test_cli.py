@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import urllib.parse
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from treekeys import (
     trees,
 )
 from treekeys.cli import main
-from treekeys.sealing import seal
+from treekeys.sealing import seal, unseal
 
 from conftest import (
     KEYSTORE_FAULTS,
@@ -469,7 +470,7 @@ def test_failed_hmac_self_check_exits_three_before_any_key(keyed_sample, tmp_pat
     assert "HMAC-SHA-256 self-check failed" in done.stderr
     store = read_json(keyed_sample["keys"] / "keystore.json")
     sealed = tmp_path / "report.txt.sealed"
-    sealed.write_bytes(seal(bytes.fromhex(store["keys"]["e"]), "e", b"numbers\n"))
+    sealed.write_bytes(b"".join(seal(bytes.fromhex(store["keys"]["e"]), "e", b"numbers\n")))
     done = run_python("-c", probe, "decrypt", keyed_sample["policy"],
                       "--tree", keyed_sample["tree"],
                       "--bundle", keyed_sample["keys"] / "sigma_h.json", sealed)
@@ -527,7 +528,7 @@ def test_only_key_derivation_loads_hmac(command, derives, seals, keyed_sample, t
         json.dumps({"objects": [{"path": str(payload), "label": "e"}]}))
     store = read_json(keyed_sample["keys"] / "keystore.json")
     (tmp_path / "old.txt.sealed").write_bytes(
-        seal(bytes.fromhex(store["keys"]["e"]), "e", b"older numbers\n"))
+        b"".join(seal(bytes.fromhex(store["keys"]["e"]), "e", b"older numbers\n")))
     names = {"policy": keyed_sample["policy"], "tree": keyed_sample["tree"],
              "keys": keyed_sample["keys"], "tmp": tmp_path}
     modules = ("cryptography", "hashlib", "_hashlib", "hmac")
@@ -892,7 +893,8 @@ def test_keystore_not_covering_its_tree_opens_and_seals_nothing(
         manifest.write_text(json.dumps({"objects": [{"path": str(folder / "o1"), "label": "a"}]}))
         operands = ["--manifest", manifest]
     else:
-        (folder / "o1.sealed").write_bytes(seal(bytes.fromhex(store["keys"]["a"]), "a", b"plain"))
+        (folder / "o1.sealed").write_bytes(
+            b"".join(seal(bytes.fromhex(store["keys"]["a"]), "a", b"plain")))
         operands = [folder / "o1.sealed"]
     before = _files(folder)
     done = run_process(command, keyed_sample["policy"], "--tree", keyed_sample["tree"],
@@ -990,18 +992,19 @@ def test_bundle_not_holding_its_start_points_exits_one_before_any_object(
     folder = tmp_path / "objects"
     folder.mkdir()
     (folder / "o1").write_bytes(b"plain")
-    (folder / "o2.sealed").write_bytes(seal(bytes.fromhex(store["keys"]["a"]), "a", b"plain"))
+    (folder / "o2.sealed").write_bytes(
+        b"".join(seal(bytes.fromhex(store["keys"]["a"]), "a", b"plain")))
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"objects": [{"path": str(folder / "o1"), "label": "a"}]}))
     operands = {"derive": [["a"], ["e"]], "encrypt": [["--manifest", manifest]],
                 "decrypt": [[folder / "o2.sealed"]]}[command]
     before = _files(folder)
-    sizes = []
+    read = []
     read_object = cli._read_object
 
-    def recorded(path, size=-1):
-        sizes.append(size)
-        return read_object(path, size)
+    def recorded(path, buffer):
+        read.append(path)
+        return read_object(path, buffer)
 
     monkeypatch.setattr(cli, "_read_object", recorded)
     for operand in operands:
@@ -1009,7 +1012,7 @@ def test_bundle_not_holding_its_start_points_exits_one_before_any_object(
                              "--bundle", broken, *operand)
         assert (code, out) == (1, "")
         assert "malformed bundle for 'f': start points do not match" in err
-    assert set(sizes) <= {0}  # decrypt opens each operand first, reading nothing
+    assert read == []  # decrypt opens and sizes each operand first, reading nothing
     assert _files(folder) == before
 
 
@@ -1046,7 +1049,7 @@ def test_decrypt_with_a_later_operand_it_cannot_open_writes_nothing(
     folder = tmp_path / "objects"
     folder.mkdir()
     key = bytes.fromhex(read_json(keyed_sample["keys"] / "keystore.json")["keys"]["a"])
-    (folder / "x.sealed").write_bytes(seal(key, "a", b"first"))
+    (folder / "x.sealed").write_bytes(b"".join(seal(key, "a", b"first")))
     if second == "directory":
         (folder / "nope.sealed").mkdir()
     done = run_process("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
@@ -1058,6 +1061,110 @@ def test_decrypt_with_a_later_operand_it_cannot_open_writes_nothing(
     assert f"cannot read {folder / 'nope.sealed'}" in done.stderr
     assert done.stdout == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_encrypt_and_decrypt_hold_one_buffer_the_size_of_the_largest_object(
+    run, keyed_sample, tmp_path
+):
+    # objects of 3, 1 and 2 MiB are read in turn into one 3 MiB buffer and
+    # sealed or opened a chunk at a time: no command holds an object twice
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    objects = {name: os.urandom(size << 20) for name, size in (("o3", 3), ("o1", 1), ("o2", 2))}
+    for name, data in objects.items():
+        (folder / name).write_bytes(data)
+    (folder / "warm").write_bytes(b"imports and caches come before the measurement")
+    holder = ["--tree", keyed_sample["tree"], "--keystore", keyed_sample["keys"] / "keystore.json"]
+    manifests = {}
+    for name, listed in (("warm", ["warm"]), ("objects", list(objects))):
+        manifests[name] = tmp_path / f"{name}.json"
+        manifests[name].write_text(json.dumps({"objects": [
+            {"path": str(folder / entry), "label": "e"} for entry in listed]}))
+    assert run("encrypt", keyed_sample["policy"], *holder, "--manifest", manifests["warm"])[0] == 0
+    assert run("decrypt", keyed_sample["policy"], *holder, folder / "warm.sealed",
+               "--out-dir", tmp_path / "warm")[0] == 0
+    for command in (["encrypt", "--manifest", manifests["objects"]],
+                    ["decrypt", *(folder / f"{name}.sealed" for name in objects),
+                     "--out-dir", tmp_path / "opened"]):
+        tracemalloc.start()
+        try:
+            code, _out, err = run(command[0], keyed_sample["policy"], *holder, *command[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 1.25 * (3 << 20), (command[0], peak)
+    assert _files(tmp_path / "opened") == objects
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_decrypt_of_a_tampered_later_operand_writes_only_the_earlier(
+    run, keyed_sample, tmp_path, existing
+):
+    # y.sealed fails authentication before its output is created or truncated
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    key = bytes.fromhex(read_json(keyed_sample["keys"] / "keystore.json")["keys"]["a"])
+    (folder / "x.sealed").write_bytes(b"".join(seal(key, "a", b"first")))
+    tampered = bytearray(b"".join(seal(key, "a", b"second")))
+    tampered[-20] ^= 0x01
+    (folder / "y.sealed").write_bytes(tampered)
+    out = tmp_path / "out"
+    out.mkdir()
+    before = {"y": b"written before the command"} if existing else {}
+    for name, data in before.items():
+        (out / name).write_bytes(data)
+    code, stdout, err = run("decrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                            "--keystore", keyed_sample["keys"] / "keystore.json",
+                            folder / "x.sealed", folder / "y.sealed", "--out-dir", out)
+    assert code == 3
+    assert "sealed object failed authentication" in err
+    assert stdout == f"opened {folder / 'x.sealed'} -> {out / 'x'} (label a)\n"
+    assert _files(out) == {"x": b"first", **before}
+
+
+@pytest.mark.parametrize("larger", [False, True], ids=["alone", "beside-a-larger-object"])
+def test_encrypt_of_an_object_grown_after_it_was_sized_seals_no_prefix(
+    run, keyed_sample, tmp_path, monkeypatch, larger
+):
+    # the object grows between the pass that sizes every object and its
+    # read: it is sealed whole if the buffer still holds it, else refused
+    folder = tmp_path / "objects"
+    folder.mkdir()
+    grows = folder / "grows"
+    grows.write_bytes(b"x" * 100)
+    entries = [grows]
+    if larger:
+        entries.append(folder / "larger")
+        entries[-1].write_bytes(b"z" * 1000)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"objects": [
+        {"path": str(path), "label": "e"} for path in entries]}))
+    object_size = cli._object_size
+
+    def sized_then_grown(path):
+        size = object_size(path)
+        if path == grows:
+            with path.open("ab") as handle:
+                handle.write(b"y" * 50)
+        return size
+
+    monkeypatch.setattr(cli, "_object_size", sized_then_grown)
+    code, _out, err = run("encrypt", keyed_sample["policy"], "--tree", keyed_sample["tree"],
+                          "--keystore", keyed_sample["keys"] / "keystore.json",
+                          "--manifest", manifest)
+    key = bytes.fromhex(read_json(keyed_sample["keys"] / "keystore.json")["keys"]["e"])
+    for sealed in folder.glob("*.sealed"):
+        opened = b"".join(unseal(key, sealed.read_bytes())[1])
+        assert opened == sealed.with_suffix("").read_bytes()
+    if larger:
+        assert code == 0, err
+        assert sorted(path.name for path in folder.glob("*.sealed")) == [
+            "grows.sealed", "larger.sealed"]
+    else:
+        assert code == 1
+        assert f"cannot read {grows}: it grew past 100 bytes" in err
+        assert not list(folder.glob("*.sealed"))
 
 
 def test_build_tree_refuses_a_later_output_that_is_a_directory(run, policy_file, tmp_path):
@@ -1380,7 +1487,7 @@ class TestEncryptDecrypt:
         run("keygen", policy, "--tree", tree, "--seed", SEED, "--out-dir", keys)
         top_key = bytes.fromhex(read_json(keys / "keystore.json")["keys"]["⊤"])
         sealed = tmp_path / "x.sealed"
-        sealed.write_bytes(seal(top_key, "⊤", b"top secret"))
+        sealed.write_bytes(b"".join(seal(top_key, "⊤", b"top secret")))
         key_file = keys / ("keystore.json" if source == "--keystore" else "sigma_%E2%8A%A4.json")
         done = run_process("decrypt", policy, "--tree", tree, source, key_file, sealed)
         assert done.returncode == 1

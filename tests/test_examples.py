@@ -3,6 +3,7 @@ must run to the end on the current API, README's transcript must print
 what the commands print, and the stage timer must write every cell."""
 
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -79,6 +80,7 @@ def run_bench(out, *args):
 def test_bench_times_every_stage_from_both_source_trees(tmp_path):
     report = run_bench(tmp_path / "bench.json", "--case", "sparse:250", "--src", ROOT)
     stages = load_bench().STAGES
+    assert {"seal[1MiB]", "unseal[1MiB]"} <= set(stages)
     assert [(r["source"], r["stage"]) for r in report["rows"]] == [
         (source, stage) for source in ("current", "other") for stage in stages
     ]
@@ -106,6 +108,14 @@ def test_bench_records_a_timeout_or_an_error_in_every_cell(tmp_path, monkeypatch
     assert statuses == [(None, first, "timeout")] + [(None, stage, "error") for stage in later] + [
         ("other", stage, "error") for stage in bench.STAGES]
     assert all(r["ms"] is None and r["detail"] for r in rows)
+
+
+def test_bench_writes_what_seal_gives_whole_or_in_pieces():
+    # a tree from before piecewise sealing returns the container as one bytearray
+    whole, pieces = io.BytesIO(), io.BytesIO()
+    load_bench()._write(whole, bytearray(b"header|ciphertext|tag"))
+    load_bench()._write(pieces, iter([b"header|", b"ciphertext|", b"tag"]))
+    assert whole.getvalue() == pieces.getvalue() == b"header|ciphertext|tag"
 
 
 def test_bench_sparse_family_is_the_tests_sparse_policy():
